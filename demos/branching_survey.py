@@ -20,7 +20,6 @@ def main():
     ap.add_argument("--r", type=int, default=3)
     ap.add_argument("--budget", type=int, default=None)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--no-mackey", action="store_true",
                     help="skip the induced-character cross-check")
     args = ap.parse_args()
@@ -30,7 +29,6 @@ def main():
         spec,
         budget=args.budget,
         seed=args.seed,
-        jobs=args.jobs,
         mackey=False if args.no_mackey else None,
     )
 

@@ -386,16 +386,12 @@ def dixon_table(G: GroupTable, seed: int = 0, classes: ConjClasses | None = None
 
 
 def conjugacy_classes_cached(G: GroupTable) -> ConjClasses:
-    if not hasattr(G, "cache"):
-        G.cache = {}
     if "classes" not in G.cache:
         G.cache["classes"] = ConjClasses(G)
     return G.cache["classes"]
 
 
 def character_table_cached(G: GroupTable, seed: int = 0) -> CharacterTable:
-    if not hasattr(G, "cache"):
-        G.cache = {}
     key = ("chartab", seed)
     if key not in G.cache:
         G.cache[key] = dixon_table(G, seed=seed)

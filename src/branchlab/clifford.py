@@ -6,11 +6,11 @@ its linear characters are exactly
     psi_A(I + pi^ell B) = psi(pi^ell trace(A~ B)),   A in M_2(o_ell'),
 
 for a fixed coordinate lift A~ of A.  This module builds psi_A and its
-restriction psi_[A] to K^ell = M^ell cap SL2, the stabilizers of both
-characters inside GL2 and SL2, the auxiliary h/H unipotent layers, the coset
-space D_A = o_r^x / det C_GL2(psi_A), character-extension tests through
-abelianizations, the fiber Irr(C_GL2(psi_A) | psi_A), and the coset-twisted
-decomposition
+restriction psi_[A] to K^ell = M^ell cap SL2, the unipotent h/H layers, and
+inertia(psi_A), which keeps C_GL2(psi_A), C_SL2(psi_A), C_SL2(psi_[A]), the
+coset space D_A = o_r^x / det C_GL2(psi_A) and that determinant image.  It
+also gives character-extension tests through abelianizations, the fiber
+Irr(C_GL2(psi_A) | psi_A), and the coset-twisted decomposition
 
     Res_SL2 Ind(phi) = sum over d in D_A of Ind(phi^d).
 
@@ -33,12 +33,6 @@ from .chartab import ClassFunction
 from .grp import GroupTable
 from .mat import Mat2
 from .ring import RingElem, RingSpec
-
-
-def _cache(G: GroupTable) -> dict:
-    if not hasattr(G, "cache"):
-        G.cache = {}
-    return G.cache
 
 
 # ------------------------------------------------------------------ layers
@@ -73,7 +67,7 @@ def _inverse_map(size: int, positions: np.ndarray) -> np.ndarray:
 
 
 def _b_arrays(spec: RingSpec, table: GroupTable, ell: int) -> tuple:
-    m11, m12, m21, m22 = table.entries(np.arange(table.n))
+    m11, m12, m21, m22 = table.ms
     one = np.int64(1)
     d11 = ring._vadd(spec, m11, ring._vneg(spec, one))
     d22 = ring._vadd(spec, m22, ring._vneg(spec, one))
@@ -81,9 +75,8 @@ def _b_arrays(spec: RingSpec, table: GroupTable, ell: int) -> tuple:
 
 
 def _layers(G: GroupTable) -> _Layers:
-    cache = _cache(G)
-    if "clifford_layers" in cache:
-        return cache["clifford_layers"]
+    if "clifford_layers" in G.cache:
+        return G.cache["clifford_layers"]
     spec = G.spec
     if spec.r < 2:
         raise ValueError("psi_A machinery needs level r >= 2")
@@ -101,7 +94,7 @@ def _layers(G: GroupTable) -> _Layers:
         K1 = grp.congruence_subgroup(sl, 1)
         B_M = _b_arrays(spec, Ml, ell)
         gl_to_Ml = _inverse_map(G.n, Ml.parent_pos)
-        glp_entries = tuple(ring._vproj(spec, spec_lp, t) for t in G.entries(np.arange(G.n)))
+        glp_entries = tuple(ring._vproj(spec, spec_lp, t) for t in G.ms)
         gl = G
     else:
         gl = Ml = Mlp = None
@@ -118,7 +111,7 @@ def _layers(G: GroupTable) -> _Layers:
         spec, spec_lp, ell, ellp, gl, sl, Ml, Mlp, Kl, K1,
         B_M, B_K, gl_to_Ml, sl_to_Kl, glp_entries, pe.code,
     )
-    cache["clifford_layers"] = out
+    G.cache["clifford_layers"] = out
     return out
 
 
@@ -140,7 +133,6 @@ class PsiA:
     n: int
     exps_M: np.ndarray | None = field(repr=False, default=None)
     exps_K: np.ndarray = field(repr=False, default=None)
-    _inertia: "InertiaData | None" = field(repr=False, default=None, compare=False)
 
     @property
     def layers(self) -> _Layers:
@@ -160,13 +152,36 @@ class PsiA:
         cc = chartab.conjugacy_classes_cached(self.layers.Kl)
         return chartab.class_function_from_exponents(cc, self.n, self.exps_K[cc.reps])
 
+    @cached_property
+    def stabilizer_mask_gl(self) -> np.ndarray:
+        """g in GL2 with psi_A(g^-1 m g) = psi_A(m) on the generators m of M^ell.
+
+        Conjugation by g is an automorphism of the abelian M^ell and psi_A is a
+        homomorphism, so agreement on generators is agreement everywhere.
+        """
+        if self.exps_M is None:
+            raise ValueError("the psi_A stabilizer in GL2 needs the ambient GL2 table")
+        L = self.layers
+        gl, Ml = L.gl, L.Ml
+        allg = np.arange(gl.n, dtype=np.int64)
+        up = Ml.pos_in_ancestor(gl)
+        keep = np.ones(gl.n, dtype=bool)
+        for mgen in Ml.gens:
+            t = gl.mul(gl.mul(gl.inv, np.int64(int(up[mgen]))), allg)
+            inside = L.gl_to_Ml[t]
+            if np.any(inside < 0):
+                raise AssertionError("conjugate left M^ell")
+            keep &= self.exps_M[inside] == self.exps_M[int(mgen)]
+        return keep
+
     def __repr__(self):
         return f"<psi_A for A={mat.encode_mat(self.A)} at level r={self.layers.spec.r}>"
 
 
-def _psi_exps(L: _Layers, Atilde: Mat2, B: tuple) -> np.ndarray:
+def _psi_exps(L: _Layers, At: tuple, B: tuple) -> np.ndarray:
+    """zeta_n exponents of psi(pi^ell trace(At B)) for broadcastable entry arrays."""
     spec = L.spec
-    a11, a12, a21, a22 = (np.int64(c) for c in Atilde.codes)
+    a11, a12, a21, a22 = At
     b11, b12, b21, b22 = B
     m, ad = ring._vmul, ring._vadd
     tr = ad(
@@ -188,15 +203,15 @@ def make_psiA(G: GroupTable, A: Mat2) -> PsiA:
     if A.spec != L.spec_lp:
         raise ValueError(f"A must be over the level-{L.ellp} quotient ring, got level {A.spec.r}")
     key = ("psiA", A.codes)
-    cache = _cache(G)
-    if key in cache:
-        return cache[key]
+    if key in G.cache:
+        return G.cache[key]
     Atilde = mat.mat_lift(L.spec, A)
+    At = mat._as_vec(Atilde)
     n = ring.psi_order(L.spec)
-    exps_K = _psi_exps(L, Atilde, L.B_K)
-    exps_M = _psi_exps(L, Atilde, L.B_M) if L.Ml is not None else None
+    exps_K = _psi_exps(L, At, L.B_K)
+    exps_M = _psi_exps(L, At, L.B_M) if L.Ml is not None else None
     out = PsiA(G, A, Atilde, n, exps_M, exps_K)
-    cache[key] = out
+    G.cache[key] = out
     return out
 
 
@@ -277,25 +292,6 @@ def _product_mask(G: GroupTable, pos_a, pos_b) -> np.ndarray:
     return out
 
 
-def _stabilizer_mask_gl(L: _Layers, psiA: PsiA) -> np.ndarray:
-    """g in GL2 with psi_A(g^-1 m g) = psi_A(m) on the generators m of M^ell.
-
-    Conjugation by g is an automorphism of the abelian M^ell and psi_A is a
-    homomorphism, so agreement on generators is agreement everywhere.
-    """
-    gl, Ml = L.gl, L.Ml
-    allg = np.arange(gl.n, dtype=np.int64)
-    up = Ml.pos_in_ancestor(gl)
-    keep = np.ones(gl.n, dtype=bool)
-    for mgen in Ml.gens:
-        t = gl.mul(gl.mul(gl.inv, np.int64(int(up[mgen]))), allg)
-        inside = L.gl_to_Ml[t]
-        if np.any(inside < 0):
-            raise AssertionError("conjugate left M^ell")
-        keep &= psiA.exps_M[inside] == psiA.exps_M[int(mgen)]
-    return keep
-
-
 def _bracket_stabilizer_mask_sl(L: _Layers, psiA: PsiA) -> np.ndarray:
     """g in SL2 stabilizing psi_[A], by the same generator scan on K^ell."""
     sl, Kl = L.sl, L.Kl
@@ -336,12 +332,6 @@ class InertiaData:
     c_gl: GroupTable  # C_GL2(psi_A), subgroup of GL2
     c_sl: GroupTable  # C_SL2(psi_A) = C_GL2(psi_A) cap SL2
     c_sl_bracket: GroupTable  # C_SL2(psi_[A])
-    c_s_ell: GroupTable  # (C_GL2(A~) M^ell) cap SL2
-    d_s_ell: GroupTable  # (C_GL2(A~) M^ell) cap K^1
-    h_ell: list
-    h_ellp: list
-    H_ell: GroupTable
-    H_ellp: GroupTable
     dA_reps: list  # smallest-code unit per coset of det C_GL2(psi_A) in o_r^x
     det_image: np.ndarray  # sorted codes of det(C_GL2(psi_A))
 
@@ -360,8 +350,9 @@ def inertia(psiA: PsiA) -> InertiaData:
     disagreement raises.  D_A representatives come from explicit coset
     enumeration and are checked against the determinant-image count.
     """
-    if psiA._inertia is not None:
-        return psiA._inertia
+    key = ("inertia", psiA.A.codes)
+    if key in psiA.group.cache:
+        return psiA.group.cache[key]
     L = psiA.layers
     if L.gl is None:
         raise ValueError("inertia needs the ambient GL2 table")
@@ -369,8 +360,8 @@ def inertia(psiA: PsiA) -> InertiaData:
     spec, lp = L.spec, L.spec_lp
     gl, sl = L.gl, L.sl
 
-    stab = _stabilizer_mask_gl(L, psiA)
-    cent_lift = _commute_mask(spec, gl.entries(np.arange(gl.n)), psiA.Atilde.codes)
+    stab = psiA.stabilizer_mask_gl
+    cent_lift = _commute_mask(spec, gl.ms, psiA.Atilde.codes)
     prod = _product_mask(gl, np.flatnonzero(cent_lift), L.Mlp.pos_in_ancestor(gl))
     if not np.array_equal(stab, prod):
         raise AssertionError("C_GL2(psi_A): stabilizer scan and product formula disagree")
@@ -384,21 +375,11 @@ def inertia(psiA: PsiA) -> InertiaData:
     bres = _scalar_conj_mask_sl(L, psiA.A)
     if not np.array_equal(bstab, bres):
         raise AssertionError("C_SL2(psi_[A]): stabilizer scan and scalar test disagree")
-    h_ellp = h_set(psiA, L.ellp)
     H_ellp = H_group(psiA, L.ellp)
     bprod = _product_mask(sl, c_sl.parent_pos, H_ellp.pos_in_ancestor(sl))
     if not np.array_equal(bstab, bprod):
         raise AssertionError("C_SL2(psi_[A]): stabilizer scan and H-product formula disagree")
     c_sl_bracket = grp.subgroup(sl, bstab, name="C_SL2(psi_[A])")
-
-    prod_ell = _product_mask(gl, np.flatnonzero(cent_lift), L.Ml.pos_in_ancestor(gl))
-    in_sl = prod_ell[sl.parent_pos]
-    c_s_ell = grp.subgroup(sl, in_sl, name="C_S^l(A~)")
-    k1_mask = np.zeros(sl.n, dtype=bool)
-    k1_mask[L.K1.parent_pos] = True
-    d_s_ell = grp.subgroup(sl, in_sl & k1_mask, name="D_S^l(A~)")
-    h_ell = h_set(psiA, L.ell)
-    H_ell = H_group(psiA, L.ell)
 
     det_image = np.unique(gl.dets[stab])
     units = ring.unit_codes(spec)
@@ -420,11 +401,8 @@ def inertia(psiA: PsiA) -> InertiaData:
         raise AssertionError("unit trace must give |D_A| = 1")
     dA_reps = [RingElem(spec, int(c)) for c in rep_codes]
 
-    out = InertiaData(
-        psiA, c_gl, c_sl, c_sl_bracket, c_s_ell, d_s_ell,
-        h_ell, h_ellp, H_ell, H_ellp, dA_reps, det_image,
-    )
-    psiA._inertia = out
+    out = InertiaData(psiA, c_gl, c_sl, c_sl_bracket, dA_reps, det_image)
+    psiA.group.cache[key] = out
     return out
 
 
@@ -463,9 +441,8 @@ class _AbelianQuotient:
 
 
 def _abelian_quotient(H: GroupTable) -> _AbelianQuotient:
-    cache = _cache(H)
-    if "abelian_quotient" in cache:
-        return cache["abelian_quotient"]
+    if "abelian_quotient" in H.cache:
+        return H.cache["abelian_quotient"]
     Hd = grp.derived_subgroup(H)
     dpos = Hd.pos_in_ancestor(H)
     perms = [H.right_mul_perm(int(dpos[g])) for g in Hd.gens]
@@ -487,7 +464,7 @@ def _abelian_quotient(H: GroupTable) -> _AbelianQuotient:
         ords[alive & (cur == idl)] = k
     E = lcm(*(int(o) for o in np.unique(ords)))
     out = _AbelianQuotient(H, dpos, lab, reps, size, E, idl)
-    cache["abelian_quotient"] = out
+    H.cache["abelian_quotient"] = out
     return out
 
 
@@ -694,7 +671,7 @@ def mackey_restriction(psiA: PsiA, phi: ClassFunction) -> list[tuple[RingElem, C
         mask = np.zeros(gl.n, dtype=bool)
         mask[perm[C.parent_pos]] = True
         A_d = mat.conjugate_by_diag(psiA.A, d)
-        if not np.array_equal(mask, _stabilizer_mask_gl(L, make_psiA(gl, A_d))):
+        if not np.array_equal(mask, make_psiA(gl, A_d).stabilizer_mask_gl):
             raise AssertionError("conjugated inertia group differs from the stabilizer of psi_{A_d}")
         c_sl_d = grp.subgroup(sl, mask[sl.parent_pos], name="C_SL2(psi_A_d)")
         cc_d = chartab.conjugacy_classes_cached(c_sl_d)

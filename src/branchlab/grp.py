@@ -44,11 +44,16 @@ class GroupTable:
     def __init__(self, spec, name, ms, gens=None, parent=None, parent_pos=None):
         self.spec = spec
         self.name = name
-        self.m11, self.m12, self.m21, self.m22 = (np.ascontiguousarray(a, dtype=np.int64) for a in ms)
-        self.n = len(self.m11)
+        # entry codes (m11, m12, m21, m22), one read-only array each, indexed by position
+        self.ms = tuple(np.ascontiguousarray(a, dtype=np.int64) for a in ms)
+        for t in self.ms:
+            t.setflags(write=False)
+        self.n = len(self.ms[0])
         self.parent = parent
         self.parent_pos = parent_pos
-        self.codes = mat._vpack(spec, (self.m11, self.m12, self.m21, self.m22))
+        # results other modules compute once per table: classes, character tables, psi_A data
+        self.cache = {}
+        self.codes = mat._vpack(spec, self.ms)
         pos = np.full(spec.size ** 4, -1, dtype=np.int32)
         pos[self.codes] = np.arange(self.n, dtype=np.int32)
         self._pos = pos
@@ -56,8 +61,7 @@ class GroupTable:
         self.identity = int(pos[ident])
         if self.identity < 0:
             raise ValueError("element set lacks the identity")
-        inv_ms = mat._vmat_inv(spec, self.entries(np.arange(self.n)))
-        self.inv = self._lookup(inv_ms)
+        self.inv = self._lookup(mat._vmat_inv(spec, self.ms))
         self.gens = [int(g) for g in gens] if gens is not None else self._greedy_gens()
         if gens is not None:
             covered = int(_closure_mask(self, self.gens).sum())
@@ -67,7 +71,7 @@ class GroupTable:
     # -------------------------------------------------------------- plumbing
 
     def entries(self, i):
-        return (self.m11[i], self.m12[i], self.m21[i], self.m22[i])
+        return tuple(t[i] for t in self.ms)
 
     def _lookup(self, ms):
         p = self._pos[mat._vpack(self.spec, ms)]
@@ -85,7 +89,7 @@ class GroupTable:
         return p if isinstance(i, np.ndarray) or isinstance(j, np.ndarray) else int(p)
 
     def matrix(self, i) -> Mat2:
-        return Mat2(self.spec, int(self.m11[i]), int(self.m12[i]), int(self.m21[i]), int(self.m22[i]))
+        return Mat2(self.spec, *(int(t[i]) for t in self.ms))
 
     def pos_of_matrix(self, X: Mat2) -> int:
         p = int(self._pos[int(mat._vpack(self.spec, tuple(np.int64(c) for c in X.codes)))])
@@ -95,11 +99,11 @@ class GroupTable:
 
     @cached_property
     def dets(self):
-        return mat._vdet(self.spec, self.entries(np.arange(self.n)))
+        return mat._vdet(self.spec, self.ms)
 
     @cached_property
     def traces(self):
-        return mat._vtrace(self.spec, self.entries(np.arange(self.n)))
+        return mat._vtrace(self.spec, self.ms)
 
     def _greedy_gens(self):
         gens: list[int] = []
@@ -132,14 +136,14 @@ class GroupTable:
     # -------------------------------------------------------------- permutations
 
     def right_mul_perm(self, g: int):
-        return self._lookup(mat._vmat_mul(self.spec, self.entries(np.arange(self.n)), self.entries(g)))
+        return self._lookup(mat._vmat_mul(self.spec, self.ms, self.entries(g)))
 
     def left_mul_perm(self, g: int):
-        return self._lookup(mat._vmat_mul(self.spec, self.entries(g), self.entries(np.arange(self.n))))
+        return self._lookup(mat._vmat_mul(self.spec, self.entries(g), self.ms))
 
     def conj_perm(self, g: int):
         """x -> g x g^-1 as a position permutation."""
-        gx = mat._vmat_mul(self.spec, self.entries(g), self.entries(np.arange(self.n)))
+        gx = mat._vmat_mul(self.spec, self.entries(g), self.ms)
         return self._lookup(mat._vmat_mul(self.spec, gx, self.entries(int(self.inv[g]))))
 
     def pos_in_ancestor(self, ancestor: "GroupTable"):
@@ -229,7 +233,7 @@ def subgroup(table: GroupTable, members, gens=None, name="subgroup") -> GroupTab
     """
     members = np.asarray(members)
     idx = np.flatnonzero(members) if members.dtype == bool else np.sort(members.astype(np.int64))
-    ms = tuple(t[idx] for t in table.entries(np.arange(table.n)))
+    ms = tuple(t[idx] for t in table.ms)
     sub_gens = None
     if gens is not None:
         back = np.full(table.n, -1, dtype=np.int64)
@@ -251,7 +255,7 @@ def congruence_subgroup(G: GroupTable, i: int) -> GroupTable:
     spec = G.spec
     if not 1 <= i <= spec.r:
         raise ValueError(f"congruence level {i} not in [1, {spec.r}]")
-    X = G.entries(np.arange(G.n))
+    X = G.ms
     one_ = np.int64(1)
     keep = (
         (ring._vval(spec, ring._vadd(spec, X[0], ring._vneg(spec, one_))) >= i)

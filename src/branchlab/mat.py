@@ -248,33 +248,43 @@ def companion_form(A: Mat2) -> CompanionForm:
 # ---------------------------------------------------------------- centralizers
 
 
+def pencil_units(A: Mat2):
+    """(entries of x I + y A over all pairs x, y in the ring, mask of the invertible ones).
+
+    For cyclic A these matrices are exactly those commuting with A, so the
+    mask selects C(A) in GL_2.
+    """
+    spec = A.spec
+    n = spec.size
+    x = np.repeat(np.arange(n, dtype=np.int64), n)
+    y = np.tile(np.arange(n, dtype=np.int64), n)
+    a, b, c, d = _as_vec(A)
+    X = (
+        ring._vadd(spec, x, ring._vmul(spec, y, a)),
+        ring._vmul(spec, y, b),
+        ring._vmul(spec, y, c),
+        ring._vadd(spec, x, ring._vmul(spec, y, d)),
+    )
+    return X, ring._vval(spec, _vdet(spec, X)) == 0
+
+
 def centralizer_unit_matrices(A: Mat2) -> list[Mat2]:
     """All X in GL_2 with AX = XA; {xI + yA} route for cyclic A, full scan else."""
     spec = A.spec
     n = spec.size
     if is_cyclic(A):
-        x = np.repeat(np.arange(n, dtype=np.int64), n)
-        y = np.tile(np.arange(n, dtype=np.int64), n)
-        a, b, c, d = (np.int64(c_) for c_ in A.codes)
-        X = (
-            ring._vadd(spec, x, ring._vmul(spec, y, a)),
-            ring._vmul(spec, y, b),
-            ring._vmul(spec, y, c),
-            ring._vadd(spec, x, ring._vmul(spec, y, d)),
-        )
+        X, keep = pencil_units(A)
+    else:
+        if n**4 > 1 << 24:
+            raise ValueError("non-cyclic centralizer scan over GL_2 exceeds the enumeration budget")
+        X = _vunpack(spec, np.arange(n**4, dtype=np.int64))
+        Av = _as_vec(A)
         keep = ring._vval(spec, _vdet(spec, X)) == 0
-        return [Mat2(spec, int(X[0][i]), int(X[1][i]), int(X[2][i]), int(X[3][i])) for i in np.flatnonzero(keep)]
-    if n**4 > 1 << 24:
-        raise ValueError("non-cyclic centralizer scan over GL_2 exceeds the enumeration budget")
-    codes = np.arange(n**4, dtype=np.int64)
-    X = _vunpack(spec, codes)
-    Av = _as_vec(A)
-    keep = ring._vval(spec, _vdet(spec, X)) == 0
-    AX = _vmat_mul(spec, Av, X)
-    XA = _vmat_mul(spec, X, Av)
-    for t in range(4):
-        keep &= AX[t] == XA[t]
-    return [Mat2(spec, int(X[0][i]), int(X[1][i]), int(X[2][i]), int(X[3][i])) for i in np.flatnonzero(keep)]
+        AX = _vmat_mul(spec, Av, X)
+        XA = _vmat_mul(spec, X, Av)
+        for t in range(4):
+            keep &= AX[t] == XA[t]
+    return [_from_vec(spec, tuple(t[i] for t in X)) for i in np.flatnonzero(keep)]
 
 
 def centralizer_units(A: Mat2) -> tuple[int, int]:

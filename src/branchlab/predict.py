@@ -243,18 +243,7 @@ def centralizer_profile(spec: RingSpec, A: Mat2) -> dict:
     comp = cf.companion
     if spec.size**2 > _PAIR_BUDGET:
         raise ValueError(f"pair scan over {spec} exceeds the enumeration budget")
-    At = mat.mat_lift(spec, comp)
-    n = spec.size
-    x = np.repeat(np.arange(n, dtype=np.int64), n)
-    y = np.tile(np.arange(n, dtype=np.int64), n)
-    a, b, c, d = (np.int64(t) for t in At.codes)
-    X = (
-        ring._vadd(spec, x, ring._vmul(spec, y, a)),
-        ring._vmul(spec, y, b),
-        ring._vmul(spec, y, c),
-        ring._vadd(spec, x, ring._vmul(spec, y, d)),
-    )
-    c_lift = int(np.count_nonzero(ring._vval(spec, mat._vdet(spec, X)) == 0))
+    c_lift = int(np.count_nonzero(mat.pencil_units(mat.mat_lift(spec, comp))[1]))
     det_cent = mat.centralizer_units(comp)[1]
     q, ell = spec.q, spec.ell
     c_psi = c_lift * q ** (2 * ell)

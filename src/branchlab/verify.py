@@ -43,18 +43,10 @@ def _psi_exponent_table(L) -> np.ndarray:
     Rows range over all of M_2(o_l') — exactly the character group of the
     abelian M^ell — columns over member positions of M^ell.
     """
-    lp, spec = L.spec_lp, L.spec
+    lp = L.spec_lp
     acodes = np.arange(lp.size**4, dtype=np.int64)
-    a, b, c, d = (ring._vlift(spec, lp, t)[:, None] for t in mat._vunpack(lp, acodes))
-    b11, b12, b21, b22 = (t[None, :] for t in L.B_M)
-    m, ad = ring._vmul, ring._vadd
-    tr = ad(
-        spec,
-        ad(spec, m(spec, a, b11), m(spec, b, b21)),
-        ad(spec, m(spec, c, b12), m(spec, d, b22)),
-    )
-    arg = ring._vmul(spec, np.int64(L.pi_ell_code), tr)
-    return np.asarray(ring.psi_exponent(spec, arg), dtype=np.int64)
+    At = tuple(ring._vlift(L.spec, lp, t)[:, None] for t in mat._vunpack(lp, acodes))
+    return clifford._psi_exps(L, At, tuple(t[None, :] for t in L.B_M))
 
 
 def find_regular(G: GroupTable, table: CharacterTable | None = None):
@@ -76,10 +68,9 @@ def find_regular(G: GroupTable, table: CharacterTable | None = None):
         raise ValueError("find_regular needs the full GL2 table")
     lp = L.spec_lp
     Ml = L.Ml
-    cache = clifford._cache(G)
-    if "psi_table" not in cache:
-        cache["psi_table"] = _psi_exponent_table(L)
-    T = cache["psi_table"]
+    if "psi_table" not in G.cache:
+        G.cache["psi_table"] = _psi_exponent_table(L)
+    T = G.cache["psi_table"]
     n = ring.psi_order(L.spec)
     num_A = lp.size**4
 
@@ -130,7 +121,7 @@ def _orbit_triple(G: GroupTable, A: Mat2) -> tuple[int, int, int]:
     companion_form validates an explicit conjugator, so two matrices with
     the same triple really are conjugate.
     """
-    cache = clifford._cache(G).setdefault("orbit_triple", {})
+    cache = G.cache.setdefault("orbit_triple", {})
     if A.codes not in cache:
         cache[A.codes] = mat.companion_form(A).triple
     return cache[A.codes]
@@ -244,7 +235,6 @@ def verify_branching(
     *,
     budget: int | None = None,
     seed: int = 0,
-    jobs: int = 1,
     mackey: bool | None = None,
 ) -> BranchReport:
     """Restrict every regular irreducible of GL2(o_r) to SL2(o_r) and audit it.
@@ -276,17 +266,8 @@ def verify_branching(
     regs = find_regular(gl, gl_tab)
     timing["find_regular"] = time.perf_counter() - t
 
-    # decompositions are independent per irreducible; threads help a little
     t = time.perf_counter()
-    restrictions = {i: chartab.restrict(gl_tab.char(i), sl) for i, _ in regs}
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futs = {i: pool.submit(_decompose_to, sl_tab, res) for i, res in restrictions.items()}
-            decomps = {i: f.result() for i, f in futs.items()}
-    else:
-        decomps = {i: _decompose_to(sl_tab, res) for i, res in restrictions.items()}
+    decomps = {i: _decompose_to(sl_tab, chartab.restrict(gl_tab.char(i), sl)) for i, _ in regs}
     timing["decompose"] = time.perf_counter() - t
 
     by_orbit: dict = {}
@@ -571,7 +552,6 @@ def _add_common(p: argparse.ArgumentParser, need_ring=True):
     p.add_argument("--r", type=int, required=need_ring, help="quotient level")
     p.add_argument("--budget", type=int, default=None, help="max group order to enumerate")
     p.add_argument("--seed", type=int, default=0, help="seed for the character-table splitting order")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads for per-irreducible work")
     p.add_argument("--out", default=None, help="write output to this path instead of stdout")
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -646,9 +626,7 @@ def _cmd_predict(args) -> int:
 
 def _cmd_verify(args) -> int:
     spec = _ring_of(args)
-    report = verify_branching(
-        spec, budget=_budget_of(args), seed=args.seed, jobs=args.jobs
-    )
+    report = verify_branching(spec, budget=_budget_of(args), seed=args.seed)
     if args.format == "csv":
         _emit(args, report_csv(report))
     else:

@@ -242,7 +242,7 @@ def test_extends_to_against_linear_character_search(groups):
     I = clifford.inertia(pa)
     want = {mat.encode_mat(L.Kl.matrix(i)): pa.psi_K.value_at_pos(i) for i in range(L.Kl.n)}
     checked = 0
-    for H in (I.c_sl, I.c_sl_bracket, I.H_ell):
+    for H in (I.c_sl, I.c_sl_bracket, clifford.H_group(pa, L.ell)):
         if not set(L.Kl.parent_pos.tolist()) <= set(H.pos_in_ancestor(L.sl).tolist()):
             continue  # brute comparison only makes sense when K^l sits inside H
 
@@ -268,19 +268,22 @@ def test_extension_set_is_the_pi_ell_ideal(groups):
     lp4 = ring.truncate(spec4, 2)
     L4 = clifford._layers(G)
     pb = clifford.make_psiA(G, mat.mat(lp4, [[0, 1], [1, ring.elem(lp4, 3)]]))
-    Ib = clifford.inertia(pb)
     hl = clifford.h_set(pb, L4.ell)
     pi2 = {c for c in range(spec4.size) if int(ring._vval(spec4, np.int64(c))) >= 2}
     beta = np.int64(pb.Atilde.m22)
     expect_h = {0, int(beta)} | pi2 | {int(ring._vadd(spec4, beta, np.int64(c))) for c in pi2}
     assert {x.code for x in hl} == expect_h
     sl4 = L4.sl
+    # C_S^l(A~) = (C_GL2(A~) M^l) cap SL2
+    cent_lift = clifford._commute_mask(spec4, G.ms, pb.Atilde.codes)
+    prod_ell = clifford._product_mask(G, np.flatnonzero(cent_lift), L4.Ml.parent_pos)
+    c_s_ell = grp.subgroup(sl4, prod_ell[sl4.parent_pos], name="C_S^l(A~)")
     ainv = ring.inv(ring.elem(spec4, pb.Atilde.m21))
     e_set = []
     for lam in hl:
         top = ring.mul(ainv, lam)
         e_lam = sl4.pos_of_matrix(mat.mat_from_codes(spec4, 1, top.code, 0, 1))
-        gens = [int(g) for g in Ib.c_s_ell.pos_in_ancestor(sl4)[Ib.c_s_ell.gens]] + [e_lam]
+        gens = [int(g) for g in c_s_ell.pos_in_ancestor(sl4)[c_s_ell.gens]] + [e_lam]
         Hc = grp.subgroup_closure(sl4, gens, name="C_S^l<e_lam>")
         ok, _ = clifford.extends_to(pb.psi_K, Hc)
         if ok:

@@ -54,6 +54,19 @@ def test_find_regular_matches_brute_support(groups):
     assert len(triv) == 1 and triv[0] not in {i for i, _ in regs}
 
 
+@pytest.mark.parametrize("kind,r", [("z2", 2), ("f2t", 3)])
+def test_psi_table_rows_are_psiA(groups, kind, r):
+    # row A of find_regular's table and make_psiA(A) share one trace-pairing kernel
+    G = groups(kind, r)
+    L = clifford._layers(G)
+    lp = L.spec_lp
+    T = verify._psi_exponent_table(L)
+    assert T.shape == (lp.size**4, L.Ml.n)
+    for code in range(lp.size**4):
+        A = mat.Mat2(lp, *map(int, mat._vunpack(lp, np.int64(code))))
+        assert np.array_equal(T[code], clifford.make_psiA(G, A).exps_M)
+
+
 def test_find_regular_needs_gl():
     sl = grp.build_sl2(ring.make_ring("z2", r=2))
     with pytest.raises(ValueError):
@@ -179,7 +192,7 @@ def test_cli_verify_json_and_csv(tmp_path, monkeypatch):
 
     out_csv = tmp_path / "report.csv"
     code = verify.cli_main(
-        ["verify", "--kind", "z2", "--r", "2", "--format", "csv", "--jobs", "2",
+        ["verify", "--kind", "z2", "--r", "2", "--format", "csv",
          "--seed", "5", "--out", str(out_csv)]
     )
     assert code == 0
