@@ -8,6 +8,15 @@ expected and handled, not assumed away), recover the degrees from the
 orthogonality relations, and lift every value to an exact integer combination
 of roots of unity through a discrete Fourier transform over the power map.
 
+Each splitting step restricts the combination to a subspace (matrix T) and
+reduces T once to Hessenberg form H = Q^-1 T Q.  H gives the characteristic
+polynomial, and one back-substitution through H, vectorized over all roots,
+gives every eigenspace; only a small system per root, one row per unreduced
+Hessenberg block, is row-reduced.  Each eigenspace is checked against
+T v = lam v and the dimensions must add up to the subspace's.  The kernels
+work in int64 mod p and sum class-matrix weights in float64, so dixon_table
+refuses groups where k p^2 >= 2^63 or |G| p >= 2^53.
+
 Class functions are stored as integer coefficient vectors in the canonical
 power basis of Q(zeta_n), so equality, inner products, induction and
 restriction are all exact integer arithmetic.
@@ -84,9 +93,11 @@ def _restriction_mod(B: np.ndarray, MB: np.ndarray, p: int) -> np.ndarray:
     return R[:d, d:]
 
 
-def _hessenberg_mod(A: np.ndarray, p: int) -> np.ndarray:
+def _hessenberg_mod(A: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Upper Hessenberg H and invertible Q with A Q = Q H (all mod p)."""
     H = A.copy() % p
     n = len(H)
+    Q = np.eye(n, dtype=np.int64)
     for j in range(n - 2):
         nz = np.flatnonzero(H[j + 1 :, j])
         if len(nz) == 0:
@@ -95,16 +106,17 @@ def _hessenberg_mod(A: np.ndarray, p: int) -> np.ndarray:
         if i != j + 1:
             H[[j + 1, i]] = H[[i, j + 1]]
             H[:, [j + 1, i]] = H[:, [i, j + 1]]
+            Q[:, [j + 1, i]] = Q[:, [i, j + 1]]
         inv = pow(int(H[j + 1, j]), p - 2, p)
         mults = (H[j + 2 :, j] * inv) % p
         H[j + 2 :] = (H[j + 2 :] - mults[:, None] * H[j + 1]) % p
         H[:, j + 1] = (H[:, j + 1] + H[:, j + 2 :] @ mults) % p
-    return H
+        Q[:, j + 1] = (Q[:, j + 1] + Q[:, j + 2 :] @ mults) % p
+    return H, Q
 
 
-def _charpoly_mod(A: np.ndarray, p: int) -> np.ndarray:
-    """Coefficients of det(xI - A) mod p, constant term first."""
-    H = _hessenberg_mod(A, p)
+def _charpoly_mod(H: np.ndarray, p: int) -> np.ndarray:
+    """Coefficients of det(xI - H) mod p for upper Hessenberg H, constant term first."""
     n = len(H)
     polys = [np.array([1], dtype=np.int64)]  # c_0 = 1
     for m in range(1, n + 1):
@@ -124,6 +136,40 @@ def _charpoly_mod(A: np.ndarray, p: int) -> np.ndarray:
     return polys[n]
 
 
+def _eigenspaces_mod(T: np.ndarray, p: int) -> list[tuple[int, np.ndarray]]:
+    """(lam, basis of ker(T - lam I)) for every eigenvalue lam of T in F_p.
+
+    One Hessenberg reduction T Q = Q H gives both the characteristic
+    polynomial and the eigenvectors.  (H - lam I) y = 0 is back-substituted
+    from the last row upward for all roots at once: a nonzero subdiagonal
+    H[i, i-1] solves row i for y[i-1]; a zero one makes row i a constraint and
+    y[i-1] a new free parameter, and row 0 is the last constraint.  So
+    y = Y_lam c over the m free parameters (one per unreduced block), and the
+    eigenspace of lam is Q Y_lam ker(C_lam) for its m x m constraint matrix.
+    """
+    H, Q = _hessenberg_mod(T, p)
+    roots = _poly_roots_mod(_charpoly_mod(H, p), p)
+    d, R = len(H), len(roots)
+    sub = np.diagonal(H, -1)
+    m = 1 + int(np.count_nonzero(sub == 0))
+    Y = np.zeros((d, R, m), dtype=np.int64)  # Y[j, r] = y_j over the free parameters
+    C = np.zeros((R, m, m), dtype=np.int64)
+    Y[d - 1, :, 0] = 1
+    n_free, n_con = 1, 0
+    for i in range(d - 1, -1, -1):
+        row = (H[i, i:] @ Y[i:].reshape(d - i, R * m)).reshape(R, m)
+        row = (row - roots[:, None] * Y[i]) % p
+        if i and sub[i - 1]:
+            Y[i - 1] = (-row * pow(int(sub[i - 1]), p - 2, p)) % p
+            continue
+        C[:, n_con] = row
+        n_con += 1
+        if i:
+            Y[i - 1, :, n_free] = 1
+            n_free += 1
+    return [(int(lam), Q @ (Y[:, r] @ _kernel_mod(C[r], p) % p) % p) for r, lam in enumerate(roots)]
+
+
 def _poly_roots_mod(coeffs: np.ndarray, p: int) -> np.ndarray:
     """All roots in F_p by vectorized Horner evaluation."""
     xs = np.arange(p, dtype=np.int64)
@@ -131,13 +177,6 @@ def _poly_roots_mod(coeffs: np.ndarray, p: int) -> np.ndarray:
     for c in coeffs[::-1]:
         y = (y * xs + int(c)) % p
     return xs[y == 0]
-
-
-def _sqrt_mod(a: int, p: int) -> int:
-    r = sympy.ntheory.sqrt_mod(a, p)
-    if r is None:
-        raise AssertionError("degree recovery hit a non-residue")
-    return int(r)
 
 
 # ------------------------------------------------------------- class functions
@@ -295,25 +334,29 @@ def _central_characters(G: GroupTable, cc: ConjClasses, p: int, seed: int) -> np
     rounds = 0
     while any(S.shape[1] > 1 for S in subspaces):
         if rounds >= 24:
-            raise AssertionError("eigenspace splitting failed to converge")
+            dmax = max(S.shape[1] for S in subspaces)
+            raise AssertionError(
+                f"eigenspace splitting failed to converge ({G.name}, k={k}, p={p}, "
+                f"round {rounds}, largest subspace dim {dmax})"
+            )
         theta = rng.integers(1, p, size=k, dtype=np.int64)
         M = _class_matrix_combo(G, cc, theta, p)
         nxt = []
         for S in subspaces:
-            if S.shape[1] == 1:
+            d = S.shape[1]
+            if d == 1:
                 nxt.append(S)
                 continue
+            where = f"{G.name}, k={k}, p={p}, round {rounds}, subspace dim {d}"
             T = _restriction_mod(S, (M @ S) % p, p)
-            roots = _poly_roots_mod(_charpoly_mod(T, p), p)
             found = 0
-            for lam in roots:
-                Tl = (T - int(lam) * np.eye(len(T), dtype=np.int64)) % p
-                Kb = _kernel_mod(Tl, p)
-                if Kb.shape[1]:
-                    nxt.append((S @ Kb) % p)
-                    found += Kb.shape[1]
-            if found != S.shape[1]:
-                raise AssertionError("eigenspace split lost dimensions")
+            for lam, V in _eigenspaces_mod(T, p):
+                if np.any((T @ V - lam * V) % p):
+                    raise AssertionError(f"eigenvectors of root {lam} fail T v = lam v ({where})")
+                nxt.append((S @ V) % p)
+                found += V.shape[1]
+            if found != d:
+                raise AssertionError(f"eigenspace split lost dimensions: {found} of {d} ({where})")
         subspaces = nxt
         rounds += 1
     vecs = np.hstack(subspaces) % p  # columns are eigenvectors
@@ -322,26 +365,42 @@ def _central_characters(G: GroupTable, cc: ConjClasses, p: int, seed: int) -> np
     for i in range(k):
         v = vecs[:, i]
         if v[j0] == 0:
-            raise AssertionError("eigenvector vanishes at the identity class")
+            raise AssertionError(
+                f"eigenvector {i} vanishes at the identity class "
+                f"({G.name}, k={k}, p={p}, after round {rounds}, subspace dim 1)"
+            )
         omega[i] = (v * pow(int(v[j0]), p - 2, p)) % p
     return omega
 
 
 def _degrees_mod(cc: ConjClasses, omega: np.ndarray, p: int) -> np.ndarray:
     order = cc.table.n
+    where = f"{cc.table.name}, k={cc.k}, p={p}"
     inv_sizes = np.array([pow(int(s), p - 2, p) for s in cc.sizes], dtype=np.int64)
     jstar = cc.inverse_class
     degs = np.empty(cc.k, dtype=np.int64)
     for i in range(cc.k):
         s = int(np.sum(omega[i] * omega[i][jstar] % p * inv_sizes % p) % p)
         if s == 0:
-            raise AssertionError("norm of central character vanished")
+            raise AssertionError(f"norm of central character {i} vanished ({where})")
         d2 = (order % p) * pow(s, p - 2, p) % p
-        d = _sqrt_mod(d2, p)
-        degs[i] = min(d, p - d)
+        d = sympy.ntheory.sqrt_mod(d2, p)
+        if d is None:
+            raise AssertionError(f"degree recovery hit a non-residue at central character {i} ({where})")
+        degs[i] = min(int(d), p - int(d))
     if int(np.sum(degs.astype(object) ** 2)) != order:
-        raise AssertionError("degree recovery failed the sum-of-squares identity")
+        raise AssertionError(f"degree recovery failed the sum-of-squares identity ({where})")
     return degs
+
+
+def _check_headroom(name: str, order: int, k: int, p: int):
+    """Dixon's kernels are exact only while these sums fit their number types."""
+    if order * p >= 2**53:
+        raise ValueError(
+            f"{name}: |G| * p >= 2^53, so float64 class-matrix sums would round (|G|={order}, k={k}, p={p})"
+        )
+    if k * p * p >= 2**63:
+        raise ValueError(f"{name}: k * p^2 >= 2^63, so int64 mod-p sums would overflow (k={k}, p={p})")
 
 
 def dixon_table(G: GroupTable, seed: int = 0, classes: ConjClasses | None = None) -> CharacterTable:
@@ -349,6 +408,7 @@ def dixon_table(G: GroupTable, seed: int = 0, classes: ConjClasses | None = None
     cc = classes if classes is not None else conjugacy_classes_cached(G)
     e = G.exponent
     p = dixon_prime(G.n, e)
+    _check_headroom(G.name, G.n, cc.k, p)
     omega = _central_characters(G, cc, p, seed)
     degs = _degrees_mod(cc, omega, p)
     inv_sizes = np.array([pow(int(s), p - 2, p) for s in cc.sizes], dtype=np.int64)

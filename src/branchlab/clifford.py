@@ -51,7 +51,6 @@ class _Layers:
     Ml: GroupTable | None
     Mlp: GroupTable | None
     Kl: GroupTable
-    K1: GroupTable
     B_M: tuple | None  # (m - I)/pi^ell entrywise, per M^ell position
     B_K: tuple
     gl_to_Ml: np.ndarray | None
@@ -91,7 +90,6 @@ def _layers(G: GroupTable) -> _Layers:
         Ml = grp.congruence_subgroup(G, ell)
         Mlp = grp.congruence_subgroup(G, ellp)
         Kl = grp.congruence_subgroup(sl, ell)
-        K1 = grp.congruence_subgroup(sl, 1)
         B_M = _b_arrays(spec, Ml, ell)
         gl_to_Ml = _inverse_map(G.n, Ml.parent_pos)
         glp_entries = tuple(ring._vproj(spec, spec_lp, t) for t in G.ms)
@@ -101,14 +99,13 @@ def _layers(G: GroupTable) -> _Layers:
         B_M = gl_to_Ml = glp_entries = None
         sl = G
         Kl = grp.congruence_subgroup(G, ell)
-        K1 = grp.congruence_subgroup(G, 1)
     B_K = _b_arrays(spec, Kl, ell)
     sl_to_Kl = _inverse_map(sl.n, Kl.parent_pos)
     pe = ring.one(spec)
     for _ in range(ell):
         pe = ring.mul(pe, ring.uniformizer(spec))
     out = _Layers(
-        spec, spec_lp, ell, ellp, gl, sl, Ml, Mlp, Kl, K1,
+        spec, spec_lp, ell, ellp, gl, sl, Ml, Mlp, Kl,
         B_M, B_K, gl_to_Ml, sl_to_Kl, glp_entries, pe.code,
     )
     G.cache["clifford_layers"] = out

@@ -50,6 +50,93 @@ def test_tables_match_the_float_class_algebra_oracle(kind, r, group, groups):
     assert sorted(map(_fingerprint, bf)) == sorted(map(_fingerprint, exact))
 
 
+# ------------------------------------------------------------ mod-p kernels
+
+P_TEST = 337
+
+
+def _rank_mod(A, p=P_TEST):
+    return len(chartab._rref_mod(A, p)[1])
+
+
+def _similar(D, seed, p=P_TEST):
+    """P D P^-1 mod p for a seeded random invertible P."""
+    rng = np.random.default_rng(seed)
+    d = len(D)
+    while True:
+        P = rng.integers(0, p, size=(d, d), dtype=np.int64)
+        R, piv = chartab._rref_mod(np.hstack([P, np.eye(d, dtype=np.int64)]), p)
+        if piv[:d] == list(range(d)):
+            return P @ (D % p) % p @ R[:, d:] % p
+
+
+def _block_diag(*blocks):
+    d = sum(len(b) for b in blocks)
+    out = np.zeros((d, d), dtype=np.int64)
+    at = 0
+    for b in blocks:
+        out[at : at + len(b), at : at + len(b)] = b
+        at += len(b)
+    return out
+
+
+def _jordan(lam, size):
+    return lam * np.eye(size, dtype=np.int64) + np.eye(size, k=1, dtype=np.int64)
+
+
+EIGEN_CASES = {
+    "repeated": _similar(np.diag([5, 5, 5, 7, 7, 2, 11, 11, 11, 11, 300, 1]), seed=1),
+    "jordan": _similar(_block_diag(_jordan(4, 3), _jordan(4, 1), _jordan(9, 2), np.diag([9, 0, 0])), seed=2),
+    "scalar": 6 * np.eye(9, dtype=np.int64),
+    "block-diagonal": _block_diag(
+        _similar(np.diag([3, 3, 8, 20]), seed=3),
+        _similar(np.diag([8, 8, 3]), seed=4),
+        _similar(np.diag([20, 5, 5, 5, 3]), seed=5),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EIGEN_CASES))
+def test_hessenberg_is_a_similarity(case):
+    T = EIGEN_CASES[case]
+    H, Q = chartab._hessenberg_mod(T, P_TEST)
+    assert not np.any(np.tril(H, -2))
+    assert _rank_mod(Q) == len(T)
+    assert np.array_equal(T @ Q % P_TEST, Q @ H % P_TEST)
+
+
+@pytest.mark.parametrize("case", sorted(EIGEN_CASES))
+def test_eigenspaces_match_per_root_kernels(case):
+    p = P_TEST
+    T = EIGEN_CASES[case]
+    d = len(T)
+    spaces = chartab._eigenspaces_mod(T, p)
+    want = [x for x in range(p) if _rank_mod((T - x * np.eye(d, dtype=np.int64)) % p) < d]
+    assert [lam for lam, _ in spaces] == want
+    for lam, V in spaces:
+        K = chartab._kernel_mod((T - lam * np.eye(d, dtype=np.int64)) % p, p)
+        assert V.shape == K.shape
+        assert _rank_mod(V) == _rank_mod(np.hstack([V, K])) == K.shape[1]
+        assert not np.any((T @ V - lam * V) % p)
+
+
+def test_edge_cases_have_zero_subdiagonals():
+    def zero_subdiagonals(T):
+        H, _ = chartab._hessenberg_mod(T, P_TEST)
+        return int(np.count_nonzero(np.diagonal(H, -1) == 0))
+
+    assert zero_subdiagonals(EIGEN_CASES["scalar"]) == 8
+    assert zero_subdiagonals(EIGEN_CASES["block-diagonal"]) >= 2
+
+
+def test_dixon_headroom_guards():
+    chartab._check_headroom("fake", 24576, 248, 337)
+    with pytest.raises(ValueError, match=r"fake.*2\^53.*k=5, p=7"):
+        chartab._check_headroom("fake", 2**53 // 7 + 1, 5, 7)
+    with pytest.raises(ValueError, match=r"fake.*2\^63.*k=9, p=2147483647"):
+        chartab._check_headroom("fake", 1, 9, 2**31 - 1)
+
+
 # ------------------------------------------------------------- known tables
 
 
@@ -106,6 +193,14 @@ def test_dixon_is_seed_independent(groups):
     T0 = chartab.dixon_table(G, seed=0)
     T1 = chartab.dixon_table(G, seed=99)
     assert np.array_equal(T0.tensor, T1.tensor)  # canonical row order
+    assert np.array_equal(T0.degrees, T1.degrees)
+
+
+def test_dixon_is_seed_independent_through_reduced_hessenberg_forms(groups):
+    G = groups("z2", 3)  # GL2(Z/8), k = 60
+    T0 = chartab.dixon_table(G, seed=0)
+    T1 = chartab.dixon_table(G, seed=99)
+    assert np.array_equal(T0.tensor, T1.tensor)
     assert np.array_equal(T0.degrees, T1.degrees)
 
 

@@ -26,9 +26,11 @@ def _psi(G, rows):
 
 def test_layer_sizes(groups):
     L = clifford._layers(groups("z2", 2))
-    assert (L.Ml.n, L.Kl.n, L.Mlp.n, L.K1.n) == (16, 8, 16, 8)
+    K1 = grp.congruence_subgroup(L.sl, 1)
+    assert (L.Ml.n, L.Kl.n, L.Mlp.n, K1.n) == (16, 8, 16, 8)
     L3 = clifford._layers(groups("z2", 3))
-    assert (L3.Ml.n, L3.Kl.n, L3.Mlp.n, L3.K1.n) == (16, 8, 256, 64)
+    K1 = grp.congruence_subgroup(L3.sl, 1)
+    assert (L3.Ml.n, L3.Kl.n, L3.Mlp.n, K1.n) == (16, 8, 256, 64)
     assert L3.ell == 2 and L3.ellp == 1
 
 
