@@ -542,12 +542,11 @@ def verify_orthogonality_exact(table: CharacterTable, columns: bool = True):
 
 
 def _fusion(H: GroupTable, G: GroupTable, ccH: ConjClasses, ccG: ConjClasses) -> np.ndarray:
-    up = H.pos_in_ancestor(G)
-    return ccG.class_id[up[ccH.reps]]
+    return ccG.class_id[H.pos_in(G)[ccH.reps]]
 
 
 def restrict(f: ClassFunction, H: GroupTable) -> ClassFunction:
-    """Restriction along the parent chain from f's group down to H."""
+    """Restriction from f's group to a subgroup H cut from the same root."""
     G = f.classes.table
     ccH = conjugacy_classes_cached(H)
     fus = _fusion(H, G, ccH, f.classes)

@@ -40,7 +40,11 @@ from .ring import RingElem, RingSpec
 
 @dataclass(eq=False)
 class _Layers:
-    """Congruence layers and lookup maps shared by every psi_A over one table."""
+    """Congruence layers shared by every psi_A over one table.
+
+    Every layer is cut from the same root table as gl/sl, so positions move
+    between them with GroupTable.pos_in.
+    """
 
     spec: RingSpec
     spec_lp: RingSpec
@@ -53,16 +57,8 @@ class _Layers:
     Kl: GroupTable
     B_M: tuple | None  # (m - I)/pi^ell entrywise, per M^ell position
     B_K: tuple
-    gl_to_Ml: np.ndarray | None
-    sl_to_Kl: np.ndarray
     glp_entries: tuple | None  # gl entries projected to o_ell'
     pi_ell_code: int
-
-
-def _inverse_map(size: int, positions: np.ndarray) -> np.ndarray:
-    back = np.full(size, -1, dtype=np.int64)
-    back[positions] = np.arange(len(positions), dtype=np.int64)
-    return back
 
 
 def _b_arrays(spec: RingSpec, table: GroupTable, ell: int) -> tuple:
@@ -91,22 +87,20 @@ def _layers(G: GroupTable) -> _Layers:
         Mlp = grp.congruence_subgroup(G, ellp)
         Kl = grp.congruence_subgroup(sl, ell)
         B_M = _b_arrays(spec, Ml, ell)
-        gl_to_Ml = _inverse_map(G.n, Ml.parent_pos)
         glp_entries = tuple(ring._vproj(spec, spec_lp, t) for t in G.ms)
         gl = G
     else:
         gl = Ml = Mlp = None
-        B_M = gl_to_Ml = glp_entries = None
+        B_M = glp_entries = None
         sl = G
         Kl = grp.congruence_subgroup(G, ell)
     B_K = _b_arrays(spec, Kl, ell)
-    sl_to_Kl = _inverse_map(sl.n, Kl.parent_pos)
     pe = ring.one(spec)
     for _ in range(ell):
         pe = ring.mul(pe, ring.uniformizer(spec))
     out = _Layers(
         spec, spec_lp, ell, ellp, gl, sl, Ml, Mlp, Kl,
-        B_M, B_K, gl_to_Ml, sl_to_Kl, glp_entries, pe.code,
+        B_M, B_K, glp_entries, pe.code,
     )
     G.cache["clifford_layers"] = out
     return out
@@ -158,18 +152,7 @@ class PsiA:
         """
         if self.exps_M is None:
             raise ValueError("the psi_A stabilizer in GL2 needs the ambient GL2 table")
-        L = self.layers
-        gl, Ml = L.gl, L.Ml
-        allg = np.arange(gl.n, dtype=np.int64)
-        up = Ml.pos_in_ancestor(gl)
-        keep = np.ones(gl.n, dtype=bool)
-        for mgen in Ml.gens:
-            t = gl.mul(gl.mul(gl.inv, np.int64(int(up[mgen]))), allg)
-            inside = L.gl_to_Ml[t]
-            if np.any(inside < 0):
-                raise AssertionError("conjugate left M^ell")
-            keep &= self.exps_M[inside] == self.exps_M[int(mgen)]
-        return keep
+        return _stabilizer_mask(self.layers.gl, self.layers.Ml, self.exps_M)
 
     def __repr__(self):
         return f"<psi_A for A={mat.encode_mat(self.A)} at level r={self.layers.spec.r}>"
@@ -279,28 +262,38 @@ def _commute_mask(spec: RingSpec, X: tuple, codes4: tuple) -> np.ndarray:
     return (e11 == 0) & (e12 == 0) & (e21 == 0) & (e22 == 0)
 
 
+# products per GroupTable.mul call in _product_mask; bounds its working set
+_PRODUCT_CHUNK = 1 << 18
+
+
 def _product_mask(G: GroupTable, pos_a, pos_b) -> np.ndarray:
     """Membership mask of the product set {a*b : a in pos_a, b in pos_b}."""
     pa = np.asarray(pos_a, dtype=np.int64)
     pb = np.asarray(pos_b, dtype=np.int64)
-    prod = G.mul(np.repeat(pa, len(pb)), np.tile(pb, len(pa)))
     out = np.zeros(G.n, dtype=bool)
-    out[prod] = True
+    rows = max(1, _PRODUCT_CHUNK // max(1, len(pb)))
+    for s in range(0, len(pa), rows):
+        out[G.mul(pa[s : s + rows, None], pb[None, :])] = True
     return out
 
 
-def _bracket_stabilizer_mask_sl(L: _Layers, psiA: PsiA) -> np.ndarray:
-    """g in SL2 stabilizing psi_[A], by the same generator scan on K^ell."""
-    sl, Kl = L.sl, L.Kl
-    alls = np.arange(sl.n, dtype=np.int64)
-    up = Kl.pos_in_ancestor(sl)
-    keep = np.ones(sl.n, dtype=bool)
-    for kgen in Kl.gens:
-        t = sl.mul(sl.mul(sl.inv, np.int64(int(up[kgen]))), alls)
-        inside = L.sl_to_Kl[t]
+def _stabilizer_mask(G: GroupTable, N: GroupTable, exps: np.ndarray) -> np.ndarray:
+    """g in G with psi(g^-1 n g) = psi(n) on the generators n of N.
+
+    N is abelian and normal in G, and psi is the linear character of N with
+    zeta exponents exps at N's positions.  Conjugation by g is an automorphism
+    of N and psi is a homomorphism, so agreement on generators is agreement
+    everywhere.
+    """
+    spec = G.spec
+    ginv = G.entries(G.inv)
+    keep = np.ones(G.n, dtype=bool)
+    for ngen, up in zip(N.gens, N.pos_in(G)[N.gens]):
+        t = mat._vmat_mul(spec, mat._vmat_mul(spec, ginv, G.entries(up)), G.ms)
+        inside = N.pos_of_codes(mat._vpack(spec, t))
         if np.any(inside < 0):
-            raise AssertionError("conjugate left K^ell")
-        keep &= psiA.exps_K[inside] == psiA.exps_K[int(kgen)]
+            raise AssertionError(f"conjugate left {N.name}")
+        keep &= exps[inside] == exps[ngen]
     return keep
 
 
@@ -308,7 +301,7 @@ def _scalar_conj_mask_sl(L: _Layers, A: Mat2) -> np.ndarray:
     """g in SL2 with gamma(g)^-1 A gamma(g) - A scalar (the psi_[A] stabilizer test)."""
     lp = L.spec_lp
     sl = L.sl
-    up = sl.parent_pos
+    up = sl.pos_in(L.gl)
     P = tuple(t[up] for t in L.glp_entries)
     Pi = tuple(t[up[sl.inv]] for t in L.glp_entries)
     Av = tuple(np.int64(c) for c in A.codes)
@@ -359,21 +352,21 @@ def inertia(psiA: PsiA) -> InertiaData:
 
     stab = psiA.stabilizer_mask_gl
     cent_lift = _commute_mask(spec, gl.ms, psiA.Atilde.codes)
-    prod = _product_mask(gl, np.flatnonzero(cent_lift), L.Mlp.pos_in_ancestor(gl))
+    prod = _product_mask(gl, np.flatnonzero(cent_lift), L.Mlp.pos_in(gl))
     if not np.array_equal(stab, prod):
         raise AssertionError("C_GL2(psi_A): stabilizer scan and product formula disagree")
     resid = _commute_mask(lp, L.glp_entries, psiA.A.codes)
     if not np.array_equal(stab, resid):
         raise AssertionError("C_GL2(psi_A): stabilizer scan and residue commutation disagree")
     c_gl = grp.subgroup(gl, stab, name="C_GL2(psi_A)")
-    c_sl = grp.subgroup(sl, stab[sl.parent_pos], name="C_SL2(psi_A)")
+    c_sl = grp.subgroup(sl, stab[sl.pos_in(gl)], name="C_SL2(psi_A)")
 
-    bstab = _bracket_stabilizer_mask_sl(L, psiA)
+    bstab = _stabilizer_mask(sl, L.Kl, psiA.exps_K)
     bres = _scalar_conj_mask_sl(L, psiA.A)
     if not np.array_equal(bstab, bres):
         raise AssertionError("C_SL2(psi_[A]): stabilizer scan and scalar test disagree")
     H_ellp = H_group(psiA, L.ellp)
-    bprod = _product_mask(sl, c_sl.parent_pos, H_ellp.pos_in_ancestor(sl))
+    bprod = _product_mask(sl, c_sl.pos_in(sl), H_ellp.pos_in(sl))
     if not np.array_equal(bstab, bprod):
         raise AssertionError("C_SL2(psi_[A]): stabilizer scan and H-product formula disagree")
     c_sl_bracket = grp.subgroup(sl, bstab, name="C_SL2(psi_[A])")
@@ -406,21 +399,6 @@ def inertia(psiA: PsiA) -> InertiaData:
 # ------------------------------------------------------------------ abelianization and extensions
 
 
-def _positions_in(K: GroupTable, H: GroupTable) -> np.ndarray:
-    """Positions of K's members inside H, through their common ancestor."""
-    if K is H:
-        return np.arange(K.n, dtype=np.int64)
-    root = H
-    while root.parent is not None:
-        root = root.parent
-    up_h = H.pos_in_ancestor(root)
-    up_k = K.pos_in_ancestor(root)
-    out = _inverse_map(root.n, up_h)[up_k]
-    if np.any(out < 0):
-        raise ValueError(f"{K.name} is not contained in {H.name}")
-    return out
-
-
 @dataclass(eq=False)
 class _AbelianQuotient:
     """H/[H,H] with labels, coset representatives, and exponent."""
@@ -441,7 +419,7 @@ def _abelian_quotient(H: GroupTable) -> _AbelianQuotient:
     if "abelian_quotient" in H.cache:
         return H.cache["abelian_quotient"]
     Hd = grp.derived_subgroup(H)
-    dpos = Hd.pos_in_ancestor(H)
+    dpos = Hd.pos_in(H)
     perms = [H.right_mul_perm(int(dpos[g])) for g in Hd.gens]
     raw = grp._orbit_labels(H.n, perms)
     reps = np.unique(raw)
@@ -555,7 +533,7 @@ def extends_to(psi: ClassFunction, H: GroupTable) -> tuple[bool, ClassFunction |
     K = psi.classes.table
     if psi.degree != 1:
         raise ValueError("psi must be linear")
-    kpos = _positions_in(K, H)
+    kpos = K.pos_in(H)
     exps_K, N = _linear_exponents(psi)
     Hq = _abelian_quotient(H)
     in_derived = np.zeros(H.n, dtype=bool)
@@ -603,9 +581,9 @@ def phi_set(psiA: PsiA, budget: int = grp.DEFAULT_BUDGET) -> list[ClassFunction]
     if C.n > budget:
         raise grp.BudgetError(f"|C_GL2(psi_A)| = {C.n} exceeds the budget {budget}")
     q, r = L.spec.q, L.spec.r
-    ml_in_C = _positions_in(L.Ml, C)
     fiber = C.n // L.Ml.n
     if r % 2 == 0:
+        ml_in_C = L.Ml.pos_in(C)
         Hq = _abelian_quotient(C)
         base = _seed_base(Hq, Hq.lab[ml_in_C], _rescale_exponents(psiA.exps_M, psiA.n, Hq.exponent))
         exts = _extend_all(Hq, base)
@@ -620,14 +598,9 @@ def phi_set(psiA: PsiA, budget: int = grp.DEFAULT_BUDGET) -> list[ClassFunction]
         return out
     # odd r: cut the full table down to the psi_A fiber
     table = chartab.character_table_cached(C)
-    mlC = grp.subgroup(C, ml_in_C, name="M^l")
-    up_gl = mlC.pos_in_ancestor(L.gl)
-    exps_at = psiA.exps_M[L.gl_to_Ml[up_gl]]
-    ccm = chartab.conjugacy_classes_cached(mlC)
-    psi_cf = chartab.class_function_from_exponents(ccm, psiA.n, exps_at[ccm.reps])
     out = []
     for phi in table:
-        m = chartab.inner(chartab.restrict(phi, mlC), psi_cf)
+        m = chartab.inner(chartab.restrict(phi, L.Ml), psiA.psi_M)
         if m == 0:
             continue
         if phi.degree != q or m != q:
@@ -660,21 +633,21 @@ def mackey_restriction(psiA: PsiA, phi: ClassFunction) -> list[tuple[RingElem, C
     if chartab.inner(rho, rho) != 1:
         raise AssertionError("Ind(phi) is not irreducible; phi is outside the psi_A fiber")
     lhs = chartab.restrict(rho, sl)
-    gl_to_C = _inverse_map(gl.n, C.parent_pos)
+    c_in_gl, sl_in_gl = C.pos_in(gl), sl.pos_in(gl)
     out = []
     for d in I.dA_reps:
         td = gl.pos_of_matrix(Mat2(L.spec, d.code, 0, 0, 1))
         perm = gl.conj_perm(td)
         mask = np.zeros(gl.n, dtype=bool)
-        mask[perm[C.parent_pos]] = True
+        mask[perm[c_in_gl]] = True
         A_d = mat.conjugate_by_diag(psiA.A, d)
         if not np.array_equal(mask, make_psiA(gl, A_d).stabilizer_mask_gl):
             raise AssertionError("conjugated inertia group differs from the stabilizer of psi_{A_d}")
-        c_sl_d = grp.subgroup(sl, mask[sl.parent_pos], name="C_SL2(psi_A_d)")
+        c_sl_d = grp.subgroup(sl, mask[sl_in_gl], name="C_SL2(psi_A_d)")
         cc_d = chartab.conjugacy_classes_cached(c_sl_d)
-        reps_gl = sl.parent_pos[c_sl_d.parent_pos[cc_d.reps]]
+        reps_gl = c_sl_d.pos_in(gl)[cc_d.reps]
         iperm = gl.conj_perm(int(gl.inv[td]))
-        back_C = gl_to_C[iperm[reps_gl]]
+        back_C = C.pos_of_codes(mat._vpack(L.spec, gl.entries(iperm[reps_gl])))
         if np.any(back_C < 0):
             raise AssertionError("phi^d argument left C_GL2(psi_A)")
         phid = ClassFunction(cc_d, phi.n, phi.vals[phi.classes.class_id[back_C]].copy())

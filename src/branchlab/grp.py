@@ -1,9 +1,12 @@
 """Finite matrix-group engine for GL2/SL2 over the chain rings.
 
 One GroupTable class serves ambient groups and subgroups alike: elements are
-stored as four parallel entry-code arrays plus a packed-code position index,
-products are recomputed from matrix entries (never a full Cayley table), and
-subgroups carry a link to their parent so characters can be fused up and down.
+stored as four parallel entry-code arrays and products are recomputed from
+matrix entries (never a full Cayley table).  Only a root table (an enumerated
+GL2 or SL2) keeps the dense packed-code -> position index; every table cut
+from it holds its sorted positions in the root and their inverse map, so a
+lookup is root index -> local position, and K.pos_in(H) moves positions
+between any two tables of one root.
 
 Orbit computations (conjugacy classes, cosets, double cosets) run as min-label
 propagation over generator permutation arrays.  Generating sets are found
@@ -41,7 +44,9 @@ def sl2_order(spec: RingSpec) -> int:
 class GroupTable:
     """Enumerated matrix group (or subgroup) with entrywise multiplication."""
 
-    def __init__(self, spec, name, ms, gens=None, parent=None, parent_pos=None):
+    def __init__(self, spec, name, ms, gens=None, root=None, root_pos=None):
+        """root/root_pos: the root table and this table's sorted positions in it
+        (None for a root); gens are given as root positions."""
         self.spec = spec
         self.name = name
         # entry codes (m11, m12, m21, m22), one read-only array each, indexed by position
@@ -49,39 +54,56 @@ class GroupTable:
         for t in self.ms:
             t.setflags(write=False)
         self.n = len(self.ms[0])
-        self.parent = parent
-        self.parent_pos = parent_pos
         # results other modules compute once per table: classes, character tables, psi_A data
         self.cache = {}
-        self.codes = mat._vpack(spec, self.ms)
-        pos = np.full(spec.size ** 4, -1, dtype=np.int32)
-        pos[self.codes] = np.arange(self.n, dtype=np.int32)
-        self._pos = pos
-        ident = int(mat._vpack(spec, tuple(np.int64(c) for c in (1, 0, 0, 1))))
-        self.identity = int(pos[ident])
+        if root is None:
+            self._root = None
+            self._index = np.full(spec.size**4, -1, dtype=np.int32)
+            self._index[mat._vpack(spec, self.ms)] = np.arange(self.n, dtype=np.int32)
+            root_pos = np.arange(self.n, dtype=np.int64)
+        else:
+            self._root = root
+        self.root_pos = root_pos
+        # root position -> position here, -1 for non-members; the trailing -1
+        # keeps the root index's -1 (a code outside the root) at -1
+        self.local = np.full(self.root.n + 1, -1, dtype=np.int32)
+        self.local[root_pos] = np.arange(self.n, dtype=np.int32)
+        self.identity = int(self.pos_of_codes(mat._vpack(spec, (1, 0, 0, 1))))
         if self.identity < 0:
             raise ValueError("element set lacks the identity")
         self.inv = self._lookup(mat._vmat_inv(spec, self.ms))
-        self.gens = [int(g) for g in gens] if gens is not None else self._greedy_gens()
-        if gens is not None:
+        if gens is None:
+            self.gens = self._greedy_gens()
+        else:
+            self.gens = [int(g) for g in self.local[np.asarray(gens, dtype=np.int64)]]
+            if any(g < 0 for g in self.gens):
+                raise ValueError("generator not inside the member set")
             covered = int(_closure_mask(self, self.gens).sum())
             if covered != self.n:
                 raise ValueError(f"given generators span {covered} of {self.n} elements")
+
+    @property
+    def root(self) -> "GroupTable":
+        """The enumerated table this one was cut from (itself for a root).
+
+        A root stores no reference to itself, so reference counting frees its index.
+        """
+        return self if self._root is None else self._root
 
     # -------------------------------------------------------------- plumbing
 
     def entries(self, i):
         return tuple(t[i] for t in self.ms)
 
-    def _lookup(self, ms):
-        p = self._pos[mat._vpack(self.spec, ms)]
-        if not np.all(p >= 0):
-            raise ValueError(f"product left the element set of {self.name}")
-        return p.astype(np.int64)
-
     def pos_of_codes(self, codes):
         """Positions of packed matrix codes; -1 marks non-members."""
-        return self._pos[np.asarray(codes, dtype=np.int64)].astype(np.int64)
+        return self.local[self.root._index[np.asarray(codes, dtype=np.int64)]].astype(np.int64)
+
+    def _lookup(self, ms):
+        p = self.pos_of_codes(mat._vpack(self.spec, ms))
+        if not np.all(p >= 0):
+            raise ValueError(f"product left the element set of {self.name}")
+        return p
 
     def mul(self, i, j):
         """Position(s) of element i times element j; broadcasts."""
@@ -92,7 +114,7 @@ class GroupTable:
         return Mat2(self.spec, *(int(t[i]) for t in self.ms))
 
     def pos_of_matrix(self, X: Mat2) -> int:
-        p = int(self._pos[int(mat._vpack(self.spec, tuple(np.int64(c) for c in X.codes)))])
+        p = int(self.pos_of_codes(mat._vpack(self.spec, X.codes)))
         if p < 0:
             raise ValueError(f"{mat.encode_mat(X)} is not in {self.name}")
         return p
@@ -146,17 +168,14 @@ class GroupTable:
         gx = mat._vmat_mul(self.spec, self.entries(g), self.ms)
         return self._lookup(mat._vmat_mul(self.spec, gx, self.entries(int(self.inv[g]))))
 
-    def pos_in_ancestor(self, ancestor: "GroupTable"):
-        """Map positions here to positions in a (transitive) parent table."""
-        if ancestor is self:
-            return np.arange(self.n, dtype=np.int64)
-        t, idx = self, np.arange(self.n, dtype=np.int64)
-        while t.parent is not None:
-            idx = t.parent_pos[idx]
-            t = t.parent
-            if t is ancestor:
-                return idx
-        raise ValueError(f"{ancestor.name} is not an ancestor of {self.name}")
+    def pos_in(self, H: "GroupTable") -> np.ndarray:
+        """Positions in H of this table's elements; both must share one root."""
+        if H.root is not self.root:
+            raise ValueError(f"{self.name} and {H.name} are cut from different root tables")
+        out = H.local[self.root_pos].astype(np.int64)
+        if np.any(out < 0):
+            raise ValueError(f"{self.name} is not contained in {H.name}")
+        return out
 
     def __repr__(self):
         return f"<{self.name} over {self.spec.short_name} r={self.spec.r}, {self.n} elements>"
@@ -234,14 +253,8 @@ def subgroup(table: GroupTable, members, gens=None, name="subgroup") -> GroupTab
     members = np.asarray(members)
     idx = np.flatnonzero(members) if members.dtype == bool else np.sort(members.astype(np.int64))
     ms = tuple(t[idx] for t in table.ms)
-    sub_gens = None
-    if gens is not None:
-        back = np.full(table.n, -1, dtype=np.int64)
-        back[idx] = np.arange(len(idx))
-        sub_gens = [int(back[g]) for g in gens]
-        if any(g < 0 for g in sub_gens):
-            raise ValueError("generator not inside the member set")
-    return GroupTable(table.spec, name, ms, gens=sub_gens, parent=table, parent_pos=idx)
+    root_gens = None if gens is None else table.root_pos[np.asarray(gens, dtype=np.int64)]
+    return GroupTable(table.spec, name, ms, gens=root_gens, root=table.root, root_pos=table.root_pos[idx])
 
 
 def sl2_subgroup(gl: GroupTable) -> GroupTable:
@@ -284,14 +297,12 @@ def normal_closure(G: GroupTable, S, normalizers, name="normal closure") -> Grou
     gens = [int(s) for s in S]
     while True:
         H = subgroup_closure(G, gens, name=name)
-        in_H = np.zeros(G.n, dtype=bool)
-        in_H[H.parent_pos] = True
         fresh = []
         for g in normalizers:
             gi = int(G.inv[g])
             for s in gens:
                 t = G.mul(G.mul(int(g), s), gi)
-                if not in_H[t]:
+                if H.local[G.root_pos[t]] < 0:
                     fresh.append(int(t))
         if not fresh:
             return H
@@ -371,7 +382,7 @@ def conjugacy_classes(G: GroupTable) -> ConjClasses:
 
 def cosets(G: GroupTable, H: GroupTable) -> np.ndarray:
     """Representatives (positions in G) of the left cosets gH."""
-    hg = _gen_positions_in(G, H)
+    hg = H.pos_in(G)[H.gens]
     labels = _orbit_labels(G.n, [G.right_mul_perm(g) for g in hg])
     reps = np.unique(labels)
     assert len(reps) * H.n == G.n
@@ -380,16 +391,10 @@ def cosets(G: GroupTable, H: GroupTable) -> np.ndarray:
 
 def double_cosets(G: GroupTable, H1: GroupTable, H2: GroupTable):
     """(representatives, sizes) for H1\\G/H2."""
-    p1 = [G.left_mul_perm(g) for g in _gen_positions_in(G, H1)]
-    p2 = [G.right_mul_perm(g) for g in _gen_positions_in(G, H2)]
+    p1 = [G.left_mul_perm(g) for g in H1.pos_in(G)[H1.gens]]
+    p2 = [G.right_mul_perm(g) for g in H2.pos_in(G)[H2.gens]]
     labels = _orbit_labels(G.n, p1 + p2)
     reps, counts = np.unique(labels, return_counts=True)
     assert int(counts.sum()) == G.n
     return reps, counts
 
-
-def _gen_positions_in(G: GroupTable, H: GroupTable):
-    if H is G:
-        return list(H.gens)
-    up = H.pos_in_ancestor(G)
-    return [int(up[g]) for g in H.gens]

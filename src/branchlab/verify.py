@@ -74,7 +74,7 @@ def find_regular(G: GroupTable, table: CharacterTable | None = None):
     n = ring.psi_order(L.spec)
     num_A = lp.size**4
 
-    up = Ml.pos_in_ancestor(G)
+    up = Ml.pos_in(G)
     cls_m = table.classes.class_id[up]
     zs = np.exp(2j * np.pi * np.arange(table.tensor.shape[2]) / table.n)
     V = (table.tensor @ zs)[:, cls_m]  # [k, M] float values of rho on M^ell

@@ -1,8 +1,8 @@
 """Shared fixtures.
 
-Group tables and full verification reports are expensive (the level-4 tables
-take ~10s each), so both are built once per session and handed out through
-getter fixtures keyed by (kind, r).
+Group tables and full verification reports are built once per session (a
+level-4 report takes a few seconds, its character tables most of that) and
+handed out through getter fixtures keyed by (kind, r).
 """
 
 import pytest

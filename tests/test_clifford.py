@@ -141,12 +141,24 @@ def test_H_group_members(groups):
     assert {mat.encode_mat(H.matrix(i)) for i in range(H.n)} == expect
 
 
+def test_product_mask_in_chunks(monkeypatch, groups):
+    G = groups("z2", 3)
+    pos_a = np.arange(0, G.n, 7)  # 220 elements
+    pos_b = grp.congruence_subgroup(G, 2).root_pos  # 16 elements
+    # 53 pairs per chunk: 3 rows of pos_a, and the last chunk holds a single row
+    monkeypatch.setattr(clifford, "_PRODUCT_CHUNK", 3 * len(pos_b) + 5)
+    assert len(pos_a) % 3 == 1
+    brute = {int(G.mul(np.int64(a), np.int64(b))) for a in pos_a for b in pos_b}
+    mask = clifford._product_mask(G, pos_a, pos_b)
+    assert set(np.flatnonzero(mask).tolist()) == brute
+
+
 # ----------------------------------------------------------------- inertia
 
 
 def _brute_stabilizer(G, sub, exps, n):
     # positions g in G with psi(g m g^-1) = psi(m) for every m in sub
-    member_pos = sub.parent_pos
+    member_pos = sub.pos_in(G)
     back = {int(p): i for i, p in enumerate(member_pos)}
     keep = []
     for g in range(G.n):
@@ -173,15 +185,15 @@ def test_inertia_matches_brute_stabilizers(kind, rows, groups):
     pa = _psi(G, rows)
     I = clifford.inertia(pa)
     L = pa.layers
-    got_gl = set(I.c_gl.parent_pos.tolist())
+    got_gl = set(I.c_gl.root_pos.tolist())
     assert got_gl == _brute_stabilizer(G, L.Ml, pa.exps_M, pa.n)
-    sl_pos_in_gl = L.sl.parent_pos
-    got_sl = set(sl_pos_in_gl[I.c_sl.parent_pos].tolist())
+    sl_pos_in_gl = L.sl.root_pos
+    got_sl = set(I.c_sl.root_pos.tolist())
     assert got_sl == got_gl & set(sl_pos_in_gl.tolist())
     # psi_[A] stabilizer inside SL2, same brute scan over K^l
     exps_K = pa.exps_K
     brute_br = _brute_stabilizer(L.sl, L.Kl, exps_K, pa.n)
-    assert set(I.c_sl_bracket.parent_pos.tolist()) == brute_br
+    assert set(I.c_sl_bracket.pos_in(L.sl).tolist()) == brute_br
 
 
 def test_inertia_invariants(groups):
@@ -194,10 +206,10 @@ def test_inertia_invariants(groups):
             I = clifford.inertia(pa)
             # M^l centralizes its own character; K^l sits inside every SL stabilizer
             L = pa.layers
-            assert set(L.Ml.parent_pos.tolist()) <= set(I.c_gl.parent_pos.tolist())
+            assert set(L.Ml.root_pos.tolist()) <= set(I.c_gl.root_pos.tolist())
             # determinant image is a subgroup of the units hit by C_GL
             det_img = set(I.det_image.tolist())
-            assert det_img == {int(G.dets[p]) for p in I.c_gl.parent_pos}
+            assert det_img == {int(G.dets[p]) for p in I.c_gl.root_pos}
             for a in list(det_img)[:4]:
                 for b in list(det_img)[:4]:
                     assert ring.mul(ring.elem(spec, a), ring.elem(spec, b)).code in det_img
@@ -245,7 +257,7 @@ def test_extends_to_against_linear_character_search(groups):
     want = {mat.encode_mat(L.Kl.matrix(i)): pa.psi_K.value_at_pos(i) for i in range(L.Kl.n)}
     checked = 0
     for H in (I.c_sl, I.c_sl_bracket, clifford.H_group(pa, L.ell)):
-        if not set(L.Kl.parent_pos.tolist()) <= set(H.pos_in_ancestor(L.sl).tolist()):
+        if not set(L.Kl.pos_in(L.sl).tolist()) <= set(H.pos_in(L.sl).tolist()):
             continue  # brute comparison only makes sense when K^l sits inside H
 
         def restricts_to_psi(h):
@@ -278,14 +290,14 @@ def test_extension_set_is_the_pi_ell_ideal(groups):
     sl4 = L4.sl
     # C_S^l(A~) = (C_GL2(A~) M^l) cap SL2
     cent_lift = clifford._commute_mask(spec4, G.ms, pb.Atilde.codes)
-    prod_ell = clifford._product_mask(G, np.flatnonzero(cent_lift), L4.Ml.parent_pos)
-    c_s_ell = grp.subgroup(sl4, prod_ell[sl4.parent_pos], name="C_S^l(A~)")
+    prod_ell = clifford._product_mask(G, np.flatnonzero(cent_lift), L4.Ml.root_pos)
+    c_s_ell = grp.subgroup(sl4, prod_ell[sl4.root_pos], name="C_S^l(A~)")
     ainv = ring.inv(ring.elem(spec4, pb.Atilde.m21))
     e_set = []
     for lam in hl:
         top = ring.mul(ainv, lam)
         e_lam = sl4.pos_of_matrix(mat.mat_from_codes(spec4, 1, top.code, 0, 1))
-        gens = [int(g) for g in c_s_ell.pos_in_ancestor(sl4)[c_s_ell.gens]] + [e_lam]
+        gens = [int(g) for g in c_s_ell.pos_in(sl4)[c_s_ell.gens]] + [e_lam]
         Hc = grp.subgroup_closure(sl4, gens, name="C_S^l<e_lam>")
         ok, _ = clifford.extends_to(pb.psi_K, Hc)
         if ok:

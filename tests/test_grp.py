@@ -1,5 +1,7 @@
 """Group enumeration, subgroups, conjugacy classes, cosets."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -98,10 +100,10 @@ def test_congruence_subgroups():
                 assert K.n == q ** (3 * (r - i))
                 # members reduce to the identity mod pi^i
                 sub = ring.truncate(spec, i)
-                for p in M.parent_pos[:: max(1, M.n // 5)]:
+                for p in M.root_pos[:: max(1, M.n // 5)]:
                     assert mat.mat_proj(G.matrix(int(p)), sub) == mat.identity(sub)
                 # normal in the parent: conjugation permutes the member set
-                members = set(M.parent_pos.tolist())
+                members = set(M.root_pos.tolist())
                 g = int(np.random.default_rng(3).integers(G.n))
                 gi = int(G.inv[g])
                 for p in list(members)[:: max(1, M.n // 5)]:
@@ -112,7 +114,7 @@ def test_congruence_subgroups():
 def test_sl2_subgroup_dets():
     G = _gl("z2", 3)
     S = grp.sl2_subgroup(G)
-    assert np.all(G.dets[S.parent_pos] == 1)
+    assert np.all(G.dets[S.root_pos] == 1)
     assert S.n * ring.unit_count(G.spec) == G.n
 
 
@@ -163,7 +165,7 @@ def test_cosets_partition():
     reps = grp.cosets(G, H)
     assert len(reps) * H.n == G.n
     seen = set()
-    hset = H.parent_pos
+    hset = H.root_pos
     for t in reps:
         coset = {int(G.mul(np.int64(int(t)), np.int64(int(h)))) for h in hset}
         assert len(coset) == H.n and not (coset & seen)
@@ -181,8 +183,8 @@ def test_double_cosets_partition():
     for t, size in zip(reps, sizes):
         dc = {
             int(G.mul(G.mul(np.int64(int(s)), np.int64(int(t))), np.int64(int(h))))
-            for s in S.parent_pos
-            for h in H.parent_pos
+            for s in S.root_pos
+            for h in H.root_pos
         }
         assert len(dc) == int(size) and not (dc & seen)
         seen |= dc
@@ -201,7 +203,7 @@ def test_subgroup_closure_and_derived():
     D = grp.derived_subgroup(G)
     assert D.n == 3  # A3 inside S3
     # derived subgroup contains every commutator
-    dset = set(D.parent_pos.tolist())
+    dset = set(D.root_pos.tolist())
     for a in range(G.n):
         for b in range(G.n):
             c = G.mul(G.mul(np.int64(a), np.int64(b)), G.mul(G.inv[a], G.inv[b]))
@@ -225,9 +227,55 @@ def test_pos_in_ancestor():
     G = _gl("z2", 2)
     S = grp.sl2_subgroup(G)
     K = grp.congruence_subgroup(S, 1)
-    up = K.pos_in_ancestor(G)
+    up = K.pos_in(G)
     for i in range(K.n):
         assert G.matrix(int(up[i])) == K.matrix(i)
+
+
+def test_subgroup_lookup_marks_non_members():
+    G = _gl("z2", 2)
+    S = grp.sl2_subgroup(G)
+    zero = mat._vpack(G.spec, (0, 0, 0, 0))  # not in GL2 at all
+    outside = G.pos_of_matrix(mat.mat(G.spec, [[3, 0], [0, 1]]))  # in GL2, det != 1
+    codes = mat._vpack(G.spec, G.entries(np.array([outside])))
+    assert S.pos_of_codes(zero) == -1
+    assert S.pos_of_codes(codes)[0] == -1
+    inside = S.pos_of_codes(mat._vpack(G.spec, S.ms))
+    assert np.array_equal(inside, np.arange(S.n))
+
+
+def test_pos_in_between_siblings():
+    G = _gl("z2", 3)
+    M1 = grp.congruence_subgroup(G, 1)
+    K1 = grp.congruence_subgroup(grp.sl2_subgroup(G), 1)
+    into = K1.pos_in(M1)
+    assert len(set(into.tolist())) == K1.n
+    for i in range(K1.n):
+        assert M1.matrix(int(into[i])) == K1.matrix(i)
+
+
+def test_pos_in_rejects_non_subgroups():
+    G = _gl("z2", 2)
+    S = grp.sl2_subgroup(G)
+    M1 = grp.congruence_subgroup(G, 1)
+    with pytest.raises(ValueError, match="not contained"):
+        M1.pos_in(S)  # M^1 holds elements of determinant != 1
+    with pytest.raises(ValueError, match="different root"):
+        grp.build_sl2(G.spec).pos_in(S)
+
+
+def test_only_the_root_keeps_a_code_index():
+    G = _gl("z2", 4)
+    index_bytes = 4 * G.spec.size**4
+    M3 = grp.congruence_subgroup(G, 3)  # 16 elements
+    tracemalloc.start()
+    try:
+        sub = grp.subgroup(G, M3.root_pos, name="small")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sub.n == 16
+    assert peak < index_bytes // 2
 
 
 def test_perm_actions():
