@@ -132,7 +132,7 @@ class GroupTable:
         known = _closure_mask(self, gens)
         while not known.all():
             gens.append(int(np.flatnonzero(~known)[0]))
-            known = _closure_mask(self, gens)
+            known = _closure_mask(self, gens, known)
         return gens
 
     # -------------------------------------------------------------- orders
@@ -181,10 +181,21 @@ class GroupTable:
         return f"<{self.name} over {self.spec.short_name} r={self.spec.r}, {self.n} elements>"
 
 
-def _closure_mask(table: GroupTable, gens) -> np.ndarray:
-    known = np.zeros(table.n, dtype=bool)
-    known[table.identity] = True
-    frontier = np.array([table.identity], dtype=np.int64)
+def _closure_mask(table: GroupTable, gens, known=None) -> np.ndarray:
+    """Mask of the subgroup generated by gens, by breadth-first right multiplication.
+
+    known, if given, is the mask for gens[:-1] and is extended in place.  It is
+    closed under those generators, so a word first leaves it through gens[-1]:
+    the search starts at (known * gens[-1]) minus known.
+    """
+    if known is None:
+        known = np.zeros(table.n, dtype=bool)
+        known[table.identity] = True
+        frontier = np.array([table.identity], dtype=np.int64)
+    else:
+        p = table.mul(np.flatnonzero(known), np.int64(gens[-1]))
+        frontier = np.unique(p[~known[p]])
+        known[frontier] = True
     while len(frontier):
         nxt = []
         for g in gens:
@@ -364,13 +375,6 @@ class ConjClasses:
     def inverse_class(self):
         """Class index of the inverses, per class."""
         return self.class_id[self.table.inv[self.reps]]
-
-    def power_class(self, s: int) -> np.ndarray:
-        """Class index of rep^s, per class."""
-        out = np.full(self.k, self.table.identity, dtype=np.int64)
-        for _ in range(s % self.table.exponent):
-            out = self.table.mul(out, self.reps)
-        return self.class_id[out]
 
     def __repr__(self):
         return f"<{self.k} classes of {self.table.name}, sizes {sorted(set(map(int, self.sizes)))}>"

@@ -143,15 +143,6 @@ def mat_mul(X: Mat2, Y: Mat2) -> Mat2:
     return _from_vec(X.spec, _vmat_mul(X.spec, _as_vec(X), _as_vec(Y)))
 
 
-def mat_add(X: Mat2, Y: Mat2) -> Mat2:
-    _check(X, Y)
-    return _from_vec(X.spec, tuple(ring._vadd(X.spec, a, b) for a, b in zip(_as_vec(X), _as_vec(Y))))
-
-
-def mat_neg(X: Mat2) -> Mat2:
-    return _from_vec(X.spec, tuple(ring._vneg(X.spec, a) for a in _as_vec(X)))
-
-
 def det(X: Mat2) -> RingElem:
     return RingElem(X.spec, int(_vdet(X.spec, _as_vec(X))))
 

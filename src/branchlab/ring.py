@@ -10,6 +10,11 @@ Every element has a canonical integer code in [0, size).  Scalar arithmetic
 runs on plain ints inside RingElem; the _v* kernels do the same arithmetic on
 numpy arrays of codes and are what the group layer is built on.
 
+A product in an f2t, f4t or eis2 ring of at most 64 elements, which covers
+every GL2 within the default budget of 2^25 elements, is one gather from a
+memoized table; z2 keeps its multiply-and-mask.  Codes must fit int64: the
+kernels raise ValueError above z2/f2t/eis2 r = 63 and f4t r = 31.
+
 Short CLI aliases: z2, f2t, f4t, eis2.
 """
 
@@ -205,19 +210,49 @@ def _vneg(spec, x):
     return a | (b << ab)
 
 
+# Largest ring with a product table: |GL2(o_r)| >= 3/8 size^4, so a GL2 within
+# the default budget of 2^25 elements (grp.DEFAULT_BUDGET) has size <= 64.
+_MUL_TABLE_MAX = 64
+
+
+def _check_width(spec):
+    if spec.size > 1 << 63:
+        raise ValueError(f"{spec.short_name} r={spec.r}: codes of {spec.size.bit_length() - 1} bits do not fit int64")
+
+
 def _vmul(spec, x, y):
+    """x*y on codes; broadcasts, int64 out.
+
+    f2t/f4t/eis2 rings of at most _MUL_TABLE_MAX = 64 elements, all that a GL2
+    within the default budget needs, gather from _mul_table (32 KB at most);
+    z2, whose multiply-and-mask a gather does not beat, and larger rings run
+    _vmul_formula."""
+    if spec.kind != KIND_CHAR0 and spec.size <= _MUL_TABLE_MAX:
+        return _mul_table(spec)[x * spec.size + y]
+    return _vmul_formula(spec, x, y)
+
+
+@lru_cache(maxsize=None)
+def _mul_table(spec):
+    """Read-only int64 table with x*y at x * size + y, from _vmul_formula."""
+    codes = np.arange(spec.size, dtype=np.int64)
+    table = _vmul_formula(spec, codes[:, None], codes[None, :]).ravel()
+    table.setflags(write=False)
+    return table
+
+
+def _vmul_formula(spec, x, y):
+    """The product from the code layout of each kind; codes must fit int64."""
+    _check_width(spec)
     if spec.kind == KIND_CHAR0:
         return (x * y) & (spec.size - 1)
-    if spec.kind == KIND_CHAR2 and spec.q == 2:
-        r = spec.r
-        out = np.zeros_like(x * y)
-        for i in range(r):
-            bit = (y >> i) & 1
-            out ^= (x << i) * bit
-        return out & (spec.size - 1)
     if spec.kind == KIND_CHAR2:
         r = spec.r
-        out = np.zeros_like(x * y)
+        out = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)), dtype=np.int64)
+        if spec.q == 2:
+            for i in range(r):
+                out ^= (x << i) * ((y >> i) & 1)
+            return out & (spec.size - 1)
         for i in range(r):
             di = (x >> (2 * i)) & 3
             for j in range(r - i):
@@ -255,6 +290,7 @@ def _vsquare(spec, x):
     """
     if spec.kind != KIND_CHAR2:
         return _vmul(spec, x, x)
+    _check_width(spec)
     w = 1 if spec.q == 2 else 2
     n = w * ((spec.r + 1) // 2)  # bits of the surviving digits, at most 32
     y = np.asarray(x, dtype=np.int64) & ((1 << n) - 1)
@@ -445,10 +481,6 @@ def unit_count(spec: RingSpec) -> int:
 
 def square_unit_codes(spec: RingSpec) -> np.ndarray:
     return np.unique(_vsquare(spec, unit_codes(spec)))
-
-
-def squares_of_units(spec: RingSpec) -> set[RingElem]:
-    return {RingElem(spec, int(c)) for c in square_unit_codes(spec)}
 
 
 def sqrt1_count(spec: RingSpec) -> int:

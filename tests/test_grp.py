@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from branchlab import grp, mat, ring
+from branchlab import clifford, grp, mat, ring
 
 
 def _gl(kind, r):
@@ -208,6 +208,49 @@ def test_subgroup_closure_and_derived():
         for b in range(G.n):
             c = G.mul(G.mul(np.int64(a), np.int64(b)), G.mul(G.inv[a], G.inv[b]))
             assert int(c) in dset
+
+
+def _greedy_reference(H):
+    """Greedy generators with every closure recomputed from the identity."""
+    gens = []
+    while not (known := grp._closure_mask(H, gens)).all():
+        gens.append(int(np.flatnonzero(~known)[0]))
+    return gens
+
+
+@pytest.mark.parametrize("kind,r", [("z2", 3), ("f4t", 2)])
+def test_incremental_generators_match_a_from_scratch_greedy(kind, r, monkeypatch):
+    G = _gl(kind, r)  # a fresh table, so inertia builds every subgroup below
+    built = []
+    subgroup = grp.subgroup
+
+    def spy(table, members, gens=None, name="subgroup"):
+        H = subgroup(table, members, gens=gens, name=name)
+        if gens is None:
+            built.append(H)
+        return H
+
+    monkeypatch.setattr(grp, "subgroup", spy)
+    lp = ring.truncate(G.spec, G.spec.ell_prime)
+    triples = sorted({mat.companion_form(A).triple for A in mat.all_cyclic_matrices(lp)})
+    for a, alpha, beta in triples:
+        top = ring.mul(ring.inv(ring.elem(lp, a)), ring.elem(lp, alpha))
+        clifford.inertia(clifford.make_psiA(G, mat.mat_from_codes(lp, 0, top.code, a, beta)))
+    assert len(built) >= 3 * len(triples)  # C_GL2(psi_A), C_SL2(psi_A), C_SL2(psi_[A]) per orbit
+    for H in [G, *built]:
+        assert H.gens == _greedy_reference(H), H
+
+
+def test_subgroup_of_a_non_closed_set_raises():
+    G = _gl("z2", 2)
+    g = G.pos_of_matrix(mat.mat(G.spec, [[1, 1], [0, 1]]))  # order 4
+    members = [G.identity, g, int(G.inv[g])]  # closed under inverses, not under products
+    with pytest.raises(ValueError, match="left the element set"):
+        grp.subgroup(G, members)
+    with pytest.raises(ValueError, match="left the element set"):
+        grp.subgroup(G, members, gens=[g])
+    with pytest.raises(ValueError, match="lacks the identity"):
+        grp.subgroup(G, [g])
 
 
 def test_is_abelian():

@@ -7,11 +7,12 @@ F_4 coefficient model, and the quadratic a + b*pi model with pi^2 = 2.
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 
-from branchlab import ring
+from branchlab import grp, predict, ring
 
 
 SMALL = ["z2:1", "z2:2", "z2:3", "z2:4", "f2t:2", "f2t:3", "f4t:1", "f4t:2", "eis2:2", "eis2:3", "eis2:5"]
@@ -116,6 +117,11 @@ def _clmul(a, b, r):
     return out & ((1 << r) - 1)
 
 
+def _all_pairs(spec):
+    x = np.arange(spec.size, dtype=np.int64)
+    return x[:, None], x[None, :]
+
+
 def test_f2t_matches_carryless_polynomials():
     spec = ring.make_ring("f2t", r=4)
     t = ring.uniformizer(spec)
@@ -131,6 +137,10 @@ def test_f2t_matches_carryless_polynomials():
         for b in range(16):
             assert int(ring._vmul(spec, np.int64(a), np.int64(b))) == _clmul(a, b, 4)
             assert int(ring._vadd(spec, np.int64(a), np.int64(b))) == a ^ b
+    # 128 elements: above the product-table limit, so this checks the formula
+    spec = ring.make_ring("f2t", r=7)
+    expect = [[_clmul(a, b, 7) for b in range(spec.size)] for a in range(spec.size)]
+    assert ring._vmul(spec, *_all_pairs(spec)).tolist() == expect
 
 
 # F_4 = F_2[u]/(u^2 + u + 1) on symbols 0, 1, u, u+1
@@ -163,11 +173,15 @@ def test_f4t_matches_the_f4_coefficient_model():
         for b in range(16):
             assert int(ring._vmul(spec, np.int64(a), np.int64(b))) == _f4t_mul(a, b, 2)
             assert int(ring._vadd(spec, np.int64(a), np.int64(b))) == a ^ b
+    # 256 elements: above the product-table limit, so this checks the formula
+    spec = ring.make_ring("f4t", r=4)
+    expect = [[_f4t_mul(a, b, 4) for b in range(spec.size)] for a in range(spec.size)]
+    assert ring._vmul(spec, *_all_pairs(spec)).tolist() == expect
 
 
 def test_eis2_matches_the_quadratic_model():
     # x = a + b*pi with pi^2 = 2, a mod 2^ceil(r/2), b mod 2^floor(r/2)
-    for r in (2, 3, 4, 5):
+    for r in (2, 3, 4, 5, 7):  # r = 7 (128 elements) is above the product-table limit
         spec = ring.make_ring("eis2", r=r)
         na, nb = 1 << spec.ell, 1 << spec.ell_prime
         pi = ring.uniformizer(spec)
@@ -186,6 +200,54 @@ def test_eis2_matches_the_quadratic_model():
                         za, zb = (a * c + 2 * b * d) % na, (a * d + b * c) % nb
                         assert ring.mul(x, y) == build(za, zb)
                         assert ring.add(x, y) == build((a + c) % na, (b + d) % nb)
+
+
+# ------------------------------------------------------- product tables
+
+# every f2t/f4t/eis2 level that multiplies by table lookup
+TABLED = [
+    (kind, r)
+    for kind in ("f2t", "f4t", "eis2")
+    for r in range(1, 7)
+    if ring.make_ring(kind, r=r).size <= ring._MUL_TABLE_MAX
+]
+
+
+def test_product_tables_cover_every_gl2_within_the_default_budget():
+    for kind in ("z2", "f2t", "f4t", "eis2"):
+        top = max(r for r in range(1, 20) if grp.gl2_order(ring.make_ring(kind, r=r)) <= grp.DEFAULT_BUDGET)
+        assert ring.make_ring(kind, r=top).size == ring._MUL_TABLE_MAX
+
+
+@pytest.mark.parametrize("kind,r", TABLED)
+def test_product_table_equals_the_formula(kind, r):
+    spec = ring.make_ring(kind, r=r)
+    x, y = _all_pairs(spec)
+    expect = ring._vmul_formula(spec, x, y)
+    # the 2-D broadcast shape that clifford._product_mask uses
+    got = ring._vmul(spec, x, y)
+    assert got.dtype == np.int64 and np.array_equal(got, expect)
+    # 1-D arrays of every pair
+    xs, ys = np.broadcast_arrays(x, y)
+    got = ring._vmul(spec, xs.ravel(), ys.ravel())
+    assert got.dtype == np.int64 and np.array_equal(got, expect.ravel())
+    # np.int64 scalars, the shape scalar ring.mul passes
+    for a in range(spec.size):
+        for b in range(spec.size):
+            got = ring._vmul(spec, np.int64(a), np.int64(b))
+            assert got.dtype == np.int64 and got == expect[a, b]
+    table = ring._mul_table(spec)
+    assert table.dtype == np.int64 and not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 1
+
+
+def test_z2_and_large_rings_have_no_product_table():
+    ring._mul_table.cache_clear()
+    x = np.arange(64, dtype=np.int64)
+    for kind, r in (("z2", 6), ("f2t", 7), ("f4t", 4), ("eis2", 7)):
+        ring._vmul(ring.make_ring(kind, r=r), x[:, None], x[None, :])
+    assert ring._mul_table.cache_info().currsize == 0
 
 
 # ------------------------------------------------------ valuation and units
@@ -262,6 +324,34 @@ def test_valuation_exact_on_the_widest_int64_codes(kind):
     assert sorted(set(expect)) == list(range(spec.r + 1))
     assert ring._vval(spec, np.array(codes, dtype=np.int64)).tolist() == expect
     assert [ring.val(ring.elem(spec, c)) for c in codes] == expect
+
+
+# ---------------------------------------------------------- code width
+
+
+def test_codes_wider_than_int64_raise_value_error():
+    for kind, r in (("z2", 64), ("f2t", 64), ("f4t", 32), ("eis2", 64)):
+        spec = ring.make_ring(kind, r=r)
+        with pytest.raises(ValueError, match=f"{kind} r={r}"):
+            ring.mul(ring.elem(spec, 3), ring.elem(spec, 5))
+        if spec.char_two:
+            with pytest.raises(ValueError, match=f"{kind} r={r}"):
+                ring._vsquare(spec, np.int64(3))
+
+
+def test_widest_f4t_product_is_warning_free():
+    spec = ring.make_ring("f4t", r=WIDEST["f4t"])
+    x, y = ring.elem(spec, (2 << 60) | 3), ring.elem(spec, (1 << 60) | 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z = ring.mul(x, y)
+    # digit 30: u*1 + (1+u)*1 = 1; digits 0 and 1: (1+u)*1 = 1+u
+    assert z.code == (1 << 60) | (3 << 2) | 3 == _f4t_mul(x.code, y.code, spec.r)
+
+
+def test_predict_stays_unbounded_past_the_code_width():
+    pred = predict.predict_branching(ring.make_ring("f4t", r=50), "unit")
+    assert (pred.r, pred.dA, pred.delta_min, pred.delta_max) == (50, 1, 1, 2)
 
 
 @pytest.mark.parametrize("kind", ["f2t", "f4t"])
