@@ -19,12 +19,16 @@ refuses groups where k p^2 >= 2^63 or |G| p >= 2^53.
 
 Class functions are stored as integer coefficient vectors in the canonical
 power basis of Q(zeta_n), so equality, inner products, induction and
-restriction are all exact integer arithmetic.
+restriction are all exact integer arithmetic.  In decompose a float Gram row
+only proposes the multiplicities: the rows of a character table are linearly
+independent, so the exact reconstruction sum m_i chi_i == f fixes every m_i,
+and one exact inner product per constituent computes each a second way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import isqrt, lcm
 
 import numpy as np
@@ -157,12 +161,13 @@ def _eigenspaces_mod(T: np.ndarray, p: int) -> list[tuple[int, np.ndarray]]:
     Y[d - 1, :, 0] = 1
     n_free, n_con = 1, 0
     for i in range(d - 1, -1, -1):
-        row = (H[i, i:] @ Y[i:].reshape(d - i, R * m)).reshape(R, m)
-        row = (row - roots[:, None] * Y[i]) % p
+        f = n_free  # Y is zero beyond the free parameters introduced so far
+        row = np.einsum("j,jrt->rt", H[i, i:], Y[i:, :, :f])  # no copy of the strided view
+        row = (row - roots[:, None] * Y[i, :, :f]) % p
         if i and sub[i - 1]:
-            Y[i - 1] = (-row * pow(int(sub[i - 1]), p - 2, p)) % p
+            Y[i - 1, :, :f] = (-row * pow(int(sub[i - 1]), p - 2, p)) % p
             continue
-        C[:, n_con] = row
+        C[:, n_con, :f] = row
         n_con += 1
         if i:
             Y[i - 1, :, n_free] = 1
@@ -231,7 +236,7 @@ class ClassFunction:
 
     def float_values(self) -> np.ndarray:
         zs = np.exp(2j * np.pi * np.arange(self.vals.shape[1]) / self.n)
-        return self.vals @ zs
+        return np.einsum("ja,a->j", self.vals, zs)
 
     def __repr__(self):
         return f"<class function on {self.classes.table.name}, order {self.n}, deg {self.degree}>"
@@ -294,6 +299,12 @@ class CharacterTable:
 
     def char(self, i: int) -> ClassFunction:
         return ClassFunction(self.classes, self.n, self.tensor[i])
+
+    @cached_property
+    def gram_weights(self) -> np.ndarray:
+        """[k_irr, k_class] complex conj(chi_i(c_j)) |c_j| / |G|, so <f, chi_i> ~ row i . f."""
+        zs = np.exp(-2j * np.pi * np.arange(self.tensor.shape[2]) / self.n)
+        return np.einsum("ija,a,j->ij", self.tensor, zs, self.classes.sizes / self.classes.table.n)
 
     def __iter__(self):
         return (self.char(i) for i in range(self.k))
@@ -570,19 +581,27 @@ def induce(f: ClassFunction, G: GroupTable) -> ClassFunction:
 
 
 def decompose(f: ClassFunction, table: CharacterTable) -> list[tuple[int, int]]:
-    """Nonzero multiplicities (index, m_i), with exact reconstruction check."""
-    out = []
-    recon = None
-    for i in range(table.k):
-        m = inner(f, table.char(i))
-        if m < 0:
-            raise AssertionError(f"negative multiplicity {m} against irreducible {i}")
-        if m:
-            out.append((i, m))
-            piece = table.char(i).scale(m)
-            recon = piece if recon is None else recon + piece
-    if recon is None:
-        recon = trivial_character(table.classes).scale(0)
+    """Nonzero multiplicities (index, m_i) in index order.
+
+    A float Gram row proposes every m_i; the exact reconstruction sum m_i chi_i
+    == f fixes them (the rows are linearly independent), and one exact
+    inner(f, chi_i) per constituent computes each a second way.
+    """
+    if f.classes is not table.classes:
+        raise ValueError("class function and table live on different partitions")
+    approx = np.einsum("ij,j->i", table.gram_weights, f.float_values())
+    mults = np.rint(approx.real).astype(np.int64)
+    err = np.abs(approx - mults).max(initial=0.0)
+    if err > 0.25:
+        raise AssertionError(f"float multiplicities lie {err:.3g} from the nearest integers")
+    i = int(np.argmin(mults))
+    if mults[i] < 0:
+        raise AssertionError(f"negative multiplicity {mults[i]} against irreducible {i}")
+    recon = ClassFunction(table.classes, table.n, np.einsum("i,ija->ja", mults, table.tensor))
     if not recon.same(f):
         raise AssertionError("decomposition does not reconstruct the class function")
+    out = [(int(i), int(mults[i])) for i in np.flatnonzero(mults)]
+    for i, m in out:
+        if inner(f, table.char(i)) != m:
+            raise AssertionError(f"exact <f, chi_{i}> disagrees with the multiplicity {m}")
     return out

@@ -571,9 +571,10 @@ def phi_set(psiA: PsiA, budget: int = grp.DEFAULT_BUDGET) -> list[ClassFunction]
     """Irr(C_GL2(psi_A) | psi_A) as class functions on C_GL2(psi_A).
 
     Even r: the linear characters of the abelianization extending psi_A.
-    Odd r: the full character table of C_GL2(psi_A) filtered by a nonzero
-    (hence full) pairing with psi_A on M^ell.  Dimensions (1 for even r, q
-    for odd r) and the fiber size are verified.
+    Odd r: the constituents of Ind_{M^ell}^{C_GL2(psi_A)} psi_A in the full
+    character table of C_GL2(psi_A); by Frobenius reciprocity these are the
+    members with a nonzero (hence full) pairing with psi_A on M^ell.
+    Dimensions (1 for even r, q for odd r) and the fiber size are verified.
     """
     I = inertia(psiA)
     L = psiA.layers
@@ -596,13 +597,11 @@ def phi_set(psiA: PsiA, budget: int = grp.DEFAULT_BUDGET) -> list[ClassFunction]
                 raise AssertionError("extension does not restrict to psi_A")
             out.append(chartab.class_function_from_exponents(ccC, Hq.exponent, e[Hq.lab[ccC.reps]]))
         return out
-    # odd r: cut the full table down to the psi_A fiber
+    # odd r: the psi_A fiber of the full table, <Ind psi_A, phi> = <Res phi, psi_A>
     table = chartab.character_table_cached(C)
     out = []
-    for phi in table:
-        m = chartab.inner(chartab.restrict(phi, L.Ml), psiA.psi_M)
-        if m == 0:
-            continue
+    for i, m in chartab.decompose(chartab.induce(psiA.psi_M, C), table):
+        phi = table.char(i)
         if phi.degree != q or m != q:
             raise AssertionError(
                 f"odd-level fiber member has degree {phi.degree}, pairing {m}; expected q = {q}"

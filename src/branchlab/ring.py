@@ -40,7 +40,8 @@ _ALIASES = {
 
 # F_4 = F_2[u]/(u^2+u+1) on codes 0,1,2,3 = 0,1,u,1+u. Addition is xor.
 _MUL4 = np.array([[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]], dtype=np.int64)
-_INV4 = (0, 1, 3, 2)
+_INV4 = np.array([0, 1, 3, 2], dtype=np.int64)
+_INV4.setflags(write=False)
 _TR4 = (0, 0, 1, 1)  # Tr(x) = x + x^2 down to F_2
 
 
@@ -334,7 +335,7 @@ def _vval(spec, x):
 def _vinv(spec, x):
     """Newton inversion y <- y(2 - xy); caller guarantees units."""
     if spec.kind == KIND_CHAR2 and spec.q == 4:
-        y = np.asarray([_INV4[c] for c in np.atleast_1d(x) & 3], dtype=np.int64).reshape(np.shape(x))
+        y = _INV4[x & 3]
     else:
         y = np.ones_like(np.asarray(x), dtype=np.int64)
     two = np.int64(0) if spec.kind == KIND_CHAR2 else np.int64(from_integer(spec, 2).code)
@@ -363,23 +364,29 @@ def _vproj(spec, s_spec, x):
 # ---------------------------------------------------------------- scalar ops
 
 
+def _code(x: RingElem) -> np.int64:
+    """x's code for the kernels; ValueError, not OverflowError, when codes are wider than int64."""
+    _check_width(x.spec)
+    return np.int64(x.code)
+
+
 def add(x: RingElem, y: RingElem) -> RingElem:
     _check(x, y)
-    return RingElem(x.spec, int(_vadd(x.spec, np.int64(x.code), np.int64(y.code))))
+    return RingElem(x.spec, int(_vadd(x.spec, _code(x), _code(y))))
 
 
 def mul(x: RingElem, y: RingElem) -> RingElem:
     _check(x, y)
-    return RingElem(x.spec, int(_vmul(x.spec, np.int64(x.code), np.int64(y.code))))
+    return RingElem(x.spec, int(_vmul(x.spec, _code(x), _code(y))))
 
 
 def neg(x: RingElem) -> RingElem:
-    return RingElem(x.spec, int(_vneg(x.spec, np.int64(x.code))))
+    return RingElem(x.spec, int(_vneg(x.spec, _code(x))))
 
 
 def val(x: RingElem) -> int:
     """pi-adic valuation, with val(0) = r."""
-    return int(_vval(x.spec, np.int64(x.code)))
+    return int(_vval(x.spec, _code(x)))
 
 
 def is_unit(x: RingElem) -> bool:
@@ -389,7 +396,7 @@ def is_unit(x: RingElem) -> bool:
 def inv(x: RingElem) -> RingElem:
     if not is_unit(x):
         raise ValueError(f"{x} is not a unit")
-    return RingElem(x.spec, int(_vinv(x.spec, np.int64(x.code))))
+    return RingElem(x.spec, int(_vinv(x.spec, _code(x))))
 
 
 def truncate(spec: RingSpec, s: int) -> RingSpec:
@@ -404,7 +411,7 @@ def proj(spec_r: RingSpec, spec_s: int | RingSpec, x: RingElem) -> RingElem:
     s_spec = spec_s if isinstance(spec_s, RingSpec) else truncate(spec_r, spec_s)
     if x.spec != spec_r:
         raise ValueError("element not in the source ring")
-    return RingElem(s_spec, int(_vproj(spec_r, s_spec, np.int64(x.code))))
+    return RingElem(s_spec, int(_vproj(spec_r, s_spec, _code(x))))
 
 
 def _vlift(spec_to: RingSpec, spec_from: RingSpec, x):
@@ -419,7 +426,7 @@ def _vlift(spec_to: RingSpec, spec_from: RingSpec, x):
 
 def lift(spec_to: RingSpec, x: RingElem) -> RingElem:
     """Coordinate-identity section of proj: proj(spec_to, x.spec, lift(x)) = x."""
-    return RingElem(spec_to, int(_vlift(spec_to, x.spec, np.int64(x.code))))
+    return RingElem(spec_to, int(_vlift(spec_to, x.spec, _code(x))))
 
 
 def _vdiv_pi(spec, x):

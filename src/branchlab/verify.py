@@ -389,11 +389,9 @@ def verify_branching(
             prof = predict.centralizer_profile(spec, comp)
             if prof["c_sl_psi"] != I.c_sl.n or prof["c_gl_psi"] != I.c_gl.n:
                 raise AssertionError("ring-level centralizer sizes disagree with the stabilizer scan")
-            fiber_dims = []
-            for j in range(sl_tab.k):
-                chi_res = chartab.restrict(sl_tab.char(j), L.Kl)
-                if chartab.inner(chi_res, psiA.psi_K) != 0:
-                    fiber_dims.append(int(sl_tab.degrees[j]))
+            # the SL2 irreducibles over psi_[A] are the constituents of Ind_{K^l}^{SL2} psi_[A]
+            fiber = chartab.decompose(chartab.induce(psiA.psi_K, sl), sl_tab)
+            fiber_dims = [int(sl_tab.degrees[j]) for j, _ in fiber]
             ok_bound = all(Fraction(d) >= bound for d in fiber_dims)
             min_dim_checks.append(
                 {

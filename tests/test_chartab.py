@@ -8,7 +8,7 @@ column sums — sharing no code with the exact Dixon implementation.
 import numpy as np
 import pytest
 
-from branchlab import chartab, cyclo, grp, mat, ring
+from branchlab import chartab, clifford, cyclo, grp, mat, ring, verify
 
 
 # ------------------------------------------------------- independent oracle
@@ -244,6 +244,87 @@ def test_regular_character_decomposition(groups):
     dec = chartab.decompose(reg, T)
     assert len(dec) == T.k
     assert all(m == int(T.degrees[i]) for i, m in dec)
+
+
+def _decompose_by_inner(f, table):
+    """Reference: one exact inner product against every row."""
+    return [(i, m) for i in range(table.k) if (m := chartab.inner(f, table.char(i)))]
+
+
+@pytest.mark.parametrize("kind,r", [("z2", 4), ("z2", 3), ("f2t", 3), ("eis2", 3)])
+def test_decompose_matches_the_per_irreducible_loop(kind, r, groups):
+    G = groups(kind, r)
+    S = grp.sl2_subgroup(G)
+    TG = chartab.character_table_cached(G)
+    TS = chartab.character_table_cached(S)
+    regs = verify.find_regular(G, TG)
+    assert regs
+    for i, _ in regs:
+        res = chartab.restrict(TG.char(i), S)
+        assert chartab.decompose(res, TS) == _decompose_by_inner(res, TS)
+
+
+@pytest.mark.parametrize("kind", ["z2", "f2t", "eis2"])
+def test_decompose_matches_the_per_irreducible_loop_on_mackey_summands(kind, groups):
+    G = groups(kind, 3)
+    L = clifford._layers(G)
+    TS = chartab.character_table_cached(L.sl)
+    lp = L.spec_lp
+    summands = 0
+    for a in range(lp.size):
+        for b in range(lp.size):
+            psiA = clifford.make_psiA(G, mat.mat_from_codes(lp, 0, a, 1, b))
+            for phi in clifford.phi_set(psiA):
+                for _, cf in clifford.mackey_restriction(psiA, phi):
+                    assert chartab.decompose(cf, TS) == _decompose_by_inner(cf, TS)
+                    summands += 1
+    assert summands
+
+
+def _fake_table(T, tensor, weights):
+    """A table on T's classes with the given rows and decompose float weights."""
+    fake = chartab.CharacterTable(T.classes, T.n, tensor, T.degrees)
+    fake.__dict__["gram_weights"] = weights
+    return fake
+
+
+def test_decompose_rounds_float_proposals_to_the_nearest_integer(groups):
+    T = chartab.character_table_cached(groups("z2", 2))
+    reg = chartab.regular_character(T.classes)
+    want = [(i, int(d)) for i, d in enumerate(T.degrees)]
+    assert 0.03 * int(T.degrees.max()) < 0.25  # a 3% error stays inside the tolerance
+    for scale in (0.97, 1.03):
+        assert chartab.decompose(reg, _fake_table(T, T.tensor, scale * T.gram_weights)) == want
+    with pytest.raises(AssertionError, match="nearest integers"):
+        chartab.decompose(reg, _fake_table(T, T.tensor, 1.4 * T.gram_weights))
+
+
+def test_decompose_rejects_what_is_not_a_character(groups):
+    T = chartab.character_table_cached(groups("z2", 2))
+    with pytest.raises(AssertionError, match="negative multiplicity"):
+        chartab.decompose(T.char(0) - T.char(1), T)
+    # 1 at the identity and 0 elsewhere: every multiplicity is d_i / |G|
+    delta = np.zeros((T.classes.k, 1), dtype=np.int64)
+    delta[int(T.classes.class_id[T.classes.table.identity])] = 1
+    with pytest.raises(AssertionError, match="reconstruct"):
+        chartab.decompose(chartab.ClassFunction(T.classes, 1, delta), T)
+    TS = chartab.character_table_cached(grp.sl2_subgroup(groups("z2", 2)))
+    with pytest.raises(ValueError):
+        chartab.decompose(TS.char(0), T)
+
+
+def test_decompose_checks_each_constituent_exactly(groups):
+    # rows chi_0 + chi_1, chi_1, ... are independent but not orthonormal; with
+    # float weights that propose the right coordinates the reconstruction
+    # passes, and only the exact <f, chi_i> of the support sees the bad row
+    T = chartab.character_table_cached(groups("z2", 2))
+    tensor = T.tensor.copy()
+    tensor[0] += T.tensor[1]
+    W = T.gram_weights.copy()
+    W[1] -= W[0]
+    fake = _fake_table(T, tensor, W)
+    with pytest.raises(AssertionError, match="exact"):
+        chartab.decompose(fake.char(0), fake)
 
 
 # --------------------------------------------------------- induce / restrict

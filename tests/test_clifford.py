@@ -323,6 +323,21 @@ def test_phi_set_odd_level(groups):
     assert len(phis) == 8 and all(p.degree == 2 for p in phis)
 
 
+@pytest.mark.parametrize("kind", ["z2", "f2t"])
+def test_phi_set_odd_level_matches_the_restriction_filter(kind, groups):
+    # phi_set decomposes Ind psi_A; the brute force pairs every Res phi with psi_A
+    G = groups(kind, 3)
+    lp = clifford._layers(G).spec_lp
+    for a in range(lp.size):
+        for b in range(lp.size):
+            pa = clifford.make_psiA(G, mat.mat_from_codes(lp, 0, a, 1, b))
+            table = chartab.character_table_cached(clifford.inertia(pa).c_gl)
+            brute = [phi for phi in table if chartab.inner(chartab.restrict(phi, pa.layers.Ml), pa.psi_M)]
+            got = clifford.phi_set(pa)
+            assert len(got) == len(brute) > 0
+            assert all(f.same(g) for f, g in zip(got, brute))
+
+
 def test_phi_set_budget(groups):
     pa = _psi(groups("z2", 2), [[0, 0], [1, 0]])
     with pytest.raises(grp.BudgetError):

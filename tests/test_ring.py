@@ -339,6 +339,25 @@ def test_codes_wider_than_int64_raise_value_error():
                 ring._vsquare(spec, np.int64(3))
 
 
+WIDE_Z2 = ring.make_ring("z2", r=64)
+SCALAR_WRAPPERS = {
+    "add": lambda x: ring.add(x, x),
+    "mul": lambda x: ring.mul(x, x),
+    "neg": ring.neg,
+    "val": ring.val,
+    "inv": ring.inv,
+    "proj": lambda x: ring.proj(WIDE_Z2, 3, x),
+    "lift": lambda x: ring.lift(ring.make_ring("z2", r=65), x),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_WRAPPERS))
+def test_scalar_wrappers_reject_codes_wider_than_int64(name):
+    # 2^63 + 1 is a valid code at z2 r = 64 but not an int64
+    with pytest.raises(ValueError, match="z2 r=64"):
+        SCALAR_WRAPPERS[name](ring.elem(WIDE_Z2, 2**63 + 1))
+
+
 def test_widest_f4t_product_is_warning_free():
     spec = ring.make_ring("f4t", r=WIDEST["f4t"])
     x, y = ring.elem(spec, (2 << 60) | 3), ring.elem(spec, (1 << 60) | 5)
