@@ -18,6 +18,10 @@ Every identity with two independent computation paths (stabilizer scan vs
 product formula, coset counts vs centralizer determinant images, twisted
 domains vs conjugated subgroups) is computed both ways; the cross-check
 failures raise, and are part of the contract.
+
+Work that does not depend on A (generator conjugates, M^ell' coset labels,
+residues mod pi^ell') is done once per table on _Layers; each orbit only
+gathers from it, every route from its own data, so the routes stay independent.
 """
 
 from __future__ import annotations
@@ -43,7 +47,8 @@ class _Layers:
     """Congruence layers shared by every psi_A over one table.
 
     Every layer is cut from the same root table as gl/sl, so positions move
-    between them with GroupTable.pos_in.
+    between them with GroupTable.pos_in.  The cached properties are the
+    A-independent halves of inertia's routes.
     """
 
     spec: RingSpec
@@ -57,8 +62,28 @@ class _Layers:
     Kl: GroupTable
     B_M: tuple | None  # (m - I)/pi^ell entrywise, per M^ell position
     B_K: tuple
-    glp_entries: tuple | None  # gl entries projected to o_ell'
     pi_ell_code: int
+
+    @cached_property
+    def conj_M(self) -> np.ndarray:
+        return _conjugate_positions(self.gl, self.Ml)
+
+    @cached_property
+    def conj_K(self) -> np.ndarray:
+        return _conjugate_positions(self.sl, self.Kl)
+
+    @cached_property
+    def Mlp_labels(self) -> np.ndarray:
+        """Label of the left coset g M^ell' of every gl position."""
+        return grp.coset_labels(self.gl, self.Mlp)
+
+    @cached_property
+    def residues(self) -> tuple[np.ndarray, np.ndarray]:
+        """(distinct packed gl entries mod pi^ell', int32 index of every gl position into them)."""
+        lp = self.spec_lp
+        packed = mat._vpack(lp, tuple(ring._vproj(self.spec, lp, t) for t in self.gl.ms))
+        codes, index = np.unique(packed, return_inverse=True)
+        return codes, index.astype(np.int32)
 
 
 def _b_arrays(spec: RingSpec, table: GroupTable, ell: int) -> tuple:
@@ -87,11 +112,9 @@ def _layers(G: GroupTable) -> _Layers:
         Mlp = grp.congruence_subgroup(G, ellp)
         Kl = grp.congruence_subgroup(sl, ell)
         B_M = _b_arrays(spec, Ml, ell)
-        glp_entries = tuple(ring._vproj(spec, spec_lp, t) for t in G.ms)
         gl = G
     else:
-        gl = Ml = Mlp = None
-        B_M = glp_entries = None
+        gl = Ml = Mlp = B_M = None
         sl = G
         Kl = grp.congruence_subgroup(G, ell)
     B_K = _b_arrays(spec, Kl, ell)
@@ -100,7 +123,7 @@ def _layers(G: GroupTable) -> _Layers:
         pe = ring.mul(pe, ring.uniformizer(spec))
     out = _Layers(
         spec, spec_lp, ell, ellp, gl, sl, Ml, Mlp, Kl,
-        B_M, B_K, glp_entries, pe.code,
+        B_M, B_K, pe.code,
     )
     G.cache["clifford_layers"] = out
     return out
@@ -145,14 +168,10 @@ class PsiA:
 
     @cached_property
     def stabilizer_mask_gl(self) -> np.ndarray:
-        """g in GL2 with psi_A(g^-1 m g) = psi_A(m) on the generators m of M^ell.
-
-        Conjugation by g is an automorphism of the abelian M^ell and psi_A is a
-        homomorphism, so agreement on generators is agreement everywhere.
-        """
+        """g in GL2 with psi_A(g^-1 m g) = psi_A(m) on M^ell (_stabilizer_mask)."""
         if self.exps_M is None:
             raise ValueError("the psi_A stabilizer in GL2 needs the ambient GL2 table")
-        return _stabilizer_mask(self.layers.gl, self.layers.Ml, self.exps_M)
+        return _stabilizer_mask(self.layers.conj_M, self.layers.Ml, self.exps_M)
 
     def __repr__(self):
         return f"<psi_A for A={mat.encode_mat(self.A)} at level r={self.layers.spec.r}>"
@@ -277,23 +296,33 @@ def _product_mask(G: GroupTable, pos_a, pos_b) -> np.ndarray:
     return out
 
 
-def _stabilizer_mask(G: GroupTable, N: GroupTable, exps: np.ndarray) -> np.ndarray:
-    """g in G with psi(g^-1 n g) = psi(n) on the generators n of N.
+def _conjugate_positions(G: GroupTable, N: GroupTable) -> np.ndarray:
+    """[j, g] -> N-position of g^-1 n_j g for the generators n_j of N.
 
-    N is abelian and normal in G, and psi is the linear character of N with
-    zeta exponents exps at N's positions.  Conjugation by g is an automorphism
-    of N and psi is a homomorphism, so agreement on generators is agreement
-    everywhere.
+    Stored in the narrowest unsigned dtype; N must be normal in G, and a
+    conjugate outside N raises.
     """
     spec = G.spec
     ginv = G.entries(G.inv)
-    keep = np.ones(G.n, dtype=bool)
-    for ngen, up in zip(N.gens, N.pos_in(G)[N.gens]):
+    out = np.empty((len(N.gens), G.n), dtype=np.min_scalar_type(N.n - 1))
+    for j, up in enumerate(N.pos_in(G)[N.gens]):
         t = mat._vmat_mul(spec, mat._vmat_mul(spec, ginv, G.entries(up)), G.ms)
         inside = N.pos_of_codes(mat._vpack(spec, t))
         if np.any(inside < 0):
             raise AssertionError(f"conjugate left {N.name}")
-        keep &= exps[inside] == exps[ngen]
+        out[j] = inside
+    return out
+
+
+def _stabilizer_mask(conj: np.ndarray, N: GroupTable, exps: np.ndarray) -> np.ndarray:
+    """g with psi(g^-1 n g) = psi(n) on the generators n of N (conj from
+    _conjugate_positions), psi linear on the abelian N with zeta exponents
+    exps.  Conjugation by g is an automorphism of N and psi a homomorphism,
+    so agreement on generators is agreement everywhere.
+    """
+    keep = np.ones(conj.shape[1], dtype=bool)
+    for row, ngen in zip(conj, N.gens):
+        keep &= exps[row] == exps[ngen]
     return keep
 
 
@@ -301,9 +330,10 @@ def _scalar_conj_mask_sl(L: _Layers, A: Mat2) -> np.ndarray:
     """g in SL2 with gamma(g)^-1 A gamma(g) - A scalar (the psi_[A] stabilizer test)."""
     lp = L.spec_lp
     sl = L.sl
+    codes, index = L.residues
     up = sl.pos_in(L.gl)
-    P = tuple(t[up] for t in L.glp_entries)
-    Pi = tuple(t[up[sl.inv]] for t in L.glp_entries)
+    P = mat._vunpack(lp, codes[index[up]])
+    Pi = mat._vunpack(lp, codes[index[up[sl.inv]]])
     Av = tuple(np.int64(c) for c in A.codes)
     D = mat._vmat_mul(lp, Pi, mat._vmat_mul(lp, Av, P))
     d11 = ring._vadd(lp, D[0], ring._vneg(lp, np.int64(A.m11)))
@@ -325,6 +355,30 @@ class InertiaData:
     dA_reps: list  # smallest-code unit per coset of det C_GL2(psi_A) in o_r^x
     det_image: np.ndarray  # sorted codes of det(C_GL2(psi_A))
 
+    @cached_property
+    def twists(self) -> list[tuple]:
+        """Per d in D_A: (d, classes of C_SL2(psi_{A_d}), C_GL2(psi_A)-positions
+        of d^-1 x d at their reps); mackey_restriction's phi-independent half."""
+        L = self.psiA.layers
+        C, gl, sl = self.c_gl, L.gl, L.sl
+        c_in_gl, sl_in_gl = C.pos_in(gl), sl.pos_in(gl)
+        out = []
+        for d in self.dA_reps:
+            td = gl.pos_of_matrix(Mat2(L.spec, d.code, 0, 0, 1))
+            mask = np.zeros(gl.n, dtype=bool)
+            mask[gl.conj_perm(td)[c_in_gl]] = True
+            A_d = mat.conjugate_by_diag(self.psiA.A, d)
+            if not np.array_equal(mask, make_psiA(gl, A_d).stabilizer_mask_gl):
+                raise AssertionError("conjugated inertia group differs from the stabilizer of psi_{A_d}")
+            c_sl_d = grp.subgroup(sl, mask[sl_in_gl], name="C_SL2(psi_A_d)")
+            cc_d = chartab.conjugacy_classes_cached(c_sl_d)
+            iperm = gl.conj_perm(int(gl.inv[td]))
+            back_C = C.pos_of_codes(mat._vpack(L.spec, gl.entries(iperm[c_sl_d.pos_in(gl)[cc_d.reps]])))
+            if np.any(back_C < 0):
+                raise AssertionError("phi^d argument left C_GL2(psi_A)")
+            out.append((d, cc_d, back_C))
+        return out
+
     def __repr__(self):
         return (
             f"<inertia of {self.psiA!r}: |C_GL|={self.c_gl.n}, |C_SL|={self.c_sl.n}, "
@@ -339,6 +393,11 @@ def inertia(psiA: PsiA) -> InertiaData:
     commutation/scalar test, and the unipotent product formula.  Any
     disagreement raises.  D_A representatives come from explicit coset
     enumeration and are checked against the determinant-image count.
+
+    Per table (_Layers): generator conjugates, M^ell' coset labels, residues.
+    Per orbit: the scans gather psi_A's exponents at the conjugates, the
+    product formula marks the cosets meeting C_GL2(A~), and A commutes with
+    each distinct residue once.  No route reads another's data.
     """
     key = ("inertia", psiA.A.codes)
     if key in psiA.group.cache:
@@ -352,16 +411,20 @@ def inertia(psiA: PsiA) -> InertiaData:
 
     stab = psiA.stabilizer_mask_gl
     cent_lift = _commute_mask(spec, gl.ms, psiA.Atilde.codes)
-    prod = _product_mask(gl, np.flatnonzero(cent_lift), L.Mlp.pos_in(gl))
-    if not np.array_equal(stab, prod):
+    # M^ell' is normal, so C_GL2(A~) M^ell' is the union of the cosets a M^ell'
+    lab = L.Mlp_labels
+    hit = np.zeros(gl.n, dtype=bool)
+    hit[lab[cent_lift]] = True
+    if not np.array_equal(stab, hit[lab]):
         raise AssertionError("C_GL2(psi_A): stabilizer scan and product formula disagree")
-    resid = _commute_mask(lp, L.glp_entries, psiA.A.codes)
+    codes, index = L.residues
+    resid = _commute_mask(lp, mat._vunpack(lp, codes), psiA.A.codes)[index]
     if not np.array_equal(stab, resid):
         raise AssertionError("C_GL2(psi_A): stabilizer scan and residue commutation disagree")
     c_gl = grp.subgroup(gl, stab, name="C_GL2(psi_A)")
     c_sl = grp.subgroup(sl, stab[sl.pos_in(gl)], name="C_SL2(psi_A)")
 
-    bstab = _stabilizer_mask(sl, L.Kl, psiA.exps_K)
+    bstab = _stabilizer_mask(L.conj_K, L.Kl, psiA.exps_K)
     bres = _scalar_conj_mask_sl(L, psiA.A)
     if not np.array_equal(bstab, bres):
         raise AssertionError("C_SL2(psi_[A]): stabilizer scan and scalar test disagree")
@@ -621,7 +684,7 @@ def mackey_restriction(psiA: PsiA, phi: ClassFunction) -> list[tuple[RingElem, C
     phi^d(x) = phi(diag(d,1)^-1 x diag(d,1)).  The sum of the summands is
     checked to equal Res_SL2 Ind_GL2(phi) exactly, the twisted domains are
     checked against independently computed stabilizers, and all summand
-    dimensions agree.
+    dimensions agree.  The phi-independent work is InertiaData.twists.
     """
     I = inertia(psiA)
     L = psiA.layers
@@ -632,27 +695,12 @@ def mackey_restriction(psiA: PsiA, phi: ClassFunction) -> list[tuple[RingElem, C
     if chartab.inner(rho, rho) != 1:
         raise AssertionError("Ind(phi) is not irreducible; phi is outside the psi_A fiber")
     lhs = chartab.restrict(rho, sl)
-    c_in_gl, sl_in_gl = C.pos_in(gl), sl.pos_in(gl)
     out = []
-    for d in I.dA_reps:
-        td = gl.pos_of_matrix(Mat2(L.spec, d.code, 0, 0, 1))
-        perm = gl.conj_perm(td)
-        mask = np.zeros(gl.n, dtype=bool)
-        mask[perm[c_in_gl]] = True
-        A_d = mat.conjugate_by_diag(psiA.A, d)
-        if not np.array_equal(mask, make_psiA(gl, A_d).stabilizer_mask_gl):
-            raise AssertionError("conjugated inertia group differs from the stabilizer of psi_{A_d}")
-        c_sl_d = grp.subgroup(sl, mask[sl_in_gl], name="C_SL2(psi_A_d)")
-        cc_d = chartab.conjugacy_classes_cached(c_sl_d)
-        reps_gl = c_sl_d.pos_in(gl)[cc_d.reps]
-        iperm = gl.conj_perm(int(gl.inv[td]))
-        back_C = C.pos_of_codes(mat._vpack(L.spec, gl.entries(iperm[reps_gl])))
-        if np.any(back_C < 0):
-            raise AssertionError("phi^d argument left C_GL2(psi_A)")
+    for d, cc_d, back_C in I.twists:
         phid = ClassFunction(cc_d, phi.n, phi.vals[phi.classes.class_id[back_C]].copy())
         ind = chartab.induce(phid, sl)
         expected = phi.degree * sl.n
-        if expected % c_sl_d.n or ind.degree != expected // c_sl_d.n:
+        if expected % cc_d.table.n or ind.degree != expected // cc_d.table.n:
             raise AssertionError("summand dimension disagrees with dim(phi) |SL2| / |C_SL2(psi_{A_d})|")
         out.append((d, ind))
     total = out[0][1]

@@ -384,11 +384,14 @@ def conjugacy_classes(G: GroupTable) -> ConjClasses:
     return ConjClasses(G)
 
 
+def coset_labels(G: GroupTable, H: GroupTable) -> np.ndarray:
+    """Per position of G, the least position of its left coset gH."""
+    return _orbit_labels(G.n, [G.right_mul_perm(g) for g in H.pos_in(G)[H.gens]])
+
+
 def cosets(G: GroupTable, H: GroupTable) -> np.ndarray:
     """Representatives (positions in G) of the left cosets gH."""
-    hg = H.pos_in(G)[H.gens]
-    labels = _orbit_labels(G.n, [G.right_mul_perm(g) for g in hg])
-    reps = np.unique(labels)
+    reps = np.unique(coset_labels(G, H))
     assert len(reps) * H.n == G.n
     return reps
 

@@ -74,12 +74,14 @@ def find_regular(G: GroupTable, table: CharacterTable | None = None):
     n = ring.psi_order(L.spec)
     num_A = lp.size**4
 
-    up = Ml.pos_in(G)
-    cls_m = table.classes.class_id[up]
+    # rho is constant on each GL2 class meeting M^ell, so psi_A is summed per
+    # class first; plain einsum loops, as BLAS threads would cost CPU for no wall time
+    cls, cls_m = np.unique(table.classes.class_id[Ml.pos_in(G)], return_inverse=True)
     zs = np.exp(2j * np.pi * np.arange(table.tensor.shape[2]) / table.n)
-    V = (table.tensor @ zs)[:, cls_m]  # [k, M] float values of rho on M^ell
-    W = np.exp(-2j * np.pi * T / n)  # [A, M] conjugated psi values
-    coef = V @ W.T / Ml.n
+    V = np.einsum("ija,a->ij", table.tensor[:, cls], zs)  # [k, c] float values of rho
+    W = np.zeros((num_A, len(cls)), dtype=complex)  # [A, c] class sums of conjugated psi
+    np.add.at(W, (slice(None), cls_m), np.exp(-2j * np.pi * T / n))
+    coef = np.einsum("ic,ac->ia", V, W) / Ml.n
     mult = np.rint(coef.real).astype(np.int64)
     if np.max(np.abs(coef - mult)) > 0.25:
         raise AssertionError("float support proposal is ambiguous")

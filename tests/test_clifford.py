@@ -240,6 +240,59 @@ def test_nilpotent_trace_at_r4_has_two_cosets(groups):
     assert len(I.dA_reps) == 2
 
 
+# ----------------------------------------------- per-table inertia data
+
+
+def _literal_scan(G, N, exps):
+    # the stabilizer scan with its conjugates recomputed, as one orbit alone would
+    spec = G.spec
+    ginv = G.entries(G.inv)
+    keep = np.ones(G.n, dtype=bool)
+    for ngen, up in zip(N.gens, N.pos_in(G)[N.gens]):
+        t = mat._vmat_mul(spec, mat._vmat_mul(spec, ginv, G.entries(up)), G.ms)
+        inside = N.pos_of_codes(mat._vpack(spec, t))
+        assert np.all(inside >= 0)
+        keep &= exps[inside] == exps[ngen]
+    return keep
+
+
+def _companions(lp):
+    for a, alpha, beta in sorted({mat.companion_form(A).triple for A in mat.all_cyclic_matrices(lp)}):
+        top = ring.mul(ring.inv(ring.elem(lp, a)), ring.elem(lp, alpha))
+        yield mat.mat_from_codes(lp, 0, top.code, a, beta)
+
+
+@pytest.mark.parametrize("kind,r", [("z2", 3), ("z2", 4), ("f2t", 3), ("eis2", 3), ("f4t", 2)])
+def test_per_table_routes_match_per_orbit_recomputation(kind, r, groups):
+    G = groups(kind, r)
+    L = clifford._layers(G)
+    lp = L.spec_lp
+    glp_entries = tuple(ring._vproj(L.spec, lp, t) for t in G.ms)
+    codes, index = L.residues
+    lab = L.Mlp_labels
+    assert L.conj_M.dtype == np.min_scalar_type(L.Ml.n - 1) and index.dtype == np.int32
+    orbits = 0
+    for A in _companions(lp):
+        pa = clifford.make_psiA(G, A)
+        stab = _literal_scan(G, L.Ml, pa.exps_M)
+        assert np.array_equal(pa.stabilizer_mask_gl, stab)
+        bstab = clifford._stabilizer_mask(L.conj_K, L.Kl, pa.exps_K)
+        assert np.array_equal(bstab, _literal_scan(L.sl, L.Kl, pa.exps_K))
+        # C_GL2(A~) M^l': the cosets met by C_GL2(A~), against the literal products
+        cent_lift = clifford._commute_mask(L.spec, G.ms, pa.Atilde.codes)
+        hit = np.zeros(G.n, dtype=bool)
+        hit[lab[cent_lift]] = True
+        prod = clifford._product_mask(G, np.flatnonzero(cent_lift), L.Mlp.pos_in(G))
+        assert np.array_equal(hit[lab], prod)
+        resid = clifford._commute_mask(lp, mat._vunpack(lp, codes), A.codes)[index]
+        assert np.array_equal(resid, clifford._commute_mask(lp, glp_entries, A.codes))
+        I = clifford.inertia(pa)
+        assert np.array_equal(I.c_gl.root_pos, np.flatnonzero(stab))
+        assert np.array_equal(I.c_sl_bracket.pos_in(L.sl), np.flatnonzero(bstab))
+        orbits += 1
+    assert orbits > 1
+
+
 # -------------------------------------------------------------- extensions
 
 

@@ -173,6 +173,19 @@ def test_cosets_partition():
     assert len(seen) == G.n
 
 
+@pytest.mark.parametrize("sub", ["M^1", "M^2", "SL2"])
+def test_coset_labels_partition(sub):
+    G = _gl("z2", 3)
+    H = grp.sl2_subgroup(G) if sub == "SL2" else grp.congruence_subgroup(G, int(sub[-1]))
+    lab = grp.coset_labels(G, H)
+    reps, sizes = np.unique(lab, return_counts=True)
+    assert len(reps) * H.n == G.n and np.all(sizes == H.n)
+    assert np.array_equal(reps, grp.cosets(G, H))
+    # g H lies in the class of g; equal sizes make it the whole class
+    members = G.mul(reps[:, None], H.pos_in(G)[None, :])
+    assert np.all(lab[members] == reps[:, None])
+
+
 def test_double_cosets_partition():
     G = _gl("z2", 2)
     H = grp.congruence_subgroup(G, 1)
