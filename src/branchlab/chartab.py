@@ -13,9 +13,13 @@ reduces T once to Hessenberg form H = Q^-1 T Q.  H gives the characteristic
 polynomial, and one back-substitution through H, vectorized over all roots,
 gives every eigenspace; only a small system per root, one row per unreduced
 Hessenberg block, is row-reduced.  Each eigenspace is checked against
-T v = lam v and the dimensions must add up to the subspace's.  The kernels
-work in int64 mod p and sum class-matrix weights in float64, so dixon_table
-refuses groups where k p^2 >= 2^63 or |G| p >= 2^53.
+T v = lam v and the dimensions must add up to the subspace's.  Only the
+random weights change between rounds, so one pass over the products
+x^-1 g_col serves three rounds, one independent weight row each.  The
+kernels work in int64 mod p and sum class-matrix weights in float64, so
+dixon_table refuses groups where k p^2 >= 2^63 or |G| p >= 2^53; a pass
+bins each column's |G| products apart from the others', so every float64
+sum stays below |G| p however many columns a batch holds.
 
 Class functions are stored as integer coefficient vectors in the canonical
 power basis of Q(zeta_n), so equality, inner products, induction and
@@ -34,7 +38,7 @@ from math import isqrt, lcm
 import numpy as np
 import sympy
 
-from . import cyclo
+from . import cyclo, mat
 from .cyclo import CycloElem
 from .grp import ConjClasses, GroupTable
 
@@ -326,19 +330,49 @@ def _power_class_matrix(cc: ConjClasses, n_max: int) -> np.ndarray:
     return P
 
 
-def _class_matrix_combo(G: GroupTable, cc: ConjClasses, theta: np.ndarray, p: int) -> np.ndarray:
-    """M with M[j, col] = sum_i theta_i #{x in c_i : x^-1 g_col in c_j}, mod p."""
-    k = cc.k
-    th_elem = theta[cc.class_id].astype(np.float64)
-    M = np.empty((k, k), dtype=np.int64)
-    for col in range(k):
-        y = G.mul(G.inv, np.int64(cc.reps[col]))
-        M[:, col] = np.bincount(cc.class_id[y], weights=th_elem, minlength=k).astype(np.int64) % p
+# element-column products per batch of _class_matrix_combos; bounds its working set
+_COMBO_CHUNK = 1 << 12
+# splitting rounds served by one _class_matrix_combos pass: over 100 tables
+# (seeds 1-5 of the benchmark's z2 r=4 and r=3 jobs) every table split in 2 or 3
+_ROUNDS_PER_PASS = 3
+
+
+def _class_matrix_combos(G: GroupTable, cc: ConjClasses, thetas: np.ndarray, p: int) -> np.ndarray:
+    """M[t] with M[t][j, col] = sum_i thetas[t, i] #{x in c_i : x^-1 g_col in c_j}, mod p.
+
+    One pass over the products x^-1 g_col serves every row of thetas.  A batch
+    of columns is one [cols, n] product array (columns outer, elements inner);
+    a k*col offset on the class ids gives each column its own bincount range,
+    so a bin still sums at most |G| weights below p.
+    """
+    k, n = cc.k, G.n
+    step = max(1, _COMBO_CHUNK // n)
+    xinv = tuple(t[None, :] for t in G.entries(G.inv))
+    weights = np.tile(thetas[:, cc.class_id].astype(np.float64), (1, step))  # [rows, step*n]
+    offset = k * np.arange(step, dtype=np.int64)[:, None]
+    M = np.empty((len(thetas), k, k), dtype=np.int64)
+    for c0 in range(0, k, step):
+        g = tuple(t[:, None] for t in G.entries(cc.reps[c0 : c0 + step]))
+        y = G._lookup(mat._vmat_mul(G.spec, xinv, g))  # [cols, n]
+        c = len(y)
+        ids = (cc.class_id[y] + offset[:c]).ravel()
+        for t, w in enumerate(weights):
+            sums = np.bincount(ids, weights=w[: c * n], minlength=k * c)
+            M[t, :, c0 : c0 + c] = sums.reshape(c, k).T.astype(np.int64) % p
     return M
 
 
 def _central_characters(G: GroupTable, cc: ConjClasses, p: int, seed: int) -> np.ndarray:
-    """All k central-character vectors mod p, rows normalized at the identity."""
+    """All k central-character vectors mod p, rows normalized at the identity.
+
+    Each round splits every subspace by a random combination of class
+    matrices.  Only the weights theta change between rounds, so one
+    _class_matrix_combos pass over the products x^-1 g_col yields the
+    matrices of _ROUNDS_PER_PASS rounds from independent theta rows (each
+    distributed as a fresh draw); a new pass runs once they are all used.
+    The pass sums each column over its own |G| products, so _check_headroom's
+    |G| p < 2^53 still bounds every float64 sum.
+    """
     k = cc.k
     rng = np.random.default_rng(seed)
     subspaces = [np.eye(k, dtype=np.int64)]
@@ -350,8 +384,10 @@ def _central_characters(G: GroupTable, cc: ConjClasses, p: int, seed: int) -> np
                 f"eigenspace splitting failed to converge ({G.name}, k={k}, p={p}, "
                 f"round {rounds}, largest subspace dim {dmax})"
             )
-        theta = rng.integers(1, p, size=k, dtype=np.int64)
-        M = _class_matrix_combo(G, cc, theta, p)
+        if rounds % _ROUNDS_PER_PASS == 0:
+            thetas = rng.integers(1, p, size=(_ROUNDS_PER_PASS, k), dtype=np.int64)
+            combos = _class_matrix_combos(G, cc, thetas, p)
+        M = combos[rounds % _ROUNDS_PER_PASS]
         nxt = []
         for S in subspaces:
             d = S.shape[1]

@@ -219,6 +219,16 @@ def _require_companion(A: Mat2):
         raise ValueError(f"non-companion A: {mat.encode_mat(A)}")
 
 
+def _where(psiA: PsiA, d: RingElem | None = None) -> str:
+    """Failure context: kind, level, the orbit of the companion A = [[0, a^-1 alpha],
+    [a, beta]] as its triple (a;alpha;beta), and d in D_A when there is one."""
+    spec, A = psiA.layers.spec, psiA.A
+    a, beta = RingElem(A.spec, A.m21), RingElem(A.spec, A.m22)
+    alpha = ring.mul(a, RingElem(A.spec, A.m12))
+    out = f"{spec.short_name}, r={spec.r}, orbit ({';'.join(map(ring.encode_elem, (a, alpha, beta)))})"
+    return out if d is None else f"{out}, d={ring.encode_elem(d)}"
+
+
 # ------------------------------------------------------------------ h / H layers
 
 
@@ -250,10 +260,10 @@ def H_group(psiA: PsiA, i: int) -> GroupTable:
     zero, one = np.zeros(len(hs), dtype=np.int64), np.ones(len(hs), dtype=np.int64)
     pos = L.sl.pos_of_codes(mat._vpack(spec, (one, tops, zero, one)))
     if np.any(pos < 0):
-        raise AssertionError("unipotent element missing from SL2 table")
+        raise AssertionError(f"unipotent element missing from SL2 table ({_where(psiA)})")
     sub = grp.subgroup(L.sl, np.sort(pos), name=f"H^{i}")
     if not grp.is_abelian(sub):
-        raise AssertionError(f"H^{i} is not abelian")
+        raise AssertionError(f"H^{i} is not abelian ({_where(psiA)})")
     return sub
 
 
@@ -369,13 +379,15 @@ class InertiaData:
             mask[gl.conj_perm(td)[c_in_gl]] = True
             A_d = mat.conjugate_by_diag(self.psiA.A, d)
             if not np.array_equal(mask, make_psiA(gl, A_d).stabilizer_mask_gl):
-                raise AssertionError("conjugated inertia group differs from the stabilizer of psi_{A_d}")
+                raise AssertionError(
+                    f"conjugated inertia group differs from the stabilizer of psi_{{A_d}} ({_where(self.psiA, d)})"
+                )
             c_sl_d = grp.subgroup(sl, mask[sl_in_gl], name="C_SL2(psi_A_d)")
             cc_d = chartab.conjugacy_classes_cached(c_sl_d)
             iperm = gl.conj_perm(int(gl.inv[td]))
             back_C = C.pos_of_codes(mat._vpack(L.spec, gl.entries(iperm[c_sl_d.pos_in(gl)[cc_d.reps]])))
             if np.any(back_C < 0):
-                raise AssertionError("phi^d argument left C_GL2(psi_A)")
+                raise AssertionError(f"phi^d argument left C_GL2(psi_A) ({_where(self.psiA, d)})")
             out.append((d, cc_d, back_C))
         return out
 
@@ -416,22 +428,22 @@ def inertia(psiA: PsiA) -> InertiaData:
     hit = np.zeros(gl.n, dtype=bool)
     hit[lab[cent_lift]] = True
     if not np.array_equal(stab, hit[lab]):
-        raise AssertionError("C_GL2(psi_A): stabilizer scan and product formula disagree")
+        raise AssertionError(f"C_GL2(psi_A): stabilizer scan and product formula disagree ({_where(psiA)})")
     codes, index = L.residues
     resid = _commute_mask(lp, mat._vunpack(lp, codes), psiA.A.codes)[index]
     if not np.array_equal(stab, resid):
-        raise AssertionError("C_GL2(psi_A): stabilizer scan and residue commutation disagree")
+        raise AssertionError(f"C_GL2(psi_A): stabilizer scan and residue commutation disagree ({_where(psiA)})")
     c_gl = grp.subgroup(gl, stab, name="C_GL2(psi_A)")
     c_sl = grp.subgroup(sl, stab[sl.pos_in(gl)], name="C_SL2(psi_A)")
 
     bstab = _stabilizer_mask(L.conj_K, L.Kl, psiA.exps_K)
     bres = _scalar_conj_mask_sl(L, psiA.A)
     if not np.array_equal(bstab, bres):
-        raise AssertionError("C_SL2(psi_[A]): stabilizer scan and scalar test disagree")
+        raise AssertionError(f"C_SL2(psi_[A]): stabilizer scan and scalar test disagree ({_where(psiA)})")
     H_ellp = H_group(psiA, L.ellp)
     bprod = _product_mask(sl, c_sl.pos_in(sl), H_ellp.pos_in(sl))
     if not np.array_equal(bstab, bprod):
-        raise AssertionError("C_SL2(psi_[A]): stabilizer scan and H-product formula disagree")
+        raise AssertionError(f"C_SL2(psi_[A]): stabilizer scan and H-product formula disagree ({_where(psiA)})")
     c_sl_bracket = grp.subgroup(sl, bstab, name="C_SL2(psi_[A])")
 
     det_image = np.unique(gl.dets[stab])
@@ -439,19 +451,20 @@ def inertia(psiA: PsiA) -> InertiaData:
     coset_label = ring._vmul(spec, units[:, None], det_image[None, :]).min(axis=1)
     rep_codes = np.unique(coset_label)
     if len(rep_codes) * len(det_image) != len(units):
-        raise AssertionError("determinant cosets do not partition the units evenly")
+        raise AssertionError(f"determinant cosets do not partition the units evenly ({_where(psiA)})")
     _csize, dsize = mat.centralizer_units(psiA.A)
     if len(det_image) != dsize * spec.q**L.ell:
         raise AssertionError(
-            f"|det C_GL2(psi_A)| = {len(det_image)} != {dsize} * q^{L.ell}"
+            f"|det C_GL2(psi_A)| = {len(det_image)} != {dsize} * q^{L.ell} ({_where(psiA)})"
         )
     low_units = ring.unit_count(lp)
     if low_units % dsize or len(rep_codes) != low_units // dsize:
         raise AssertionError(
-            f"|D_A| = {len(rep_codes)} does not match (q-1)q^(l'-1)/|det C(A)| = {low_units}/{dsize}"
+            f"|D_A| = {len(rep_codes)} does not match (q-1)q^(l'-1)/|det C(A)| = {low_units}/{dsize} "
+            f"({_where(psiA)})"
         )
     if ring.val(mat.trace(psiA.A)) == 0 and len(rep_codes) != 1:
-        raise AssertionError("unit trace must give |D_A| = 1")
+        raise AssertionError(f"unit trace must give |D_A| = 1, got {len(rep_codes)} ({_where(psiA)})")
     dA_reps = [RingElem(spec, int(c)) for c in rep_codes]
 
     out = InertiaData(psiA, c_gl, c_sl, c_sl_bracket, dA_reps, det_image)
@@ -652,12 +665,14 @@ def phi_set(psiA: PsiA, budget: int = grp.DEFAULT_BUDGET) -> list[ClassFunction]
         base = _seed_base(Hq, Hq.lab[ml_in_C], _rescale_exponents(psiA.exps_M, psiA.n, Hq.exponent))
         exts = _extend_all(Hq, base)
         if len(exts) != fiber:
-            raise AssertionError(f"found {len(exts)} extensions of psi_A, expected [C:M^l] = {fiber}")
+            raise AssertionError(
+                f"found {len(exts)} extensions of psi_A, expected [C:M^l] = {fiber} ({_where(psiA)})"
+            )
         ccC = chartab.conjugacy_classes_cached(C)
         out = []
         for e in exts:
             if not _roots_agree(e[Hq.lab[ml_in_C]], Hq.exponent, psiA.exps_M, psiA.n):
-                raise AssertionError("extension does not restrict to psi_A")
+                raise AssertionError(f"extension does not restrict to psi_A ({_where(psiA)})")
             out.append(chartab.class_function_from_exponents(ccC, Hq.exponent, e[Hq.lab[ccC.reps]]))
         return out
     # odd r: the psi_A fiber of the full table, <Ind psi_A, phi> = <Res phi, psi_A>
@@ -667,11 +682,13 @@ def phi_set(psiA: PsiA, budget: int = grp.DEFAULT_BUDGET) -> list[ClassFunction]
         phi = table.char(i)
         if phi.degree != q or m != q:
             raise AssertionError(
-                f"odd-level fiber member has degree {phi.degree}, pairing {m}; expected q = {q}"
+                f"odd-level fiber member has degree {phi.degree}, pairing {m}; expected q = {q} ({_where(psiA)})"
             )
         out.append(phi)
     if len(out) * q**2 != fiber:
-        raise AssertionError(f"fiber has {len(out)} members, expected [C:M^l]/q^2 = {fiber // q**2}")
+        raise AssertionError(
+            f"fiber has {len(out)} members, expected [C:M^l]/q^2 = {fiber // q**2} ({_where(psiA)})"
+        )
     return out
 
 
@@ -693,7 +710,7 @@ def mackey_restriction(psiA: PsiA, phi: ClassFunction) -> list[tuple[RingElem, C
         raise ValueError("phi must be a class function on C_GL2(psi_A)")
     rho = chartab.induce(phi, gl)
     if chartab.inner(rho, rho) != 1:
-        raise AssertionError("Ind(phi) is not irreducible; phi is outside the psi_A fiber")
+        raise AssertionError(f"Ind(phi) is not irreducible; phi is outside the psi_A fiber ({_where(psiA)})")
     lhs = chartab.restrict(rho, sl)
     out = []
     for d, cc_d, back_C in I.twists:
@@ -701,13 +718,15 @@ def mackey_restriction(psiA: PsiA, phi: ClassFunction) -> list[tuple[RingElem, C
         ind = chartab.induce(phid, sl)
         expected = phi.degree * sl.n
         if expected % cc_d.table.n or ind.degree != expected // cc_d.table.n:
-            raise AssertionError("summand dimension disagrees with dim(phi) |SL2| / |C_SL2(psi_{A_d})|")
+            raise AssertionError(
+                f"summand dimension disagrees with dim(phi) |SL2| / |C_SL2(psi_{{A_d}})| ({_where(psiA, d)})"
+            )
         out.append((d, ind))
     total = out[0][1]
     for _, cf in out[1:]:
         total = total + cf
     if not total.same(lhs):
-        raise AssertionError("Mackey sum does not equal the direct restriction")
+        raise AssertionError(f"Mackey sum does not equal the direct restriction ({_where(psiA)})")
     if len({cf.degree for _, cf in out}) != 1:
-        raise AssertionError("summand dimensions are not all equal")
+        raise AssertionError(f"summand dimensions are not all equal ({_where(psiA)})")
     return out

@@ -295,6 +295,7 @@ def verify_branching(
             f"({ring.encode_elem(a_el)};{ring.encode_elem(alpha_el)};{ring.encode_elem(beta_el)})"
         )
         psiA = clifford.make_psiA(gl, comp)
+        where = clifford._where(psiA)
         I = clifford.inertia(psiA)
         dA = len(I.dA_reps)
         det_cent = mat.centralizer_units(comp)[1]
@@ -306,9 +307,7 @@ def verify_branching(
             phis = clifford.phi_set(psiA, budget=budget)
             phi_inds = [chartab.induce(phi, gl) for phi in phis]
             if len(phis) != len(members):
-                raise AssertionError(
-                    f"orbit {orbit_text}: {len(phis)} fiber members vs {len(members)} regular irreducibles"
-                )
+                raise AssertionError(f"{len(phis)} fiber members vs {len(members)} regular irreducibles ({where})")
             mackey_orbits += 1
             timing["mackey"] += time.perf_counter() - t
 
@@ -326,7 +325,7 @@ def verify_branching(
             notes = []
             ok = mfree
             if pred.dA is not None and pred.dA != dA:
-                raise AssertionError(f"predicted |D_A| {pred.dA} != enumerated {dA}")
+                raise AssertionError(f"predicted |D_A| {pred.dA} != enumerated {dA} at irreducible {i} ({where})")
             if delta < pred.delta_min:
                 ok = False
                 notes.append(f"delta {delta} below predicted minimum {pred.delta_min}")
@@ -346,7 +345,7 @@ def verify_branching(
                 matches = [k for k, ind in enumerate(phi_inds) if ind.same(rho)]
                 if len(matches) != 1:
                     raise AssertionError(
-                        f"irreducible {i} matches {len(matches)} fiber members, expected exactly 1"
+                        f"irreducible {i} matches {len(matches)} fiber members, expected exactly 1 ({where})"
                     )
                 summands = clifford.mackey_restriction(psiA, phis[matches[0]])
                 pieces = []
@@ -357,7 +356,7 @@ def verify_branching(
                     acc[j] = acc.get(j, 0) + m
                 if sorted(acc.items()) != sorted(dec):
                     raise AssertionError(
-                        f"Mackey route and direct route decompose irreducible {i} differently"
+                        f"Mackey route and direct route decompose irreducible {i} differently ({where})"
                     )
                 mchecked = True
                 timing["mackey"] += time.perf_counter() - t
@@ -390,7 +389,7 @@ def verify_branching(
             bound = predict.min_dim_bound(spec, comp)
             prof = predict.centralizer_profile(spec, comp)
             if prof["c_sl_psi"] != I.c_sl.n or prof["c_gl_psi"] != I.c_gl.n:
-                raise AssertionError("ring-level centralizer sizes disagree with the stabilizer scan")
+                raise AssertionError(f"ring-level centralizer sizes disagree with the stabilizer scan ({where})")
             # the SL2 irreducibles over psi_[A] are the constituents of Ind_{K^l}^{SL2} psi_[A]
             fiber = chartab.decompose(chartab.induce(psiA.psi_K, sl), sl_tab)
             fiber_dims = [int(sl_tab.degrees[j]) for j, _ in fiber]
@@ -418,7 +417,9 @@ def verify_branching(
             }
 
     if witness is None:
-        raise AssertionError("the distinguished orbit (alpha = beta = 0) produced no regular irreducible")
+        raise AssertionError(
+            f"the distinguished orbit (alpha = beta = 0) produced no regular irreducible ({spec.short_name}, r={spec.r})"
+        )
 
     max_delta = max((rec.delta for rec in records), default=0)
     summary = {

@@ -137,6 +137,135 @@ def test_dixon_headroom_guards():
         chartab._check_headroom("fake", 1, 9, 2**31 - 1)
 
 
+# --------------------------------------------------- batched class matrices
+
+
+def _class_matrix_combo_reference(G, cc, theta, p):
+    """One theta, one GroupTable.mul over G per column."""
+    k = cc.k
+    th_elem = theta[cc.class_id].astype(np.float64)
+    M = np.empty((k, k), dtype=np.int64)
+    for col in range(k):
+        y = G.mul(G.inv, np.int64(cc.reps[col]))
+        M[:, col] = np.bincount(cc.class_id[y], weights=th_elem, minlength=k).astype(np.int64) % p
+    return M
+
+
+def _combo_group(groups, kind, r, group):
+    G = groups(kind, r)
+    if group == "sl":
+        return grp.sl2_subgroup(G)
+    if group == "cgl":  # C_GL2(psi_A) for the companion [[0, 1], [1, 1]]
+        lp = clifford._layers(G).spec_lp
+        return clifford.inertia(clifford.make_psiA(G, mat.mat_from_codes(lp, 0, 1, 1, 1))).c_gl
+    return G
+
+
+def _combo_case(groups, kind, r, group):
+    G = _combo_group(groups, kind, r, group)
+    cc = chartab.conjugacy_classes_cached(G)
+    p = chartab.dixon_prime(G.n, G.exponent)
+    thetas = np.random.default_rng(5).integers(1, p, size=(3, cc.k), dtype=np.int64)
+    want = [_class_matrix_combo_reference(G, cc, theta, p) for theta in thetas]
+    return G, cc, p, thetas, want
+
+
+# batches: "whole" when the columns split into full batches, "partial" when the
+# last batch is short, "single" when |G| exceeds _COMBO_CHUNK (one column each)
+COMBO_CASES = [
+    ("z2", 3, "gl", "whole"),
+    ("z2", 3, "sl", "whole"),
+    ("f2t", 3, "gl", "whole"),
+    ("f2t", 3, "sl", "partial"),
+    ("eis2", 3, "gl", "whole"),
+    ("eis2", 3, "sl", "partial"),
+    ("z2", 3, "cgl", "partial"),
+    ("z2", 4, "gl", "single"),
+]
+
+
+@pytest.mark.parametrize("kind,r,group,batches", COMBO_CASES)
+def test_class_matrix_combos_match_the_per_column_reference(kind, r, group, batches, groups):
+    G, cc, p, thetas, want = _combo_case(groups, kind, r, group)
+    step = chartab._COMBO_CHUNK // G.n
+    assert batches == ("single" if step == 0 else "partial" if cc.k % step else "whole")
+    got = chartab._class_matrix_combos(G, cc, thetas, p)
+    assert got.shape == (3, cc.k, cc.k)
+    for t in range(3):
+        assert np.array_equal(got[t], want[t])
+
+
+@pytest.mark.parametrize("kind,r,group", [c[:3] for c in COMBO_CASES if c[1] == 3])
+def test_class_matrix_combos_do_not_depend_on_the_batch_size(kind, r, group, groups, monkeypatch):
+    G, cc, p, thetas, want = _combo_case(groups, kind, r, group)
+    for chunk in (1, G.n * cc.k):  # one column per batch; every column in one batch
+        monkeypatch.setattr(chartab, "_COMBO_CHUNK", chunk)
+        got = chartab._class_matrix_combos(G, cc, thetas, p)
+        for t in range(3):
+            assert np.array_equal(got[t], want[t])
+
+
+class _RoundLog:
+    """A pass's matrices; records the index each splitting round reads."""
+
+    def __init__(self, combos, rounds):
+        self.combos, self.rounds = combos, rounds
+
+    def __getitem__(self, t):
+        self.rounds.append(t)
+        return self.combos[t]
+
+
+def _count_passes(monkeypatch, G, seed, repeat_row0=False):
+    """(passes, rounds) of one _central_characters run; round t reads row t mod 3."""
+    real = chartab._class_matrix_combos
+    passes, rounds = [], []
+
+    def logged(*args):
+        combos = real(*args)
+        if repeat_row0:  # a pass's second and third rounds split nothing further
+            combos[1:] = combos[0]
+        passes.append(1)
+        return _RoundLog(combos, rounds)
+
+    with monkeypatch.context() as m:
+        m.setattr(chartab, "_class_matrix_combos", logged)
+        cc = chartab.conjugacy_classes_cached(G)
+        chartab._central_characters(G, cc, chartab.dixon_prime(G.n, G.exponent), seed)
+    assert rounds == [t % 3 for t in range(len(rounds))]
+    return len(passes), len(rounds)
+
+
+def test_one_product_pass_serves_three_splitting_rounds(groups, monkeypatch):
+    G = groups("z2", 4)  # GL2(Z/16), k = 248
+    seen = set()
+    for seed in range(5):
+        passes, rounds = _count_passes(monkeypatch, G, seed)
+        assert passes == -(-rounds // 3)
+        seen.add(rounds)
+    assert max(seen) >= 2
+    # when a pass's rows repeat row 0, splitting takes more than three rounds and more passes
+    G = groups("z2", 3)
+    for seed in range(5):
+        passes, rounds = _count_passes(monkeypatch, G, seed, repeat_row0=True)
+        assert rounds > 3 and passes == -(-rounds // 3)
+
+
+def test_splitting_that_never_progresses_stops_at_24_rounds(groups, monkeypatch):
+    G = groups("z2", 3)
+    real = chartab._class_matrix_combos
+    first = []
+
+    def same_every_round(*args):
+        if not first:
+            first.append(real(*args)[0])
+        return np.stack([first[0]] * 3)
+
+    monkeypatch.setattr(chartab, "_class_matrix_combos", same_every_round)
+    with pytest.raises(AssertionError, match=r"failed to converge \(GL2, k=60, p=\d+, round 24, "):
+        chartab.dixon_table(G, seed=0)
+
+
 # ------------------------------------------------------------- known tables
 
 

@@ -225,6 +225,25 @@ def test_inertia_invariants(groups):
             assert I.c_sl_bracket.n // I.c_sl.n in (1, 2)
 
 
+def test_inertia_failures_name_kind_level_and_orbit(monkeypatch):
+    G = grp.build_gl2(ring.make_ring("z2", r=4))  # its own table: inertia is cached per table
+    lp = ring.truncate(G.spec, G.spec.ell_prime)
+    A = mat.mat(lp, [[0, 3], [1, 2]])
+    form = mat.companion_form(A)
+    triple = ";".join(ring.encode_elem(x) for x in (form.a, form.alpha, form.beta))
+    assert triple == "1;3;2"
+    real = clifford._commute_mask
+
+    def flip_first(spec, X, codes4):
+        out = real(spec, X, codes4)
+        out[0] = ~out[0]
+        return out
+
+    monkeypatch.setattr(clifford, "_commute_mask", flip_first)
+    with pytest.raises(AssertionError, match=r"C_GL2\(psi_A\).*\(z2, r=4, orbit \(1;3;2\)\)$"):
+        clifford.inertia(clifford.make_psiA(G, A))
+
+
 def test_frozen_inertia_sizes(groups):
     pa = _psi(groups("f2t", 3), [[0, 0], [1, 0]])
     I = clifford.inertia(pa)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from branchlab import chartab, clifford, grp, mat, ring, verify
+from branchlab import chartab, clifford, grp, mat, predict, ring, verify
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -128,6 +128,17 @@ def test_mackey_can_be_disabled(reports):
     assert [rec.to_json() | {"mackey_checked": True} for rec in rep.records] == [
         rec.to_json() | {"mackey_checked": True} for rec in base.records
     ]
+
+
+def test_orbit_failures_name_kind_level_and_orbit(monkeypatch):
+    real = predict.predict_branching
+    monkeypatch.setattr(
+        predict, "predict_branching", lambda *a, **kw: dataclasses.replace(real(*a, **kw), dA=10**6)
+    )
+    with pytest.raises(
+        AssertionError, match=r"predicted \|D_A\| 1000000 != enumerated 1 at irreducible \d+ \(z2, r=2, orbit \(1;0;0\)\)$"
+    ):
+        verify.verify_branching(ring.make_ring("z2", r=2), mackey=False)
 
 
 def test_budget_error():
