@@ -5,12 +5,13 @@ its linear characters are exactly
 
     psi_A(I + pi^ell B) = psi(pi^ell trace(A~ B)),   A in M_2(o_ell'),
 
-for a fixed coordinate lift A~ of A.  This module builds psi_A and its
-restriction psi_[A] to K^ell = M^ell cap SL2, the unipotent h/H layers, and
-inertia(psi_A), which keeps C_GL2(psi_A), C_SL2(psi_A), C_SL2(psi_[A]), the
-coset space D_A = o_r^x / det C_GL2(psi_A) and that determinant image.  It
-also gives character-extension tests through abelianizations, the fiber
-Irr(C_GL2(psi_A) | psi_A), and the coset-twisted decomposition
+for a fixed coordinate lift A~ of A.  Over a full GL2 table, this module
+builds psi_A and its restriction psi_[A] to K^ell = M^ell cap SL2, the
+unipotent h/H layers, and inertia(psi_A), which keeps C_GL2(psi_A),
+C_SL2(psi_A), C_SL2(psi_[A]), the coset space D_A = o_r^x / det C_GL2(psi_A)
+and that determinant image.  It also gives character-extension tests through
+abelianizations, the fiber Irr(C_GL2(psi_A) | psi_A), and the coset-twisted
+decomposition
 
     Res_SL2 Ind(phi) = sum over d in D_A of Ind(phi^d).
 
@@ -19,9 +20,12 @@ product formula, coset counts vs centralizer determinant images, twisted
 domains vs conjugated subgroups) is computed both ways; the cross-check
 failures raise, and are part of the contract.
 
-Work that does not depend on A (generator conjugates, M^ell' coset labels,
-residues mod pi^ell') is done once per table on _Layers; each orbit only
-gathers from it, every route from its own data, so the routes stay independent.
+What lives where.  Work that does not depend on A (the layers, generator
+conjugates, M^ell' coset labels, residues mod pi^ell') is done once per GL2
+table on _Layers, clifford's one entry in the table's cache; each orbit only
+gathers from it, every route from its own data, so the routes stay
+independent.  What depends on A (inertia, the Mackey twists) is a cached
+property of the fresh PsiA from make_psiA, freed with it.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from .ring import RingElem, RingSpec
 
 @dataclass(eq=False)
 class _Layers:
-    """Congruence layers shared by every psi_A over one table.
+    """Congruence layers shared by every psi_A over one GL2 table.
 
     Every layer is cut from the same root table as gl/sl, so positions move
     between them with GroupTable.pos_in.  The cached properties are the
@@ -55,12 +59,12 @@ class _Layers:
     spec_lp: RingSpec
     ell: int
     ellp: int
-    gl: GroupTable | None  # None when built from a bare SL2 table
+    gl: GroupTable
     sl: GroupTable
-    Ml: GroupTable | None
-    Mlp: GroupTable | None
+    Ml: GroupTable
+    Mlp: GroupTable
     Kl: GroupTable
-    B_M: tuple | None  # (m - I)/pi^ell entrywise, per M^ell position
+    B_M: tuple  # (m - I)/pi^ell entrywise, per M^ell position
     B_K: tuple
     pi_ell_code: int
 
@@ -100,30 +104,18 @@ def _layers(G: GroupTable) -> _Layers:
     spec = G.spec
     if spec.r < 2:
         raise ValueError("psi_A machinery needs level r >= 2")
-    is_gl = G.n == grp.gl2_order(spec)
-    is_sl = G.n == grp.sl2_order(spec)
-    if not (is_gl or is_sl):
-        raise ValueError("G must be a full GL2 or SL2 table")
+    if G.n != grp.gl2_order(spec):
+        raise ValueError("G must be a full GL2 table")
     ell, ellp = spec.ell, spec.ell_prime
-    spec_lp = ring.truncate(spec, ellp)
-    if is_gl:
-        sl = grp.sl2_subgroup(G)
-        Ml = grp.congruence_subgroup(G, ell)
-        Mlp = grp.congruence_subgroup(G, ellp)
-        Kl = grp.congruence_subgroup(sl, ell)
-        B_M = _b_arrays(spec, Ml, ell)
-        gl = G
-    else:
-        gl = Ml = Mlp = B_M = None
-        sl = G
-        Kl = grp.congruence_subgroup(G, ell)
-    B_K = _b_arrays(spec, Kl, ell)
+    sl = grp.sl2_subgroup(G)
+    Ml = grp.congruence_subgroup(G, ell)
+    Kl = grp.congruence_subgroup(sl, ell)
     pe = ring.one(spec)
     for _ in range(ell):
         pe = ring.mul(pe, ring.uniformizer(spec))
     out = _Layers(
-        spec, spec_lp, ell, ellp, gl, sl, Ml, Mlp, Kl,
-        B_M, B_K, pe.code,
+        spec, ring.truncate(spec, ellp), ell, ellp, G, sl, Ml, grp.congruence_subgroup(G, ellp), Kl,
+        _b_arrays(spec, Ml, ell), _b_arrays(spec, Kl, ell), pe.code,
     )
     G.cache["clifford_layers"] = out
     return out
@@ -137,26 +129,20 @@ class PsiA:
     """psi_A on M^ell together with its restriction psi_[A] to K^ell.
 
     exps_M / exps_K hold the zeta_n exponent of the character value at every
-    member position of M^ell / K^ell (exps_M is None when built from a bare
-    SL2 table, where only psi_[A] exists).
+    member position of M^ell / K^ell.  The cached properties are this orbit's
+    data; they live and die with this object, never on the group table.
     """
 
-    group: GroupTable
+    layers: _Layers
     A: Mat2
     Atilde: Mat2
     n: int
-    exps_M: np.ndarray | None = field(repr=False, default=None)
-    exps_K: np.ndarray = field(repr=False, default=None)
-
-    @property
-    def layers(self) -> _Layers:
-        return _layers(self.group)
+    exps_M: np.ndarray = field(repr=False)
+    exps_K: np.ndarray = field(repr=False)
 
     @cached_property
     def psi_M(self) -> ClassFunction:
         """psi_A as an exact class function on M^ell (classes are singletons)."""
-        if self.exps_M is None:
-            raise ValueError("psi_A on M^ell needs the ambient GL2 table")
         cc = chartab.conjugacy_classes_cached(self.layers.Ml)
         return chartab.class_function_from_exponents(cc, self.n, self.exps_M[cc.reps])
 
@@ -169,9 +155,39 @@ class PsiA:
     @cached_property
     def stabilizer_mask_gl(self) -> np.ndarray:
         """g in GL2 with psi_A(g^-1 m g) = psi_A(m) on M^ell (_stabilizer_mask)."""
-        if self.exps_M is None:
-            raise ValueError("the psi_A stabilizer in GL2 needs the ambient GL2 table")
         return _stabilizer_mask(self.layers.conj_M, self.layers.Ml, self.exps_M)
+
+    @cached_property
+    def inertia_data(self) -> InertiaData:
+        """What inertia(self) returns; _inertia runs once per PsiA."""
+        return _inertia(self)
+
+    @cached_property
+    def twists(self) -> list[tuple]:
+        """Per d in D_A: (d, classes of C_SL2(psi_{A_d}), C_GL2(psi_A)-positions
+        of d^-1 x d at their reps); mackey_restriction's phi-independent half."""
+        I = inertia(self)
+        L = self.layers
+        C, gl, sl = I.c_gl, L.gl, L.sl
+        c_in_gl, sl_in_gl = C.pos_in(gl), sl.pos_in(gl)
+        out = []
+        for d in I.dA_reps:
+            td = gl.pos_of_matrix(Mat2(L.spec, d.code, 0, 0, 1))
+            mask = np.zeros(gl.n, dtype=bool)
+            mask[gl.conj_perm(td)[c_in_gl]] = True
+            A_d = mat.conjugate_by_diag(self.A, d)
+            if not np.array_equal(mask, make_psiA(gl, A_d).stabilizer_mask_gl):
+                raise AssertionError(
+                    f"conjugated inertia group differs from the stabilizer of psi_{{A_d}} ({_where(self, d)})"
+                )
+            c_sl_d = grp.subgroup(sl, mask[sl_in_gl], name="C_SL2(psi_A_d)")
+            cc_d = chartab.conjugacy_classes_cached(c_sl_d)
+            iperm = gl.conj_perm(int(gl.inv[td]))
+            back_C = C.pos_of_codes(mat._vpack(L.spec, gl.entries(iperm[c_sl_d.pos_in(gl)[cc_d.reps]])))
+            if np.any(back_C < 0):
+                raise AssertionError(f"phi^d argument left C_GL2(psi_A) ({_where(self, d)})")
+            out.append((d, cc_d, back_C))
+        return out
 
     def __repr__(self):
         return f"<psi_A for A={mat.encode_mat(self.A)} at level r={self.layers.spec.r}>"
@@ -193,25 +209,17 @@ def _psi_exps(L: _Layers, At: tuple, B: tuple) -> np.ndarray:
 
 
 def make_psiA(G: GroupTable, A: Mat2) -> PsiA:
-    """The character psi_A of M^ell (psi_[A] of K^ell for an SL2 table).
+    """A fresh PsiA: the character psi_A of M^ell of the GL2 table G.
 
     A must live over o_ell'; A = 0 gives the trivial character, and distinct
-    A give distinct characters.
+    A give distinct characters.  Nothing is cached on G: the caller owns it.
     """
     L = _layers(G)
     if A.spec != L.spec_lp:
         raise ValueError(f"A must be over the level-{L.ellp} quotient ring, got level {A.spec.r}")
-    key = ("psiA", A.codes)
-    if key in G.cache:
-        return G.cache[key]
     Atilde = mat.mat_lift(L.spec, A)
     At = mat._as_vec(Atilde)
-    n = ring.psi_order(L.spec)
-    exps_K = _psi_exps(L, At, L.B_K)
-    exps_M = _psi_exps(L, At, L.B_M) if L.Ml is not None else None
-    out = PsiA(G, A, Atilde, n, exps_M, exps_K)
-    G.cache[key] = out
-    return out
+    return PsiA(L, A, Atilde, ring.psi_order(L.spec), _psi_exps(L, At, L.B_M), _psi_exps(L, At, L.B_K))
 
 
 def _require_companion(A: Mat2):
@@ -220,12 +228,10 @@ def _require_companion(A: Mat2):
 
 
 def _where(psiA: PsiA, d: RingElem | None = None) -> str:
-    """Failure context: kind, level, the orbit of the companion A = [[0, a^-1 alpha],
-    [a, beta]] as its triple (a;alpha;beta), and d in D_A when there is one."""
-    spec, A = psiA.layers.spec, psiA.A
-    a, beta = RingElem(A.spec, A.m21), RingElem(A.spec, A.m22)
-    alpha = ring.mul(a, RingElem(A.spec, A.m12))
-    out = f"{spec.short_name}, r={spec.r}, orbit ({';'.join(map(ring.encode_elem, (a, alpha, beta)))})"
+    """Failure context: kind, level, A's orbit as its companion triple
+    (a;alpha;beta), and d in D_A when there is one."""
+    spec = psiA.layers.spec
+    out = f"{spec.short_name}, r={spec.r}, orbit {mat.companion_form(psiA.A).text}"
     return out if d is None else f"{out}, d={ring.encode_elem(d)}"
 
 
@@ -356,46 +362,13 @@ def _scalar_conj_mask_sl(L: _Layers, A: Mat2) -> np.ndarray:
 
 @dataclass(eq=False)
 class InertiaData:
-    """Stabilizer subgroups and coset data attached to one psi_A."""
+    """Stabilizer subgroups and coset data of one psi_A, held by its PsiA."""
 
-    psiA: PsiA
     c_gl: GroupTable  # C_GL2(psi_A), subgroup of GL2
     c_sl: GroupTable  # C_SL2(psi_A) = C_GL2(psi_A) cap SL2
     c_sl_bracket: GroupTable  # C_SL2(psi_[A])
     dA_reps: list  # smallest-code unit per coset of det C_GL2(psi_A) in o_r^x
     det_image: np.ndarray  # sorted codes of det(C_GL2(psi_A))
-
-    @cached_property
-    def twists(self) -> list[tuple]:
-        """Per d in D_A: (d, classes of C_SL2(psi_{A_d}), C_GL2(psi_A)-positions
-        of d^-1 x d at their reps); mackey_restriction's phi-independent half."""
-        L = self.psiA.layers
-        C, gl, sl = self.c_gl, L.gl, L.sl
-        c_in_gl, sl_in_gl = C.pos_in(gl), sl.pos_in(gl)
-        out = []
-        for d in self.dA_reps:
-            td = gl.pos_of_matrix(Mat2(L.spec, d.code, 0, 0, 1))
-            mask = np.zeros(gl.n, dtype=bool)
-            mask[gl.conj_perm(td)[c_in_gl]] = True
-            A_d = mat.conjugate_by_diag(self.psiA.A, d)
-            if not np.array_equal(mask, make_psiA(gl, A_d).stabilizer_mask_gl):
-                raise AssertionError(
-                    f"conjugated inertia group differs from the stabilizer of psi_{{A_d}} ({_where(self.psiA, d)})"
-                )
-            c_sl_d = grp.subgroup(sl, mask[sl_in_gl], name="C_SL2(psi_A_d)")
-            cc_d = chartab.conjugacy_classes_cached(c_sl_d)
-            iperm = gl.conj_perm(int(gl.inv[td]))
-            back_C = C.pos_of_codes(mat._vpack(L.spec, gl.entries(iperm[c_sl_d.pos_in(gl)[cc_d.reps]])))
-            if np.any(back_C < 0):
-                raise AssertionError(f"phi^d argument left C_GL2(psi_A) ({_where(self.psiA, d)})")
-            out.append((d, cc_d, back_C))
-        return out
-
-    def __repr__(self):
-        return (
-            f"<inertia of {self.psiA!r}: |C_GL|={self.c_gl.n}, |C_SL|={self.c_sl.n}, "
-            f"|C_SL[.]|={self.c_sl_bracket.n}, |D_A|={len(self.dA_reps)}>"
-        )
 
 
 def inertia(psiA: PsiA) -> InertiaData:
@@ -409,14 +382,15 @@ def inertia(psiA: PsiA) -> InertiaData:
     Per table (_Layers): generator conjugates, M^ell' coset labels, residues.
     Per orbit: the scans gather psi_A's exponents at the conjugates, the
     product formula marks the cosets meeting C_GL2(A~), and A commutes with
-    each distinct residue once.  No route reads another's data.
+    each distinct residue once.  No route reads another's data.  Computed
+    once per PsiA, the result is held by it (PsiA.inertia_data).
     """
-    key = ("inertia", psiA.A.codes)
-    if key in psiA.group.cache:
-        return psiA.group.cache[key]
+    return psiA.inertia_data
+
+
+def _inertia(psiA: PsiA) -> InertiaData:
+    """inertia's body, run by PsiA.inertia_data."""
     L = psiA.layers
-    if L.gl is None:
-        raise ValueError("inertia needs the ambient GL2 table")
     _require_companion(psiA.A)
     spec, lp = L.spec, L.spec_lp
     gl, sl = L.gl, L.sl
@@ -467,9 +441,7 @@ def inertia(psiA: PsiA) -> InertiaData:
         raise AssertionError(f"unit trace must give |D_A| = 1, got {len(rep_codes)} ({_where(psiA)})")
     dA_reps = [RingElem(spec, int(c)) for c in rep_codes]
 
-    out = InertiaData(psiA, c_gl, c_sl, c_sl_bracket, dA_reps, det_image)
-    psiA.group.cache[key] = out
-    return out
+    return InertiaData(c_gl, c_sl, c_sl_bracket, dA_reps, det_image)
 
 
 # ------------------------------------------------------------------ abelianization and extensions
@@ -496,8 +468,7 @@ def _abelian_quotient(H: GroupTable) -> _AbelianQuotient:
         return H.cache["abelian_quotient"]
     Hd = grp.derived_subgroup(H)
     dpos = Hd.pos_in(H)
-    perms = [H.right_mul_perm(int(dpos[g])) for g in Hd.gens]
-    raw = grp._orbit_labels(H.n, perms)
+    raw = grp.coset_labels(H, Hd)
     reps = np.unique(raw)
     lab = np.searchsorted(reps, raw).astype(np.int64)
     size = len(reps)
@@ -701,7 +672,7 @@ def mackey_restriction(psiA: PsiA, phi: ClassFunction) -> list[tuple[RingElem, C
     phi^d(x) = phi(diag(d,1)^-1 x diag(d,1)).  The sum of the summands is
     checked to equal Res_SL2 Ind_GL2(phi) exactly, the twisted domains are
     checked against independently computed stabilizers, and all summand
-    dimensions agree.  The phi-independent work is InertiaData.twists.
+    dimensions agree.  The phi-independent work is PsiA.twists.
     """
     I = inertia(psiA)
     L = psiA.layers
@@ -713,7 +684,7 @@ def mackey_restriction(psiA: PsiA, phi: ClassFunction) -> list[tuple[RingElem, C
         raise AssertionError(f"Ind(phi) is not irreducible; phi is outside the psi_A fiber ({_where(psiA)})")
     lhs = chartab.restrict(rho, sl)
     out = []
-    for d, cc_d, back_C in I.twists:
+    for d, cc_d, back_C in psiA.twists:
         phid = ClassFunction(cc_d, phi.n, phi.vals[phi.classes.class_id[back_C]].copy())
         ind = chartab.induce(phid, sl)
         expected = phi.degree * sl.n

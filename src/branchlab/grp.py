@@ -54,7 +54,8 @@ class GroupTable:
         for t in self.ms:
             t.setflags(write=False)
         self.n = len(self.ms[0])
-        # results other modules compute once per table: classes, character tables, psi_A data
+        # results other modules compute once per table: classes, character tables,
+        # clifford's A-independent layers; per-orbit psi_A data lives on its PsiA
         self.cache = {}
         if root is None:
             self._root = None

@@ -219,6 +219,11 @@ class CompanionForm:
     def triple(self) -> tuple[int, int, int]:
         return (self.a.code, self.alpha.code, self.beta.code)
 
+    @property
+    def text(self) -> str:
+        """The orbit label (a;alpha;beta) of reports and failure messages."""
+        return f"({';'.join(ring.encode_elem(x) for x in (self.a, self.alpha, self.beta))})"
+
 
 def companion_form(A: Mat2) -> CompanionForm:
     """Witness conjugator sending A to companion shape; a = 1, det = -alpha."""

@@ -370,11 +370,19 @@ def _code(x: RingElem) -> np.int64:
     return np.int64(x.code)
 
 
+# int64 scalars warn on overflow where arrays wrap silently: products from z2
+# r = 32 and eis2 r = 62 on, sums at z2 r = 63.  Every kernel keeps only bits
+# below the overflow, so the wrapped result is exact; this wraps silently too.
+_wrapping = np.errstate(over="ignore")
+
+
+@_wrapping
 def add(x: RingElem, y: RingElem) -> RingElem:
     _check(x, y)
     return RingElem(x.spec, int(_vadd(x.spec, _code(x), _code(y))))
 
 
+@_wrapping
 def mul(x: RingElem, y: RingElem) -> RingElem:
     _check(x, y)
     return RingElem(x.spec, int(_vmul(x.spec, _code(x), _code(y))))
@@ -393,6 +401,7 @@ def is_unit(x: RingElem) -> bool:
     return val(x) == 0
 
 
+@_wrapping
 def inv(x: RingElem) -> RingElem:
     if not is_unit(x):
         raise ValueError(f"{x} is not a unit")
@@ -458,24 +467,14 @@ _TABLE_BUDGET = 1 << 22
 
 
 @lru_cache(maxsize=None)
-def _tables(spec: RingSpec):
-    """(val_table, inv_table, unit_codes) for rings small enough to enumerate."""
+def unit_codes(spec: RingSpec) -> np.ndarray:
+    """Codes of the unit group, ascending (read-only array), for rings small enough to enumerate."""
     if spec.size > _TABLE_BUDGET:
         raise ValueError(f"{spec} too large to enumerate ({spec.size} elements)")
     codes = np.arange(spec.size, dtype=np.int64)
-    vals = _vval(spec, codes)
-    unit_codes = codes[vals == 0]
-    inv_table = np.full(spec.size, -1, dtype=np.int64)
-    inv_table[unit_codes] = _vinv(spec, unit_codes)
-    vals.setflags(write=False)
-    inv_table.setflags(write=False)
-    unit_codes.setflags(write=False)
-    return vals, inv_table, unit_codes
-
-
-def unit_codes(spec: RingSpec) -> np.ndarray:
-    """Codes of the unit group, ascending (read-only array)."""
-    return _tables(spec)[2]
+    out = codes[_vval(spec, codes) == 0]
+    out.setflags(write=False)
+    return out
 
 
 def units(spec: RingSpec) -> list[RingElem]:
@@ -498,9 +497,8 @@ def sqrt1_count(spec: RingSpec) -> int:
     exhaustive enumeration is asserted in the tests for every enumerable level.
     """
     if spec.size <= _TABLE_BUDGET:
-        # val + square only; the inverse table _tables would build is dead weight here
-        codes = np.arange(spec.size, dtype=np.int64)
-        u = codes[_vval(spec, codes) == 0]
+        # uncached: unit_codes' lru_cache would keep every swept level's units alive
+        u = unit_codes.__wrapped__(spec)
         return int(np.count_nonzero(_vsquare(spec, u) == 1))
     if spec.char_two:
         return spec.q ** (spec.r // 2)

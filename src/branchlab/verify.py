@@ -64,8 +64,6 @@ def find_regular(G: GroupTable, table: CharacterTable | None = None):
     if table is None:
         table = chartab.character_table_cached(G)
     L = clifford._layers(G)
-    if L.gl is not G:
-        raise ValueError("find_regular needs the full GL2 table")
     lp = L.spec_lp
     Ml = L.Ml
     if "psi_table" not in G.cache:
@@ -109,7 +107,7 @@ def find_regular(G: GroupTable, table: CharacterTable | None = None):
         labels = set()
         for code in supp:
             A = Mat2(lp, *(int(t[code]) for t in entries))
-            labels.add(_orbit_triple(G, A))
+            labels.add(_orbit_form(G, A).triple)
             support.append(A)
         if len(labels) != 1:
             raise AssertionError(f"support of irreducible {i} spans several orbits: {labels}")
@@ -117,15 +115,15 @@ def find_regular(G: GroupTable, table: CharacterTable | None = None):
     return out
 
 
-def _orbit_triple(G: GroupTable, A: Mat2) -> tuple[int, int, int]:
-    """Companion triple (a, alpha, beta) codes labeling A's conjugation orbit.
+def _orbit_form(G: GroupTable, A: Mat2) -> mat.CompanionForm:
+    """Companion form of A, whose triple (a, alpha, beta) labels A's conjugation orbit.
 
     companion_form validates an explicit conjugator, so two matrices with
     the same triple really are conjugate.
     """
-    cache = G.cache.setdefault("orbit_triple", {})
+    cache = G.cache.setdefault("orbit_form", {})
     if A.codes not in cache:
-        cache[A.codes] = mat.companion_form(A).triple
+        cache[A.codes] = mat.companion_form(A)
     return cache[A.codes]
 
 
@@ -272,9 +270,10 @@ def verify_branching(
     decomps = {i: _decompose_to(sl_tab, chartab.restrict(gl_tab.char(i), sl)) for i, _ in regs}
     timing["decompose"] = time.perf_counter() - t
 
-    by_orbit: dict = {}
+    by_orbit: dict = {}  # triple -> (companion form, regular irreducibles)
     for i, supp in regs:
-        by_orbit.setdefault(_orbit_triple(gl, supp[0]), []).append((i, supp))
+        form = _orbit_form(gl, supp[0])
+        by_orbit.setdefault(form.triple, (form, []))[1].append((i, supp))
 
     lp = L.spec_lp
     records = []
@@ -284,16 +283,8 @@ def verify_branching(
     timing["mackey"] = 0.0
 
     for triple in sorted(by_orbit):
-        a_code, alpha_code, beta_code = triple
-        members = by_orbit[triple]
-        a_el = ring.RingElem(lp, a_code)
-        alpha_el = ring.RingElem(lp, alpha_code)
-        beta_el = ring.RingElem(lp, beta_code)
-        top = ring.mul(ring.inv(a_el), alpha_el)
-        comp = Mat2(lp, 0, top.code, a_code, beta_code)
-        orbit_text = (
-            f"({ring.encode_elem(a_el)};{ring.encode_elem(alpha_el)};{ring.encode_elem(beta_el)})"
-        )
+        form, members = by_orbit[triple]
+        comp, orbit_text = form.companion, form.text
         psiA = clifford.make_psiA(gl, comp)
         where = clifford._where(psiA)
         I = clifford.inertia(psiA)
@@ -404,7 +395,7 @@ def verify_branching(
                 }
             )
 
-        if alpha_code == 0 and beta_code == 0:
+        if triple[1:] == (0, 0):
             sqrt1 = ring.sqrt1_count(lp)
             nr = predict.n_r(spec)
             witness = {

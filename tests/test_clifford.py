@@ -5,6 +5,8 @@ scan (conjugate every generator-level element against every character value)
 so the vectorized routes inside the library are checked against brute force.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,8 @@ def test_layers_reject_other_tables(groups):
         clifford._layers(grp.congruence_subgroup(G, 1))
     with pytest.raises(ValueError):
         clifford._layers(grp.build_gl2(ring.make_ring("z2", r=1)))
+    with pytest.raises(ValueError):
+        clifford._layers(grp.build_sl2(ring.make_ring("z2", r=2)))
 
 
 # ------------------------------------------------------------ characters
@@ -69,24 +73,6 @@ def test_make_psiA_level_check(groups):
     G = groups("z2", 2)
     with pytest.raises(ValueError):
         clifford.make_psiA(G, mat.mat(G.spec, [[0, 0], [1, 0]]))  # wrong ring level
-
-
-def test_sl_only_table_has_psi_K_but_not_psi_M(groups):
-    Ggl = groups("z2", 2)
-    Gsl = grp.build_sl2(ring.make_ring("z2", r=2))
-    lp = ring.truncate(Ggl.spec, 1)
-    A = mat.mat(lp, [[0, 0], [1, 0]])
-    pa_gl = clifford.make_psiA(Ggl, A)
-    pa_sl = clifford.make_psiA(Gsl, A)
-    with pytest.raises(ValueError):
-        pa_sl.psi_M
-    # the K^l characters agree matrix-by-matrix across the two builds
-    Kl_gl = clifford._layers(Ggl).Kl
-    Kl_sl = clifford._layers(Gsl).Kl
-    vals_gl = {mat.encode_mat(Kl_gl.matrix(i)): pa_gl.psi_K.value_at_pos(i) for i in range(Kl_gl.n)}
-    for i in range(Kl_sl.n):
-        key = mat.encode_mat(Kl_sl.matrix(i))
-        assert vals_gl[key] == pa_sl.psi_K.value_at_pos(i)
 
 
 # ------------------------------------------------------------------ h sets
@@ -225,8 +211,8 @@ def test_inertia_invariants(groups):
             assert I.c_sl_bracket.n // I.c_sl.n in (1, 2)
 
 
-def test_inertia_failures_name_kind_level_and_orbit(monkeypatch):
-    G = grp.build_gl2(ring.make_ring("z2", r=4))  # its own table: inertia is cached per table
+def test_inertia_failures_name_kind_level_and_orbit(monkeypatch, groups):
+    G = groups("z2", 4)  # a fresh PsiA runs inertia afresh, so a shared table will do
     lp = ring.truncate(G.spec, G.spec.ell_prime)
     A = mat.mat(lp, [[0, 3], [1, 2]])
     form = mat.companion_form(A)
@@ -257,6 +243,58 @@ def test_nilpotent_trace_at_r4_has_two_cosets(groups):
     pa = _psi(groups("f2t", 4), [[0, 0], [1, 0]])
     I = clifford.inertia(pa)
     assert len(I.dA_reps) == 2
+
+
+# ------------------------------------------- per-orbit data lives on its PsiA
+
+
+def test_inertia_is_freed_with_its_psiA(groups):
+    G = groups("z2", 3)
+
+    def held():
+        I = clifford.inertia(_psi(G, [[0, 0], [1, 0]]))
+        return [weakref.ref(H) for H in (I.c_gl, I.c_sl, I.c_sl_bracket)]
+
+    # reference counting alone frees the subgroups: no gc.collect() here
+    assert [ref() for ref in held()] == [None, None, None]
+
+
+def test_orbit_sweep_leaves_no_per_orbit_cache_keys(groups):
+    G = groups("z2", 3)
+    L = clifford._layers(G)
+    comps = list(_companions(L.spec_lp))
+    keys = []
+    for A in comps:
+        pa = clifford.make_psiA(G, A)
+        clifford.inertia(pa)
+        for phi in clifford.phi_set(pa):
+            clifford.mackey_restriction(pa, phi)
+        keys.append((set(G.cache), set(L.sl.cache)))
+    assert len(comps) > 1 and all(k == keys[0] for k in keys)
+    for key in keys[0][0] | keys[0][1]:
+        parts = key if isinstance(key, tuple) else (key,)
+        assert not any(A.codes in parts for A in comps), key
+
+
+def test_inertia_runs_once_per_psiA(monkeypatch, groups):
+    runs = []
+    real = clifford._inertia
+
+    def counting(pa):
+        runs.append(pa)
+        return real(pa)
+
+    monkeypatch.setattr(clifford, "_inertia", counting)
+    G = groups("z2", 3)
+    pa = _psi(G, [[0, 0], [1, 0]])
+    assert clifford.inertia(pa) is clifford.inertia(pa)
+    for phi in clifford.phi_set(pa):
+        clifford.mackey_restriction(pa, phi)
+    assert runs == [pa]
+    # a second PsiA of the same A owns its own result
+    pb = _psi(G, [[0, 0], [1, 0]])
+    assert clifford.inertia(pb) is not clifford.inertia(pa)
+    assert len(runs) == 2
 
 
 # ----------------------------------------------- per-table inertia data

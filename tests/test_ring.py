@@ -11,6 +11,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from branchlab import grp, predict, ring
 
@@ -368,6 +370,72 @@ def test_widest_f4t_product_is_warning_free():
     assert z.code == (1 << 60) | (3 << 2) | 3 == _f4t_mul(x.code, y.code, spec.r)
 
 
+def test_scalar_ops_wrap_silently_at_the_widest_levels():
+    # (2^63 - 3)(2^63 - 5) = 15 mod 2^63; numpy warns on such scalar products
+    spec = ring.make_ring("z2", r=63)
+    x, y = ring.elem(spec, 2**63 - 3), ring.elem(spec, 2**63 - 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ring.mul(x, y).code == 15
+        assert ring.add(x, y).code == 2**63 - 8
+        assert ring.mul(x, ring.inv(x)).code == 1
+
+
+def _levels(kind, table):
+    """Levels up to the width limit whose _vmul takes the product-table (or the formula) branch."""
+    sizes = {r: ring.make_ring(kind, r=r).size for r in range(1, WIDEST[kind] + 1)}
+    return [r for r, n in sizes.items() if (kind != "z2" and n <= ring._MUL_TABLE_MAX) == table]
+
+
+@st.composite
+def _ring_and_codes(draw, table):
+    """(spec, three codes) at a random level on one branch of _vmul."""
+    kind = draw(st.sampled_from([k for k in sorted(WIDEST) if _levels(k, table)]))
+    spec = ring.make_ring(kind, r=draw(st.sampled_from(_levels(kind, table))))
+    codes = draw(st.lists(st.integers(0, spec.size - 1), min_size=3, max_size=3))
+    return spec, codes
+
+
+def _ring_properties(spec, codes):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an int64 overflow warning is a defect
+        _check_ring_properties(spec, codes)
+
+
+def _check_ring_properties(spec, codes):
+    x, y, z = (ring.elem(spec, c) for c in codes)
+    zero, one = ring.zero(spec), ring.one(spec)
+    assert (x + y) + z == x + (y + z) and x + y == y + x and x + zero == x and x + (-x) == zero
+    assert (x * y) * z == x * (y * z) and x * y == y * x and x * one == x
+    assert x * (y + z) == x * y + x * z
+    units = [u if ring.is_unit(u) else u + one for u in (x, y, z)]  # 1 + a non-unit is a unit
+    for u in units:
+        assert u * ring.inv(u) == one
+    arr = np.array(codes, dtype=np.int64)
+    assert np.array_equal(ring._vsquare(spec, arr), ring._vmul(spec, arr, arr))
+    # the scalar API against the array kernels, pairing x with y, y with z, z with x
+    pairs = list(zip((x, y, z), (y, z, x)))
+    other = arr[[1, 2, 0]]
+    assert ring._vmul(spec, arr, other).tolist() == [(a * b).code for a, b in pairs]
+    assert ring._vadd(spec, arr, other).tolist() == [(a + b).code for a, b in pairs]
+    assert ring._vneg(spec, arr).tolist() == [(-a).code for a in (x, y, z)]
+    assert ring._vval(spec, arr).tolist() == [ring.val(a) for a in (x, y, z)]
+    uarr = np.array([u.code for u in units], dtype=np.int64)
+    assert ring._vinv(spec, uarr).tolist() == [ring.inv(u).code for u in units]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_ring_and_codes(table=True))
+def test_ring_properties_on_the_product_table_branch(case):
+    _ring_properties(*case)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_ring_and_codes(table=False))
+def test_ring_properties_on_the_formula_branch(case):
+    _ring_properties(*case)
+
+
 def test_predict_stays_unbounded_past_the_code_width():
     pred = predict.predict_branching(ring.make_ring("f4t", r=50), "unit")
     assert (pred.r, pred.dA, pred.delta_min, pred.delta_max) == (50, 1, 1, 2)
@@ -413,6 +481,20 @@ def test_sqrt1_count_large_level_matches_valuation_argument():
             assert ring.mul(ring.elem(spec, int(c)), ring.elem(spec, int(c))).code == sq
         brute = int(np.count_nonzero(squares == 1))
         assert ring.sqrt1_count(spec) == brute == 4 ** (r // 2)
+
+
+@pytest.mark.parametrize("kind,r", [("z2", 5), ("f2t", 6), ("f4t", 3), ("eis2", 7), ("f4t", 10), ("z2", 22)])
+def test_unit_codes_need_no_inverses(kind, r, monkeypatch):
+    def no_inverses(spec, x):
+        raise AssertionError("unit_codes computed inverses")
+
+    monkeypatch.setattr(ring, "_vinv", no_inverses)
+    ring.unit_codes.cache_clear()
+    spec = ring.make_ring(kind, r=r)
+    codes = np.arange(spec.size, dtype=np.int64)
+    units = ring.unit_codes(spec)
+    assert np.array_equal(units, codes[ring._vval(spec, codes) == 0])
+    assert len(units) == ring.unit_count(spec) and not units.flags.writeable
 
 
 def test_table_budget_guard():
