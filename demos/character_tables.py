@@ -21,8 +21,7 @@ def print_table(G, table):
         rep = int(cc.reps[j])
         rows.append([f"C{j}", str(int(cc.sizes[j])),
                      str(int(G.element_orders[rep]))])
-    cells = [[_fmt_cyclo(table.char(i).value(j)) for j in range(cc.k)]
-             for i in range(table.k)]
+    cells = [[_fmt_cyclo(table.n, v) for v in row] for row in table.tensor]
 
     # legend block, then the value grid with one column per class
     widths = [max(len(h), max(len(r[c]) for r in rows)) for c, h in enumerate(head)]
@@ -35,6 +34,11 @@ def print_table(G, table):
     for i in range(table.k):
         print(f"chi_{i:<3} " + " ".join(f"{v:>{col}}" for v in cells[i]))
     print()
+
+
+def _sum_text(mults):
+    """sum m_i chi_i over the nonzero multiplicities of one row."""
+    return " + ".join(f"{m}*chi_{i}" if m > 1 else f"chi_{i}" for i, m in enumerate(mults) if m)
 
 
 def main():
@@ -55,19 +59,16 @@ def main():
 
     # the regular character decomposes as sum d_i * chi_i
     reg = chartab.regular_character(tabS.classes)
-    parts = chartab.decompose(reg, tabS)
-    assert parts == [(i, int(tabS.degrees[i])) for i in range(tabS.k)]
-    print("regular character of SL2 = " +
-          " + ".join(f"{m}*chi_{i}" if m > 1 else f"chi_{i}" for i, m in parts))
+    mults = chartab.decompose(reg, tabS)
+    assert (mults == tabS.degrees).all()
+    print(f"regular character of SL2 = {_sum_text(mults)}")
     print()
 
+    # every GL2 irreducible at once: one restriction, one decomposition
     print("restriction of each GL2 irreducible to SL2:")
-    for i in range(tabG.k):
-        res = chartab.restrict(tabG.char(i), S)
-        parts = chartab.decompose(res, tabS)
-        text = " + ".join(f"{m}*chi_{j}" if m > 1 else f"chi_{j}" for j, m in parts)
-        dims = "+".join(str(int(tabS.degrees[j])) for j, m in parts for _ in range(m))
-        print(f"  chi_{i:<3} (dim {int(tabG.degrees[i])})  ->  {text:<24} dims {dims}")
+    for i, row in enumerate(chartab.decompose(chartab.restrict(tabG.chars, S), tabS)):
+        dims = "+".join(str(int(tabS.degrees[j])) for j in row.nonzero()[0] for _ in range(row[j]))
+        print(f"  chi_{i:<3} (dim {int(tabG.degrees[i])})  ->  {_sum_text(row):<24} dims {dims}")
 
 
 if __name__ == "__main__":

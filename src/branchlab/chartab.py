@@ -21,12 +21,15 @@ dixon_table refuses groups where k p^2 >= 2^63 or |G| p >= 2^53; a pass
 bins each column's |G| products apart from the others', so every float64
 sum stays below |G| p however many columns a batch holds.
 
-Class functions are stored as integer coefficient vectors in the canonical
-power basis of Q(zeta_n), so equality, inner products, induction and
-restriction are all exact integer arithmetic.  In decompose a float Gram row
-only proposes the multiplicities: the rows of a character table are linearly
-independent, so the exact reconstruction sum m_i chi_i == f fixes every m_i,
-and one exact inner product per constituent computes each a second way.
+A class function is an integer coefficient row per conjugacy class in the
+canonical power basis of Q(zeta_n) (cyclo), and a ClassFunction holds a
+whole stack of them, vals[..., k, phi(n)]: a character table is one stack,
+so equality, inner products, induction, restriction and decomposition are
+each one exact integer array operation over every member.  In decompose a
+float Gram row only proposes the multiplicities: the rows of a character
+table are linearly independent, so the exact reconstruction
+sum m_i chi_i == f fixes every m_i, and one exact inner product per
+constituent computes each a second way.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ import numpy as np
 import sympy
 
 from . import cyclo, mat
-from .cyclo import CycloElem
 from .grp import ConjClasses, GroupTable
 
 # ------------------------------------------------------------- mod-p linalgebra
@@ -193,25 +195,37 @@ def _poly_roots_mod(coeffs: np.ndarray, p: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ClassFunction:
-    """Exact class function: canonical coefficient row per conjugacy class."""
+    """Exact class function, or a stack of them, on one class partition.
+
+    vals[..., j, :] is the power-basis vector of the value on class j; the
+    leading axes index the members of a stack, and every operation acts on
+    all members at once.  len, indexing and iteration run over the leading
+    axis.
+    """
 
     classes: ConjClasses
     n: int
-    vals: np.ndarray  # [k, euler_phi(n)] int64, read-only
+    vals: np.ndarray  # [..., k, euler_phi(n)] int64, read-only
 
     def __post_init__(self):
         self.vals.setflags(write=False)
 
-    def value(self, j: int) -> CycloElem:
-        return cyclo.from_canonical(self.n, self.vals[j])
+    def __len__(self) -> int:
+        if self.vals.ndim < 3:
+            raise TypeError("a single class function has no length")
+        return len(self.vals)
 
-    def value_at_pos(self, pos: int) -> CycloElem:
-        return self.value(int(self.classes.class_id[pos]))
+    def __getitem__(self, idx) -> "ClassFunction":
+        idx = idx if isinstance(idx, tuple) else (idx,)
+        return ClassFunction(self.classes, self.n, self.vals[idx + (Ellipsis, slice(None), slice(None))])
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
     @property
-    def degree(self) -> int:
+    def degree(self) -> "int | np.ndarray":
         j0 = int(self.classes.class_id[self.classes.table.identity])
-        return cyclo.to_integer(self.value(j0))
+        return cyclo.to_integer(self.vals[..., j0, :])
 
     def with_order(self, m: int) -> "ClassFunction":
         if m == self.n:
@@ -239,11 +253,12 @@ class ClassFunction:
         return np.array_equal(f.vals, g.vals)
 
     def float_values(self) -> np.ndarray:
-        zs = np.exp(2j * np.pi * np.arange(self.vals.shape[1]) / self.n)
-        return np.einsum("ja,a->j", self.vals, zs)
+        zs = np.exp(2j * np.pi * np.arange(self.vals.shape[-1]) / self.n)
+        return np.einsum("...ja,a->...j", self.vals, zs)
 
     def __repr__(self):
-        return f"<class function on {self.classes.table.name}, order {self.n}, deg {self.degree}>"
+        stack = f"stack {self.vals.shape[:-2]} of " if self.vals.ndim > 2 else ""
+        return f"<{stack}class function on {self.classes.table.name}, order {self.n}, deg {self.degree}>"
 
 
 def _align(f: ClassFunction, g: ClassFunction):
@@ -274,17 +289,21 @@ def regular_character(classes: ConjClasses) -> ClassFunction:
 # ------------------------------------------------------------- inner products
 
 
-def inner(f: ClassFunction, g: ClassFunction) -> int:
-    """<f, g> = |G|^-1 sum |c_j| f(g_j) conj(g(g_j)), exactly."""
+def inner(f: ClassFunction, g: ClassFunction) -> "int | np.ndarray":
+    """<f, g> = |G|^-1 sum |c_j| f(g_j) conj(g(g_j)), exactly.
+
+    Stacks broadcast over their leading axes: an int for two single class
+    functions, an int64 array otherwise.
+    """
     f, g = _align(f, g)
     S = cyclo.product_tensor(f.n)
     gc = g.vals @ cyclo.conj_matrix(g.n)
-    W = np.einsum("j,ja,jb->ab", f.classes.sizes, f.vals, gc)
-    tot = np.einsum("ab,abt->t", W, S)
+    W = np.einsum("...ja,...jb->...ab", f.classes.sizes[:, None] * f.vals, gc)
+    tot = np.einsum("...ab,abt->...t", W, S)
     order = f.classes.table.n
     if np.any(tot % order):
         raise cyclo.NotRational(f"inner product not integral: {tot} / {order}")
-    return cyclo.to_integer(cyclo.from_canonical(f.n, tot // order))
+    return cyclo.to_integer(tot // order)
 
 
 # ------------------------------------------------------------- character tables
@@ -301,8 +320,13 @@ class CharacterTable:
     def k(self) -> int:
         return len(self.degrees)
 
+    @cached_property
+    def chars(self) -> ClassFunction:
+        """Every irreducible as one stack, row order as in tensor."""
+        return ClassFunction(self.classes, self.n, self.tensor)
+
     def char(self, i: int) -> ClassFunction:
-        return ClassFunction(self.classes, self.n, self.tensor[i])
+        return self.chars[i]
 
     @cached_property
     def gram_weights(self) -> np.ndarray:
@@ -311,7 +335,7 @@ class CharacterTable:
         return np.einsum("ija,a,j->ij", self.tensor, zs, self.classes.sizes / self.classes.table.n)
 
     def __iter__(self):
-        return (self.char(i) for i in range(self.k))
+        return iter(self.chars)
 
     def __repr__(self):
         degs = sorted(set(map(int, self.degrees)))
@@ -508,9 +532,9 @@ def character_table_cached(G: GroupTable, seed: int = 0) -> CharacterTable:
 def _verify_identity_column(table: CharacterTable):
     j0 = int(table.classes.class_id[table.classes.table.identity])
     e0 = cyclo.reduction_matrix(table.n)[0]
-    for i in range(table.k):
-        if not np.array_equal(table.tensor[i, j0], int(table.degrees[i]) * e0):
-            raise AssertionError("identity-class value disagrees with the degree")
+    bad = np.any(table.tensor[:, j0] != table.degrees[:, None] * e0, axis=1)
+    if np.any(bad):
+        raise AssertionError(f"identity-class value disagrees with the degree of irreducible {np.argmax(bad)}")
 
 
 # ------------------------------------------------------------- orthogonality
@@ -566,12 +590,10 @@ def orthogonality_certificate(table: CharacterTable) -> dict:
 
 def verify_orthogonality_exact(table: CharacterTable, columns: bool = True):
     """Direct exact pairwise inner products; quadratic in k, for small tables."""
-    for i in range(table.k):
-        fi = table.char(i)
-        for j in range(i, table.k):
-            got = inner(fi, table.char(j))
-            if got != (1 if i == j else 0):
-                raise AssertionError(f"<chi_{i}, chi_{j}> = {got}")
+    got, want = inner(table.chars[:, None], table.chars[None]), np.eye(table.k, dtype=np.int64)
+    if not np.array_equal(got, want):
+        i, j = np.argwhere(got != want)[0]
+        raise AssertionError(f"<chi_{i}, chi_{j}> = {got[i, j]}")
     if not columns:
         return
     cc = table.classes
@@ -593,22 +615,20 @@ def _fusion(H: GroupTable, G: GroupTable, ccH: ConjClasses, ccG: ConjClasses) ->
 
 
 def restrict(f: ClassFunction, H: GroupTable) -> ClassFunction:
-    """Restriction from f's group to a subgroup H cut from the same root."""
+    """Restriction from f's group to a subgroup H cut from the same root; one gather."""
     G = f.classes.table
     ccH = conjugacy_classes_cached(H)
     fus = _fusion(H, G, ccH, f.classes)
-    return ClassFunction(ccH, f.n, f.vals[fus].copy())
+    return ClassFunction(ccH, f.n, np.take(f.vals, fus, axis=-2))
 
 
 def induce(f: ClassFunction, G: GroupTable) -> ClassFunction:
-    """Induced class function, exactly; dim scales by the index."""
+    """Induced class function(s), exactly; dim scales by the index."""
     H = f.classes.table
     ccG = conjugacy_classes_cached(G)
     fus = _fusion(H, G, f.classes, ccG)
-    phi_n = f.vals.shape[1]
-    acc = np.zeros((ccG.k, phi_n), dtype=np.int64)
-    weighted = f.classes.sizes[:, None] * f.vals
-    np.add.at(acc, fus, weighted)
+    acc = np.zeros(f.vals.shape[:-2] + (ccG.k, f.vals.shape[-1]), dtype=np.int64)
+    np.add.at(acc, (Ellipsis, fus, slice(None)), f.classes.sizes[:, None] * f.vals)
     num = G.n * acc
     den = H.n * ccG.sizes[:, None]
     if np.any(num % den):
@@ -616,28 +636,31 @@ def induce(f: ClassFunction, G: GroupTable) -> ClassFunction:
     return ClassFunction(ccG, f.n, num // den)
 
 
-def decompose(f: ClassFunction, table: CharacterTable) -> list[tuple[int, int]]:
-    """Nonzero multiplicities (index, m_i) in index order.
+def decompose(f: ClassFunction, table: CharacterTable) -> np.ndarray:
+    """Multiplicities m[..., i] of every irreducible in f, int64, one row per member.
 
     A float Gram row proposes every m_i; the exact reconstruction sum m_i chi_i
     == f fixes them (the rows are linearly independent), and one exact
-    inner(f, chi_i) per constituent computes each a second way.
+    inner(f, chi_i) per nonzero (member, irreducible) pair, all in one call,
+    computes each a second way.
     """
     if f.classes is not table.classes:
         raise ValueError("class function and table live on different partitions")
-    approx = np.einsum("ij,j->i", table.gram_weights, f.float_values())
+    approx = np.einsum("ij,...j->...i", table.gram_weights, f.float_values())
     mults = np.rint(approx.real).astype(np.int64)
     err = np.abs(approx - mults).max(initial=0.0)
     if err > 0.25:
         raise AssertionError(f"float multiplicities lie {err:.3g} from the nearest integers")
-    i = int(np.argmin(mults))
-    if mults[i] < 0:
-        raise AssertionError(f"negative multiplicity {mults[i]} against irreducible {i}")
-    recon = ClassFunction(table.classes, table.n, np.einsum("i,ija->ja", mults, table.tensor))
+    if np.any(mults < 0):
+        at = np.unravel_index(np.argmin(mults), mults.shape)
+        raise AssertionError(f"negative multiplicity {mults[at]} against irreducible {at[-1]}")
+    recon = ClassFunction(table.classes, table.n, np.einsum("...i,ija->...ja", mults, table.tensor))
     if not recon.same(f):
         raise AssertionError("decomposition does not reconstruct the class function")
-    out = [(int(i), int(mults[i])) for i in np.flatnonzero(mults)]
-    for i, m in out:
-        if inner(f, table.char(i)) != m:
-            raise AssertionError(f"exact <f, chi_{i}> disagrees with the multiplicity {m}")
-    return out
+    nz = np.nonzero(mults)
+    exact = inner(ClassFunction(f.classes, f.n, f.vals[nz[:-1]]), table.chars[nz[-1]])
+    bad = np.flatnonzero(exact != mults[nz])
+    if len(bad):
+        i, m = nz[-1][bad[0]], mults[nz][bad[0]]
+        raise AssertionError(f"exact <f, chi_{i}> disagrees with the multiplicity {m}")
+    return mults

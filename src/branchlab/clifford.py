@@ -89,6 +89,19 @@ class _Layers:
         codes, index = np.unique(packed, return_inverse=True)
         return codes, index.astype(np.int32)
 
+    @cached_property
+    def psi_table(self) -> np.ndarray:
+        """T[A_code, m] = zeta-exponent of psi_A at the m-th member of M^ell.
+
+        Rows range over all of M_2(o_l'), exactly the character group of the
+        abelian M^ell; columns over member positions of M^ell.  Row A is
+        make_psiA(A).exps_M, from the same trace-pairing kernel.
+        """
+        lp = self.spec_lp
+        acodes = np.arange(lp.size**4, dtype=np.int64)
+        At = tuple(ring._vlift(self.spec, lp, t)[:, None] for t in mat._vunpack(lp, acodes))
+        return _psi_exps(self, At, tuple(t[None, :] for t in self.B_M))
+
 
 def _b_arrays(spec: RingSpec, table: GroupTable, ell: int) -> tuple:
     m11, m12, m21, m22 = table.ms
@@ -596,32 +609,30 @@ def extends_to(psi: ClassFunction, H: GroupTable) -> tuple[bool, ClassFunction |
     return True, chartab.class_function_from_exponents(ccH, E, ext[Hq.lab[ccH.reps]])
 
 
-def all_linear_characters(H: GroupTable) -> list[ClassFunction]:
-    """Every linear character of H, through its abelianization."""
+def all_linear_characters(H: GroupTable) -> ClassFunction:
+    """Every linear character of H, through its abelianization, as one stack."""
     Hq = _abelian_quotient(H)
     base = np.full(Hq.size, -1, dtype=np.int64)
     base[Hq.id_label] = 0
-    exts = _extend_all(Hq, base)
+    exts = np.array(_extend_all(Hq, base))
     if len(exts) != Hq.size:
         raise AssertionError(f"found {len(exts)} linear characters, expected {Hq.size}")
     ccH = chartab.conjugacy_classes_cached(H)
-    return [
-        chartab.class_function_from_exponents(ccH, Hq.exponent, e[Hq.lab[ccH.reps]])
-        for e in exts
-    ]
+    return chartab.class_function_from_exponents(ccH, Hq.exponent, exts[:, Hq.lab[ccH.reps]])
 
 
 # ------------------------------------------------------------------ the phi layer
 
 
-def phi_set(psiA: PsiA, budget: int = grp.DEFAULT_BUDGET) -> list[ClassFunction]:
-    """Irr(C_GL2(psi_A) | psi_A) as class functions on C_GL2(psi_A).
+def phi_set(psiA: PsiA, budget: int = grp.DEFAULT_BUDGET) -> ClassFunction:
+    """Irr(C_GL2(psi_A) | psi_A) as one stack of class functions on C_GL2(psi_A).
 
     Even r: the linear characters of the abelianization extending psi_A.
     Odd r: the constituents of Ind_{M^ell}^{C_GL2(psi_A)} psi_A in the full
     character table of C_GL2(psi_A); by Frobenius reciprocity these are the
     members with a nonzero (hence full) pairing with psi_A on M^ell.
-    Dimensions (1 for even r, q for odd r) and the fiber size are verified.
+    Dimensions (1 for even r, q for odd r) and the fiber size are verified
+    on the whole stack.
     """
     I = inertia(psiA)
     L = psiA.layers
@@ -634,28 +645,25 @@ def phi_set(psiA: PsiA, budget: int = grp.DEFAULT_BUDGET) -> list[ClassFunction]
         ml_in_C = L.Ml.pos_in(C)
         Hq = _abelian_quotient(C)
         base = _seed_base(Hq, Hq.lab[ml_in_C], _rescale_exponents(psiA.exps_M, psiA.n, Hq.exponent))
-        exts = _extend_all(Hq, base)
+        exts = np.array(_extend_all(Hq, base))
         if len(exts) != fiber:
             raise AssertionError(
                 f"found {len(exts)} extensions of psi_A, expected [C:M^l] = {fiber} ({_where(psiA)})"
             )
+        if not _roots_agree(exts[:, Hq.lab[ml_in_C]], Hq.exponent, psiA.exps_M, psiA.n):
+            raise AssertionError(f"extension does not restrict to psi_A ({_where(psiA)})")
         ccC = chartab.conjugacy_classes_cached(C)
-        out = []
-        for e in exts:
-            if not _roots_agree(e[Hq.lab[ml_in_C]], Hq.exponent, psiA.exps_M, psiA.n):
-                raise AssertionError(f"extension does not restrict to psi_A ({_where(psiA)})")
-            out.append(chartab.class_function_from_exponents(ccC, Hq.exponent, e[Hq.lab[ccC.reps]]))
-        return out
+        return chartab.class_function_from_exponents(ccC, Hq.exponent, exts[:, Hq.lab[ccC.reps]])
     # odd r: the psi_A fiber of the full table, <Ind psi_A, phi> = <Res phi, psi_A>
     table = chartab.character_table_cached(C)
-    out = []
-    for i, m in chartab.decompose(chartab.induce(psiA.psi_M, C), table):
-        phi = table.char(i)
-        if phi.degree != q or m != q:
-            raise AssertionError(
-                f"odd-level fiber member has degree {phi.degree}, pairing {m}; expected q = {q} ({_where(psiA)})"
-            )
-        out.append(phi)
+    mults = chartab.decompose(chartab.induce(psiA.psi_M, C), table)
+    idx = np.flatnonzero(mults)
+    out = table.chars[idx]
+    if np.any(out.degree != q) or np.any(mults[idx] != q):
+        raise AssertionError(
+            f"odd-level fiber degrees {out.degree.tolist()}, pairings {mults[idx].tolist()}; "
+            f"expected q = {q} ({_where(psiA)})"
+        )
     if len(out) * q**2 != fiber:
         raise AssertionError(
             f"fiber has {len(out)} members, expected [C:M^l]/q^2 = {fiber // q**2} ({_where(psiA)})"
@@ -669,10 +677,12 @@ def phi_set(psiA: PsiA, budget: int = grp.DEFAULT_BUDGET) -> list[ClassFunction]
 def mackey_restriction(psiA: PsiA, phi: ClassFunction) -> list[tuple[RingElem, ClassFunction]]:
     """[(d, Ind_{C_SL2(psi_{A_d})} phi^d)] for d over D_A, with exactness checks.
 
-    phi^d(x) = phi(diag(d,1)^-1 x diag(d,1)).  The sum of the summands is
-    checked to equal Res_SL2 Ind_GL2(phi) exactly, the twisted domains are
-    checked against independently computed stabilizers, and all summand
-    dimensions agree.  The phi-independent work is PsiA.twists.
+    phi is one class function on C_GL2(psi_A) or a stack of them; every
+    summand is a stack of phi's shape.  phi^d(x) = phi(diag(d,1)^-1 x diag(d,1)).
+    Member by member, the sum of the summands is checked to equal
+    Res_SL2 Ind_GL2(phi) exactly, the twisted domains are checked against
+    independently computed stabilizers, and all summand dimensions agree.
+    The phi-independent work is PsiA.twists.
     """
     I = inertia(psiA)
     L = psiA.layers
@@ -680,15 +690,15 @@ def mackey_restriction(psiA: PsiA, phi: ClassFunction) -> list[tuple[RingElem, C
     if phi.classes.table is not C:
         raise ValueError("phi must be a class function on C_GL2(psi_A)")
     rho = chartab.induce(phi, gl)
-    if chartab.inner(rho, rho) != 1:
+    if np.any(chartab.inner(rho, rho) != 1):
         raise AssertionError(f"Ind(phi) is not irreducible; phi is outside the psi_A fiber ({_where(psiA)})")
     lhs = chartab.restrict(rho, sl)
+    expected = phi.degree * sl.n
     out = []
     for d, cc_d, back_C in psiA.twists:
-        phid = ClassFunction(cc_d, phi.n, phi.vals[phi.classes.class_id[back_C]].copy())
+        phid = ClassFunction(cc_d, phi.n, np.take(phi.vals, phi.classes.class_id[back_C], axis=-2))
         ind = chartab.induce(phid, sl)
-        expected = phi.degree * sl.n
-        if expected % cc_d.table.n or ind.degree != expected // cc_d.table.n:
+        if np.any(expected % cc_d.table.n) or np.any(ind.degree != expected // cc_d.table.n):
             raise AssertionError(
                 f"summand dimension disagrees with dim(phi) |SL2| / |C_SL2(psi_{{A_d}})| ({_where(psiA, d)})"
             )
@@ -698,6 +708,7 @@ def mackey_restriction(psiA: PsiA, phi: ClassFunction) -> list[tuple[RingElem, C
         total = total + cf
     if not total.same(lhs):
         raise AssertionError(f"Mackey sum does not equal the direct restriction ({_where(psiA)})")
-    if len({cf.degree for _, cf in out}) != 1:
+    degs = np.array([cf.degree for _, cf in out])
+    if np.any(degs != degs[0]):
         raise AssertionError(f"summand dimensions are not all equal ({_where(psiA)})")
     return out

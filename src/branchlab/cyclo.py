@@ -1,122 +1,25 @@
-"""Exact arithmetic in Z[x]/(x^n - 1), the redundant cyclotomic integer model.
+"""Exact cyclotomic integers in the power basis of Z[zeta_n].
 
-An element is an integer coefficient vector c of length n standing for
-sum_j c[j] * zeta_n^j.  The representation is redundant: equality and
-rationality tests go through canonical reduction modulo the n-th cyclotomic
-polynomial, computed exactly by iterated integer polynomial division of
-x^n - 1 by the Phi_d for proper divisors d.
+An element of Z[zeta_n] is its integer coefficient vector of length phi(n)
+in the basis 1, zeta_n, ..., zeta_n^(phi(n)-1); the representation is
+canonical, so equality is array equality and a rational integer is a vector
+whose coefficients beyond the first vanish.  Arrays of shape [..., phi(n)]
+hold many elements at once, and every operation is an integer matrix or
+tensor applied along the last axis: reduction_matrix sends zeta_n^j to its
+vector (x^j mod Phi_n, with Phi_n computed by exact integer polynomial
+division), conj_matrix conjugates, product_tensor multiplies and
+embed_matrix moves Z[zeta_n] into Z[zeta_m] for n | m.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, lcm
 
 import numpy as np
 
 
 class NotRational(ValueError):
     """Raised when a cyclotomic value expected to be a rational integer is not."""
-
-
-def _as_vec(n, coeffs):
-    v = np.asarray(coeffs, dtype=np.int64)
-    if v.shape != (n,):
-        raise ValueError(f"coefficient vector must have length {n}")
-    return v
-
-
-@dataclass(frozen=True)
-class CycloElem:
-    """Integer combination of n-th roots of unity, coefficients indexed by exponent."""
-
-    n: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _as_vec(self.n, self.coeffs))
-
-    @staticmethod
-    def zero(n):
-        return CycloElem(n, np.zeros(n, dtype=np.int64))
-
-    @staticmethod
-    def from_int(c, n=1):
-        v = np.zeros(n, dtype=np.int64)
-        v[0] = c
-        return CycloElem(n, v)
-
-    @staticmethod
-    def from_root(n, j):
-        """zeta_n^j as an element of Z[x]/(x^n - 1)."""
-        v = np.zeros(n, dtype=np.int64)
-        v[j % n] = 1
-        return CycloElem(n, v)
-
-    def __eq__(self, other):
-        if not isinstance(other, CycloElem):
-            if isinstance(other, (int, np.integer)):
-                other = CycloElem.from_int(int(other))
-            else:
-                return NotImplemented
-        m = lcm(self.n, other.n)
-        a = canonical(_lift(self, m))
-        b = canonical(_lift(other, m))
-        return a.shape == b.shape and bool(np.array_equal(a, b))
-
-    def __hash__(self):
-        return hash((self.n, self.coeffs.tobytes()))
-
-    def __repr__(self):
-        return f"CycloElem(n={self.n}, coeffs={self.coeffs.tolist()})"
-
-    def complex(self):
-        j = np.arange(self.n)
-        return complex(np.sum(self.coeffs * np.exp(2j * np.pi * j / self.n)))
-
-
-def _lift(x: CycloElem, m: int) -> CycloElem:
-    """Rewrite x in Z[y]/(y^m - 1) via zeta_n = zeta_m^(m/n). Requires n | m."""
-    if x.n == m:
-        return x
-    if m % x.n:
-        raise ValueError("target order must be a multiple")
-    k = m // x.n
-    v = np.zeros(m, dtype=np.int64)
-    v[np.arange(x.n) * k] = x.coeffs
-    return CycloElem(m, v)
-
-
-def cyclo_add(x: CycloElem, y: CycloElem) -> CycloElem:
-    m = lcm(x.n, y.n)
-    return CycloElem(m, _lift(x, m).coeffs + _lift(y, m).coeffs)
-
-
-def cyclo_neg(x: CycloElem) -> CycloElem:
-    return CycloElem(x.n, -x.coeffs)
-
-
-def cyclo_sub(x: CycloElem, y: CycloElem) -> CycloElem:
-    return cyclo_add(x, cyclo_neg(y))
-
-
-def cyclo_mul(x: CycloElem, y: CycloElem) -> CycloElem:
-    m = lcm(x.n, y.n)
-    a = _lift(x, m).coeffs
-    b = _lift(y, m).coeffs
-    full = np.convolve(a, b)
-    out = full[:m].copy()
-    out[: len(full) - m] += full[m:]
-    return CycloElem(m, out)
-
-
-def cyclo_conj(x: CycloElem) -> CycloElem:
-    """Complex conjugation, zeta^j -> zeta^-j."""
-    idx = (-np.arange(x.n)) % x.n
-    out = np.zeros(x.n, dtype=np.int64)
-    np.add.at(out, idx, x.coeffs)
-    return CycloElem(x.n, out)
 
 
 def _polydiv_exact(num, den):
@@ -169,26 +72,19 @@ def reduction_matrix(n: int) -> np.ndarray:
     return out
 
 
-def canonical(x: CycloElem) -> np.ndarray:
-    """Canonical coefficient vector of x in the power basis of Z[zeta_n]."""
-    return x.coeffs @ reduction_matrix(x.n)
+def to_integer(vec) -> "int | np.ndarray":
+    """The rational integer(s) that power-basis vector(s) [..., phi] stand for.
 
-
-def to_integer(x: CycloElem) -> int:
-    """The value of x as a rational integer; NotRational if it is not one."""
-    v = canonical(x)
-    if np.any(v[1:]):
-        raise NotRational(f"not a rational integer: canonical form {v.tolist()}")
-    return int(v[0])
-
-
-def float_check(x: CycloElem, tol: float = 1e-6) -> bool:
-    """Consistency of the redundant vector against its canonical reduction, numerically."""
-    z = np.exp(2j * np.pi / x.n)
-    direct = np.sum(x.coeffs * z ** np.arange(x.n))
-    v = canonical(x)
-    reduced = np.sum(v * z ** np.arange(len(v)))
-    return bool(abs(direct - reduced) < tol)
+    Returns an int for one vector and an int64 array over the leading axes
+    for a stack; NotRational if any vector is not a rational integer.
+    """
+    v = np.asarray(vec, dtype=np.int64)
+    bad = np.any(v[..., 1:], axis=-1)
+    if np.any(bad):
+        first = v[np.unravel_index(np.argmax(bad), bad.shape)]
+        raise NotRational(f"not a rational integer: canonical form {first.tolist()}")
+    out = v[..., 0]
+    return int(out) if out.ndim == 0 else out.copy()
 
 
 @lru_cache(maxsize=None)
@@ -223,11 +119,3 @@ def embed_matrix(n_from: int, n_to: int) -> np.ndarray:
     red = reduction_matrix(n_to)
     d_from = reduction_matrix(n_from).shape[1]
     return red[(np.arange(d_from) * k) % n_to].copy()
-
-
-def from_canonical(n: int, vec) -> CycloElem:
-    """CycloElem from a power-basis vector (padded into the redundant model)."""
-    vec = np.asarray(vec, dtype=np.int64)
-    out = np.zeros(n, dtype=np.int64)
-    out[: len(vec)] = vec
-    return CycloElem(n, out)

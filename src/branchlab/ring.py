@@ -25,8 +25,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclo import CycloElem
-
 KIND_CHAR0 = "char0-unramified"
 KIND_CHAR2 = "char2-equal"
 KIND_EIS = "char0-eisenstein"
@@ -538,14 +536,6 @@ def psi_exponent(spec: RingSpec, x) -> "int | np.ndarray":
     ab, bb = spec._a_bits, spec._b_bits
     a, b = x & ((1 << ab) - 1), (x >> ab) & ((1 << bb) - 1)
     return (a + (b << (ab - bb))) & ((1 << ab) - 1)
-
-
-def psi(spec: RingSpec, x: RingElem) -> CycloElem:
-    """The fixed additive character as an exact root of unity."""
-    if x.spec != spec:
-        raise ValueError("element not in the stated ring")
-    n = psi_order(spec)
-    return CycloElem.from_root(n, int(psi_exponent(spec, x.code)))
 
 
 # ---------------------------------------------------------------- text encoding

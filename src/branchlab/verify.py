@@ -37,18 +37,6 @@ KINDS = ("z2", "f2t", "f4t", "eis2")
 # ----------------------------------------------------- regular irreducibles
 
 
-def _psi_exponent_table(L) -> np.ndarray:
-    """T[A_code, m] = zeta-exponent of psi_A at the m-th member of M^ell.
-
-    Rows range over all of M_2(o_l') — exactly the character group of the
-    abelian M^ell — columns over member positions of M^ell.
-    """
-    lp = L.spec_lp
-    acodes = np.arange(lp.size**4, dtype=np.int64)
-    At = tuple(ring._vlift(L.spec, lp, t)[:, None] for t in mat._vunpack(lp, acodes))
-    return clifford._psi_exps(L, At, tuple(t[None, :] for t in L.B_M))
-
-
 def find_regular(G: GroupTable, table: CharacterTable | None = None):
     """[(irreducible index, supporting A list)] over the regular irreducibles.
 
@@ -59,16 +47,15 @@ def find_regular(G: GroupTable, table: CharacterTable | None = None):
     distinct characters of the abelian M^ell are linearly independent.  For
     regular rho the support is verified to be a single conjugation orbit
     (every member has the same companion form, reached by an explicit
-    conjugator) carrying one common multiplicity.
+    conjugator) carrying one common multiplicity.  Companion forms are
+    memoized per call, by A.
     """
     if table is None:
         table = chartab.character_table_cached(G)
     L = clifford._layers(G)
     lp = L.spec_lp
     Ml = L.Ml
-    if "psi_table" not in G.cache:
-        G.cache["psi_table"] = _psi_exponent_table(L)
-    T = G.cache["psi_table"]
+    T = L.psi_table
     n = ring.psi_order(L.spec)
     num_A = lp.size**4
 
@@ -90,14 +77,14 @@ def find_regular(G: GroupTable, table: CharacterTable | None = None):
     red_n = cyclo.reduction_matrix(n)
     exps_at_reps = T[:, ccM.reps] % n
 
+    res = chartab.restrict(table.chars, Ml)
+    forms: dict = {}  # A codes -> companion form, which validates an explicit conjugator
+
     out = []
     for i in range(table.k):
         supp = np.flatnonzero(mult[i] > 0)
-        vals = np.zeros((ccM.k, red_n.shape[1]), dtype=np.int64)
-        for code in supp:
-            vals += int(mult[i, code]) * red_n[exps_at_reps[code]]
-        comb = ClassFunction(ccM, n, vals)
-        if not comb.same(chartab.restrict(table.char(i), Ml)):
+        vals = np.einsum("s,sja->ja", mult[i, supp], red_n[exps_at_reps[supp]])
+        if not ClassFunction(ccM, n, vals).same(res[i]):
             raise AssertionError(f"support reconstruction failed for irreducible {i}")
         if not np.all(cyc[supp]):
             continue  # not regular
@@ -107,24 +94,14 @@ def find_regular(G: GroupTable, table: CharacterTable | None = None):
         labels = set()
         for code in supp:
             A = Mat2(lp, *(int(t[code]) for t in entries))
-            labels.add(_orbit_form(G, A).triple)
+            if A.codes not in forms:
+                forms[A.codes] = mat.companion_form(A)
+            labels.add(forms[A.codes].triple)
             support.append(A)
         if len(labels) != 1:
             raise AssertionError(f"support of irreducible {i} spans several orbits: {labels}")
         out.append((i, support))
     return out
-
-
-def _orbit_form(G: GroupTable, A: Mat2) -> mat.CompanionForm:
-    """Companion form of A, whose triple (a, alpha, beta) labels A's conjugation orbit.
-
-    companion_form validates an explicit conjugator, so two matrices with
-    the same triple really are conjugate.
-    """
-    cache = G.cache.setdefault("orbit_form", {})
-    if A.codes not in cache:
-        cache[A.codes] = mat.companion_form(A)
-    return cache[A.codes]
 
 
 # ------------------------------------------------------------------ reports
@@ -223,13 +200,6 @@ def _trace_info(spec: RingSpec, A: Mat2) -> tuple[str, bool | None]:
     return ("unit" if unit else "nonunit"), square
 
 
-def _decompose_to(sl_tab: CharacterTable, res: ClassFunction):
-    dec = chartab.decompose(res, sl_tab)
-    dims = [int(sl_tab.degrees[j]) for j, _ in dec]
-    mults = [m for _, m in dec]
-    return dec, dims, mults
-
-
 def verify_branching(
     spec: RingSpec,
     *,
@@ -267,13 +237,17 @@ def verify_branching(
     timing["find_regular"] = time.perf_counter() - t
 
     t = time.perf_counter()
-    decomps = {i: _decompose_to(sl_tab, chartab.restrict(gl_tab.char(i), sl)) for i, _ in regs}
+    reg_ids = [i for i, _ in regs]
+    decomps = dict(zip(reg_ids, chartab.decompose(chartab.restrict(gl_tab.chars[reg_ids], sl), sl_tab)))
     timing["decompose"] = time.perf_counter() - t
 
+    forms: dict = {}  # supp[0] codes -> companion form: a regular's support is one full orbit
     by_orbit: dict = {}  # triple -> (companion form, regular irreducibles)
     for i, supp in regs:
-        form = _orbit_form(gl, supp[0])
-        by_orbit.setdefault(form.triple, (form, []))[1].append((i, supp))
+        if supp[0].codes not in forms:
+            forms[supp[0].codes] = mat.companion_form(supp[0])
+        form = forms[supp[0].codes]
+        by_orbit.setdefault(form.triple, (form, []))[1].append(i)
 
     lp = L.spec_lp
     records = []
@@ -292,22 +266,41 @@ def verify_branching(
         det_cent = mat.centralizer_units(comp)[1]
         trace_class, trace_square = _trace_info(spec, comp)
 
-        phis, phi_inds = None, None
         if mackey_on:
             t = time.perf_counter()
             phis = clifford.phi_set(psiA, budget=budget)
-            phi_inds = [chartab.induce(phi, gl) for phi in phis]
             if len(phis) != len(members):
                 raise AssertionError(f"{len(phis)} fiber members vs {len(members)} regular irreducibles ({where})")
+            # one induce of the fiber; each regular must equal exactly one induced row
+            rhos, inds = chartab._align(gl_tab.chars[members], chartab.induce(phis, gl))
+            rows: dict = {}
+            for k, v in enumerate(inds.vals):
+                rows.setdefault(v.tobytes(), []).append(k)
+            match = []
+            for i, v in zip(members, rhos.vals):
+                hits = rows.get(v.tobytes(), [])
+                if len(hits) != 1:
+                    raise AssertionError(
+                        f"irreducible {i} matches {len(hits)} fiber members, expected exactly 1 ({where})"
+                    )
+                match.append(hits[0])
+            summands = clifford.mackey_restriction(psiA, phis[match])
+            via_mackey = sum(chartab.decompose(ind_d, sl_tab) for _, ind_d in summands)
+            for i, m in zip(members, via_mackey):
+                if not np.array_equal(m, decomps[i]):
+                    raise AssertionError(
+                        f"Mackey route and direct route decompose irreducible {i} differently ({where})"
+                    )
             mackey_orbits += 1
             timing["mackey"] += time.perf_counter() - t
 
         orbit_max_delta = 0
-        for i, supp in sorted(members):
-            rho = gl_tab.char(i)
+        for i in members:
             dim = int(gl_tab.degrees[i])
-            dec, dims, mults = decomps[i]
-            delta = len(dec)
+            js = np.flatnonzero(decomps[i])
+            dims = [int(sl_tab.degrees[j]) for j in js]
+            mults = decomps[i][js].tolist()
+            delta = len(js)
             orbit_max_delta = max(orbit_max_delta, delta)
             mfree = all(m == 1 for m in mults)
             pred = predict.predict_branching(
@@ -330,28 +323,6 @@ def verify_branching(
                 ok = False
                 notes.append("equal dimensions do not sum to dim(rho)")
 
-            mchecked = False
-            if mackey_on:
-                t = time.perf_counter()
-                matches = [k for k, ind in enumerate(phi_inds) if ind.same(rho)]
-                if len(matches) != 1:
-                    raise AssertionError(
-                        f"irreducible {i} matches {len(matches)} fiber members, expected exactly 1 ({where})"
-                    )
-                summands = clifford.mackey_restriction(psiA, phis[matches[0]])
-                pieces = []
-                for _, ind_d in summands:
-                    pieces.extend(chartab.decompose(ind_d, sl_tab))
-                acc: dict = {}
-                for j, m in pieces:
-                    acc[j] = acc.get(j, 0) + m
-                if sorted(acc.items()) != sorted(dec):
-                    raise AssertionError(
-                        f"Mackey route and direct route decompose irreducible {i} differently ({where})"
-                    )
-                mchecked = True
-                timing["mackey"] += time.perf_counter() - t
-
             records.append(
                 RhoRecord(
                     rho_id=i,
@@ -369,7 +340,7 @@ def verify_branching(
                     delta_max=pred.delta_max,
                     predicted_dim=pred.constituent_dim,
                     rules=[tag for tag, applies, _ in pred.rules if applies],
-                    mackey_checked=mchecked,
+                    mackey_checked=mackey_on,
                     passed=ok,
                     notes=notes,
                 )
@@ -383,7 +354,7 @@ def verify_branching(
                 raise AssertionError(f"ring-level centralizer sizes disagree with the stabilizer scan ({where})")
             # the SL2 irreducibles over psi_[A] are the constituents of Ind_{K^l}^{SL2} psi_[A]
             fiber = chartab.decompose(chartab.induce(psiA.psi_K, sl), sl_tab)
-            fiber_dims = [int(sl_tab.degrees[j]) for j, _ in fiber]
+            fiber_dims = [int(sl_tab.degrees[j]) for j in np.flatnonzero(fiber)]
             ok_bound = all(Fraction(d) >= bound for d in fiber_dims)
             min_dim_checks.append(
                 {
@@ -445,11 +416,10 @@ def verify_branching(
 # ---------------------------------------------------------------- formatting
 
 
-def _fmt_cyclo(x) -> str:
-    vec = cyclo.canonical(x)
-    if not vec.any():
+def _fmt_cyclo(n: int, vec) -> str:
+    """Text of one power-basis vector of Z[zeta_n], a row of ClassFunction.vals."""
+    if not np.any(vec):
         return "0"
-    n = x.n
     parts = []
     for k, c in enumerate(map(int, vec)):
         if c == 0:
@@ -514,7 +484,7 @@ def chartab_json(G: GroupTable, table: CharacterTable) -> dict:
         "irreducibles": [
             {
                 "degree": int(table.degrees[i]),
-                "values": [_fmt_cyclo(table.char(i).value(j)) for j in range(cc.k)],
+                "values": [_fmt_cyclo(table.n, v) for v in table.tensor[i]],
             }
             for i in range(table.k)
         ],
@@ -528,10 +498,7 @@ def chartab_csv(G: GroupTable, table: CharacterTable) -> str:
     w.writerow(["irr", "degree"] + [mat.encode_mat(G.matrix(int(p))) for p in cc.reps])
     w.writerow(["class_size", ""] + [int(s) for s in cc.sizes])
     for i in range(table.k):
-        chi = table.char(i)
-        w.writerow(
-            [f"chi_{i}", int(table.degrees[i])] + [_fmt_cyclo(chi.value(j)) for j in range(cc.k)]
-        )
+        w.writerow([f"chi_{i}", int(table.degrees[i])] + [_fmt_cyclo(table.n, v) for v in table.tensor[i]])
     return buf.getvalue()
 
 
@@ -729,15 +696,12 @@ def cli_main(argv=None) -> int:
         return 2 if exc.code else 0
     try:
         return args.func(args)
-    except grp.BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except AssertionError as exc:
+    except (AssertionError, cyclo.NotRational) as exc:  # NotRational is a ValueError: catch it first
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 1
+    except (grp.BudgetError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def main():

@@ -364,17 +364,13 @@ def test_extends_to_against_linear_character_search(groups):
     pa = _psi(groups("f2t", 2), [[0, 0], [1, 0]])
     L = pa.layers
     I = clifford.inertia(pa)
-    want = {mat.encode_mat(L.Kl.matrix(i)): pa.psi_K.value_at_pos(i) for i in range(L.Kl.n)}
     checked = 0
     for H in (I.c_sl, I.c_sl_bracket, clifford.H_group(pa, L.ell)):
         if not set(L.Kl.pos_in(L.sl).tolist()) <= set(H.pos_in(L.sl).tolist()):
             continue  # brute comparison only makes sense when K^l sits inside H
 
         def restricts_to_psi(h):
-            return all(
-                h.value_at_pos(H.pos_of_matrix(L.Kl.matrix(i))) == want[mat.encode_mat(L.Kl.matrix(i))]
-                for i in range(L.Kl.n)
-            )
+            return chartab.restrict(h, L.Kl).same(pa.psi_K)
 
         brute = any(restricts_to_psi(h) for h in clifford.all_linear_characters(H))
         ok, ext = clifford.extends_to(pa.psi_K, H)
@@ -476,7 +472,21 @@ def test_mackey_pieces_sum_to_the_restriction(groups):
             sl_tab = chartab.character_table_cached(L.sl)
             for _, cf in mr:
                 dec = chartab.decompose(cf, sl_tab)
-                assert all(m > 0 for _, m in dec)
+                assert dec.any() and dec.min() >= 0
+
+
+def test_mackey_restriction_of_a_stack_is_member_by_member(groups):
+    pa = _psi(groups("z2", 3), [[0, 0], [1, 0]])
+    phis = clifford.phi_set(pa)
+    stacked = clifford.mackey_restriction(pa, phis)
+    for k, phi in enumerate(phis):
+        single = clifford.mackey_restriction(pa, phi)
+        assert [d for d, _ in single] == [d for d, _ in stacked]
+        assert all(cf.same(st[k]) for (_, cf), (_, st) in zip(single, stacked))
+    # one reducible member fails the whole stack
+    mixed = chartab.ClassFunction(phis.classes, phis.n, np.stack([phis.vals[0], phis.vals[0] + phis.vals[1]]))
+    with pytest.raises(AssertionError, match="not irreducible"):
+        clifford.mackey_restriction(pa, mixed)
 
 
 def test_mackey_rejects_foreign_phi(groups):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from branchlab import chartab, clifford, grp, mat, predict, ring, verify
+from branchlab import chartab, clifford, cyclo, grp, mat, predict, ring, verify
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -49,7 +49,7 @@ def test_find_regular_matches_brute_support(groups):
         i
         for i in range(table.k)
         if table.degrees[i] == 1
-        and all(table.char(i).value(j) == table.char(i).value(0) for j in range(table.classes.k))
+        and np.all(table.tensor[i] == table.tensor[i, 0])
     ]
     assert len(triv) == 1 and triv[0] not in {i for i, _ in regs}
 
@@ -60,11 +60,22 @@ def test_psi_table_rows_are_psiA(groups, kind, r):
     G = groups(kind, r)
     L = clifford._layers(G)
     lp = L.spec_lp
-    T = verify._psi_exponent_table(L)
+    T = L.psi_table
     assert T.shape == (lp.size**4, L.Ml.n)
     for code in range(lp.size**4):
         A = mat.Mat2(lp, *map(int, mat._vunpack(lp, np.int64(code))))
         assert np.array_equal(T[code], clifford.make_psiA(G, A).exps_M)
+
+
+def test_verify_caches_only_per_table_results_on_gl(monkeypatch):
+    # per-orbit data (companion forms) and A-independent layer data (the psi
+    # table) live elsewhere: the GL2 table's cache holds per-table results only
+    built = []
+    real = grp.build_gl2
+    monkeypatch.setattr(grp, "build_gl2", lambda *a, **kw: built.append(real(*a, **kw)) or built[-1])
+    verify.verify_branching(ring.make_ring("z2", r=3), seed=0)
+    assert len(built) == 1
+    assert set(built[0].cache) <= {"classes", ("chartab", 0), "clifford_layers"}
 
 
 def test_find_regular_needs_gl():
@@ -139,6 +150,25 @@ def test_orbit_failures_name_kind_level_and_orbit(monkeypatch):
         AssertionError, match=r"predicted \|D_A\| 1000000 != enumerated 1 at irreducible \d+ \(z2, r=2, orbit \(1;0;0\)\)$"
     ):
         verify.verify_branching(ring.make_ring("z2", r=2), mackey=False)
+
+
+def test_mackey_cross_check_failures_raise(monkeypatch):
+    # a Mackey route that disagrees with the direct decomposition
+    real = clifford.mackey_restriction
+
+    def doubled(psiA, phi):
+        (d, first), *rest = real(psiA, phi)
+        return [(d, first.scale(2))] + rest
+
+    monkeypatch.setattr(clifford, "mackey_restriction", doubled)
+    with pytest.raises(AssertionError, match=r"decompose irreducible \d+ differently \(z2, r=2, orbit"):
+        verify.verify_branching(ring.make_ring("z2", r=2))
+    monkeypatch.undo()
+    # a fiber whose induced rows do not match the regulars one to one
+    real_phis = clifford.phi_set
+    monkeypatch.setattr(clifford, "phi_set", lambda psiA, **kw: real_phis(psiA, **kw)[[0, 0]])
+    with pytest.raises(AssertionError, match=r"irreducible \d+ matches [02] fiber members, expected exactly 1"):
+        verify.verify_branching(ring.make_ring("z2", r=2))
 
 
 def test_budget_error():
@@ -230,6 +260,17 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     fake = dataclasses.replace(real, passed=False)
     monkeypatch.setattr(verify, "verify_branching", lambda *a, **kw: fake)
     assert verify.cli_main(["verify", "--kind", "z2", "--r", "2", "--out", str(tmp_path / "f.json")]) == 1
+
+
+def test_cli_non_rational_inner_product_is_an_internal_failure(monkeypatch, capsys):
+    # NotRational is a ValueError, but it signals inconsistent arithmetic, not usage
+    def broken(f, g):
+        raise cyclo.NotRational("inner product not integral")
+
+    monkeypatch.delenv("BRANCHLAB_BUDGET", raising=False)
+    monkeypatch.setattr(chartab, "inner", broken)
+    assert verify.cli_main(["verify", "--kind", "z2", "--r", "2"]) == 1
+    assert "internal consistency failure: inner product not integral" in capsys.readouterr().err
 
 
 def test_cli_chartab(tmp_path, capsys):
