@@ -18,10 +18,9 @@ def print_table(G, table):
     head = ["class", "size", "order"]
     rows = []
     for j in range(cc.k):
-        rep = int(cc.reps[j])
         rows.append([f"C{j}", str(int(cc.sizes[j])),
-                     str(int(G.element_orders[rep]))])
-    cells = [[_fmt_cyclo(table.n, v) for v in row] for row in table.tensor]
+                     str(int(cc.orders[j]))])
+    cells = [[_fmt_cyclo(table.n, v) for v in row] for row in table.vals]
 
     # legend block, then the value grid with one column per class
     widths = [max(len(h), max(len(r[c]) for r in rows)) for c, h in enumerate(head)]
@@ -31,7 +30,7 @@ def print_table(G, table):
     print()
     col = max(max(len(v) for row in cells for v in row), 4)
     print("        " + " ".join(f"{f'C{j}':>{col}}" for j in range(cc.k)))
-    for i in range(table.k):
+    for i in range(len(table)):
         print(f"chi_{i:<3} " + " ".join(f"{v:>{col}}" for v in cells[i]))
     print()
 
@@ -51,8 +50,8 @@ def main():
     print_table(S, tabS)
 
     for label, tab in (("GL2", tabG), ("SL2", tabS)):
-        chartab.verify_orthogonality_exact(tab, columns=True)
-        total = sum(int(d) ** 2 for d in tab.degrees)
+        chartab.verify_orthogonality_exact(tab)
+        total = sum(d**2 for d in tab.degree.tolist())
         print(f"{label}: rows and columns exactly orthogonal; "
               f"sum of squared degrees = {total} = group order")
     print()
@@ -60,15 +59,16 @@ def main():
     # the regular character decomposes as sum d_i * chi_i
     reg = chartab.regular_character(tabS.classes)
     mults = chartab.decompose(reg, tabS)
-    assert (mults == tabS.degrees).all()
+    assert (mults == tabS.degree).all()
     print(f"regular character of SL2 = {_sum_text(mults)}")
     print()
 
     # every GL2 irreducible at once: one restriction, one decomposition
     print("restriction of each GL2 irreducible to SL2:")
-    for i, row in enumerate(chartab.decompose(chartab.restrict(tabG.chars, S), tabS)):
-        dims = "+".join(str(int(tabS.degrees[j])) for j in row.nonzero()[0] for _ in range(row[j]))
-        print(f"  chi_{i:<3} (dim {int(tabG.degrees[i])})  ->  {_sum_text(row):<24} dims {dims}")
+    degG, degS = tabG.degree, tabS.degree
+    for i, row in enumerate(chartab.decompose(chartab.restrict(tabG, S), tabS)):
+        dims = "+".join(str(degS[j]) for j in row.nonzero()[0] for _ in range(row[j]))
+        print(f"  chi_{i:<3} (dim {degG[i]})  ->  {_sum_text(row):<24} dims {dims}")
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ exponent.  Levels beyond the element budget are reported closed-form only.
 
 import argparse
 
-from branchlab import chartab, clifford, grp, ring
+from branchlab import clifford, grp, ring
 
 
 def atlas_row(kind, r, budget):
@@ -20,12 +20,12 @@ def atlas_row(kind, r, budget):
         return
     G = grp.build_gl2(spec, budget=budget)
     L = clifford._layers(G)
-    ccG = chartab.conjugacy_classes_cached(G)
-    ccS = chartab.conjugacy_classes_cached(L.sl)
+    ccG = grp.conjugacy_classes(G)
+    ccS = grp.conjugacy_classes(L.sl)
     assert G.n == gl_cf and L.sl.n == sl_cf
     layers = [grp.congruence_subgroup(G, i).n for i in range(1, r)]
     print(f"{kind:>5} r={r}: |GL2| = {G.n:<7,} classes {ccG.k:<4} "
-          f"|SL2| = {L.sl.n:<6,} classes {ccS.k:<4} exponent {G.exponent:<4} "
+          f"|SL2| = {L.sl.n:<6,} classes {ccS.k:<4} exponent {ccG.exponent:<4} "
           f"congruence layers {layers}")
 
 

@@ -7,7 +7,8 @@ Modules, bottom to top:
 - mat: 2x2 matrices over those rings; cyclicity and companion forms.
 - cyclo: exact cyclotomic integers in the power basis (values of characters).
 - grp: enumerated GL2/SL2 tables, subgroups, conjugacy classes.
-- chartab: exact character tables (eigenspace splitting over a finite field),
+- chartab: exact class functions and character tables (eigenspace splitting
+  over a finite field; a table is one ClassFunction stack),
   induction/restriction/decomposition.
 - clifford: the orbit characters psi_A, their stabilizers, extension theory,
   and the Mackey decomposition of restricted induced characters.
@@ -17,7 +18,6 @@ Modules, bottom to top:
 
 from . import chartab, clifford, cyclo, grp, mat, predict, ring, verify
 from .chartab import (
-    CharacterTable,
     ClassFunction,
     character_table_cached,
     decompose,
@@ -47,7 +47,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BranchReport",
     "BudgetError",
-    "CharacterTable",
     "ClassFunction",
     "GroupTable",
     "H_group",

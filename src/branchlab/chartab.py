@@ -23,9 +23,12 @@ sum stays below |G| p however many columns a batch holds.
 
 A class function is an integer coefficient row per conjugacy class in the
 canonical power basis of Q(zeta_n) (cyclo), and a ClassFunction holds a
-whole stack of them, vals[..., k, phi(n)]: a character table is one stack,
-so equality, inner products, induction, restriction and decomposition are
-each one exact integer array operation over every member.  In decompose a
+whole stack of them, vals[..., k, phi(n)].  A character table is that
+stack and nothing more: dixon_table returns the irreducibles as one
+ClassFunction over Q(zeta_e), e the group exponent, rows in a canonical
+order (by degree, then by coefficients).  Equality, inner products,
+induction, restriction and decomposition are each one exact integer array
+operation over every member.  In decompose a
 float Gram row only proposes the multiplicities: the rows of a character
 table are linearly independent, so the exact reconstruction
 sum m_i chi_i == f fixes every m_i, and one exact inner product per
@@ -42,7 +45,7 @@ import numpy as np
 import sympy
 
 from . import cyclo, mat
-from .grp import ConjClasses, GroupTable
+from .grp import ConjClasses, GroupTable, conjugacy_classes
 
 # ------------------------------------------------------------- mod-p linalgebra
 
@@ -193,14 +196,17 @@ def _poly_roots_mod(coeffs: np.ndarray, p: int) -> np.ndarray:
 # ------------------------------------------------------------- class functions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassFunction:
     """Exact class function, or a stack of them, on one class partition.
 
     vals[..., j, :] is the power-basis vector of the value on class j; the
     leading axes index the members of a stack, and every operation acts on
     all members at once.  len, indexing and iteration run over the leading
-    axis.
+    axis.  == is exact equality of the whole stack after embedding both
+    sides in a common root order; class functions on different partitions
+    cannot be compared (ValueError).  The values are arrays, so a class
+    function is unhashable.
     """
 
     classes: ConjClasses
@@ -221,6 +227,19 @@ class ClassFunction:
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ClassFunction):
+            return NotImplemented
+        f, g = _align(self, other)
+        return np.array_equal(f.vals, g.vals)
+
+    __hash__ = None
+
+    @property
+    def k(self) -> int:
+        """Number of classes."""
+        return self.vals.shape[-2]
 
     @property
     def degree(self) -> "int | np.ndarray":
@@ -248,13 +267,14 @@ class ClassFunction:
     def scale(self, m: int) -> "ClassFunction":
         return ClassFunction(self.classes, self.n, m * self.vals)
 
-    def same(self, other) -> bool:
-        f, g = _align(self, other)
-        return np.array_equal(f.vals, g.vals)
-
     def float_values(self) -> np.ndarray:
         zs = np.exp(2j * np.pi * np.arange(self.vals.shape[-1]) / self.n)
         return np.einsum("...ja,a->...j", self.vals, zs)
+
+    @cached_property
+    def gram_weights(self) -> np.ndarray:
+        """[..., k] complex conj(f(c_j)) |c_j| / |G|, so <g, f> ~ gram_weights . g."""
+        return np.conj(self.float_values()) * (self.classes.sizes / self.classes.table.n)
 
     def __repr__(self):
         stack = f"stack {self.vals.shape[:-2]} of " if self.vals.ndim > 2 else ""
@@ -307,51 +327,6 @@ def inner(f: ClassFunction, g: ClassFunction) -> "int | np.ndarray":
 
 
 # ------------------------------------------------------------- character tables
-
-
-@dataclass(frozen=True)
-class CharacterTable:
-    classes: ConjClasses
-    n: int  # root order = group exponent
-    tensor: np.ndarray  # [num_irr, k, euler_phi(n)] canonical int64
-    degrees: np.ndarray
-
-    @property
-    def k(self) -> int:
-        return len(self.degrees)
-
-    @cached_property
-    def chars(self) -> ClassFunction:
-        """Every irreducible as one stack, row order as in tensor."""
-        return ClassFunction(self.classes, self.n, self.tensor)
-
-    def char(self, i: int) -> ClassFunction:
-        return self.chars[i]
-
-    @cached_property
-    def gram_weights(self) -> np.ndarray:
-        """[k_irr, k_class] complex conj(chi_i(c_j)) |c_j| / |G|, so <f, chi_i> ~ row i . f."""
-        zs = np.exp(-2j * np.pi * np.arange(self.tensor.shape[2]) / self.n)
-        return np.einsum("ija,a,j->ij", self.tensor, zs, self.classes.sizes / self.classes.table.n)
-
-    def __iter__(self):
-        return iter(self.chars)
-
-    def __repr__(self):
-        degs = sorted(set(map(int, self.degrees)))
-        return f"<character table of {self.classes.table.name}: {self.k} irreducibles, degrees {degs}>"
-
-
-def _power_class_matrix(cc: ConjClasses, n_max: int) -> np.ndarray:
-    """P[s, j] = class index of rep_j^s for s in [0, n_max]."""
-    G = cc.table
-    P = np.empty((n_max + 1, cc.k), dtype=np.int64)
-    cur = np.full(cc.k, G.identity, dtype=np.int64)
-    for s in range(n_max + 1):
-        P[s] = cc.class_id[cur]
-        if s < n_max:
-            cur = G.mul(cur, cc.reps)
-    return P
 
 
 # element-column products per batch of _class_matrix_combos; bounds its working set
@@ -474,10 +449,10 @@ def _check_headroom(name: str, order: int, k: int, p: int):
         raise ValueError(f"{name}: k * p^2 >= 2^63, so int64 mod-p sums would overflow (k={k}, p={p})")
 
 
-def dixon_table(G: GroupTable, seed: int = 0, classes: ConjClasses | None = None) -> CharacterTable:
-    """Full exact character table of an enumerated group."""
-    cc = classes if classes is not None else conjugacy_classes_cached(G)
-    e = G.exponent
+def dixon_table(G: GroupTable, seed: int = 0) -> ClassFunction:
+    """Every irreducible character of an enumerated group, as one stack [k, k, phi(e)]."""
+    cc = conjugacy_classes(G)
+    e = cc.exponent
     p = dixon_prime(G.n, e)
     _check_headroom(G.name, G.n, cc.k, p)
     omega = _central_characters(G, cc, p, seed)
@@ -486,9 +461,7 @@ def dixon_table(G: GroupTable, seed: int = 0, classes: ConjClasses | None = None
     chi_p = (degs[:, None] * omega % p) * inv_sizes[None, :] % p
 
     z = pow(sympy.primitive_root(p), (p - 1) // e, p)
-    orders = G.element_orders[cc.reps]
-    n_max = int(orders.max())
-    P = _power_class_matrix(cc, n_max)
+    orders, P = cc.orders, cc.power_classes
     red = cyclo.reduction_matrix(e)
     phi_e = red.shape[1]
     tensor = np.zeros((cc.k, cc.k, phi_e), dtype=np.int64)
@@ -511,36 +484,24 @@ def dixon_table(G: GroupTable, seed: int = 0, classes: ConjClasses | None = None
         tensor[:, j, :] = am @ red[(np.arange(nj) * (e // nj)) % e]
     # canonical row order: by degree, then lexicographically by coefficients
     idx = sorted(range(cc.k), key=lambda i: (int(degs[i]), tensor[i].tobytes()))
-    table = CharacterTable(cc, e, tensor[idx], degs[idx])
-    _verify_identity_column(table)
-    return table
+    tensor, degs = tensor[idx], degs[idx]
+    bad = np.any(tensor[:, int(cc.class_id[G.identity])] != degs[:, None] * red[0], axis=1)
+    if np.any(bad):
+        raise AssertionError(f"identity-class value disagrees with the degree of irreducible {np.argmax(bad)}")
+    return ClassFunction(cc, e, tensor)
 
 
-def conjugacy_classes_cached(G: GroupTable) -> ConjClasses:
-    if "classes" not in G.cache:
-        G.cache["classes"] = ConjClasses(G)
-    return G.cache["classes"]
-
-
-def character_table_cached(G: GroupTable, seed: int = 0) -> CharacterTable:
+def character_table_cached(G: GroupTable, seed: int = 0) -> ClassFunction:
     key = ("chartab", seed)
     if key not in G.cache:
         G.cache[key] = dixon_table(G, seed=seed)
     return G.cache[key]
 
 
-def _verify_identity_column(table: CharacterTable):
-    j0 = int(table.classes.class_id[table.classes.table.identity])
-    e0 = cyclo.reduction_matrix(table.n)[0]
-    bad = np.any(table.tensor[:, j0] != table.degrees[:, None] * e0, axis=1)
-    if np.any(bad):
-        raise AssertionError(f"identity-class value disagrees with the degree of irreducible {np.argmax(bad)}")
-
-
 # ------------------------------------------------------------- orthogonality
 
 
-def orthogonality_certificate(table: CharacterTable) -> dict:
+def orthogonality_certificate(table: ClassFunction) -> dict:
     """Exact proof that the table rows are orthonormal.
 
     The Gram entries G_ij = sum_c |c| chi_i(c) conj(chi_j(c)) - |G| delta_ij
@@ -552,11 +513,11 @@ def orthogonality_certificate(table: CharacterTable) -> dict:
     """
     cc = table.classes
     n = table.n
-    phi_n = table.tensor.shape[2]
+    phi_n = table.vals.shape[2]
     order = cc.table.n
     # coefficient bound: |sum_c |c| v w S| <= sum_c |c| * max|v| * max|w| * phi * max|S|
     S = cyclo.product_tensor(n)
-    vmax = int(np.abs(table.tensor).max())
+    vmax = int(np.abs(table.vals).max())
     C = int(cc.sizes.sum()) * vmax * vmax * phi_n * int(np.abs(S).max()) + order
     primes = []
     p = n + 1
@@ -568,16 +529,16 @@ def orthogonality_certificate(table: CharacterTable) -> dict:
         prod *= p
         p += n
     prim_exps = [m for m in range(1, n + 1) if np.gcd(m, n) == 1]
-    conj_tensor = table.tensor @ cyclo.conj_matrix(n)
+    conj_tensor = table.vals @ cyclo.conj_matrix(n)
     w = cc.sizes.astype(np.int64)
-    row_target = order * np.eye(table.k, dtype=np.int64)
+    row_target = order * np.eye(len(table), dtype=np.int64)
     col_target = np.diag(order // cc.sizes)
     for p in primes:
         z = pow(sympy.primitive_root(p), (p - 1) // n, p)
         for m in prim_exps:
             zm = pow(int(z), m, p)
             pw = np.array([pow(zm, t, p) for t in range(phi_n)], dtype=np.int64)
-            Tz = (table.tensor @ pw) % p  # [k_irr, k_class]
+            Tz = (table.vals @ pw) % p  # [k_irr, k_class]
             Tzc = (conj_tensor @ pw) % p
             gram = (Tz * w[None, :]) @ Tzc.T % p
             if np.any((gram - row_target) % p):
@@ -588,20 +549,18 @@ def orthogonality_certificate(table: CharacterTable) -> dict:
     return {"primes": primes, "bound": C, "primitive_roots_checked": len(prim_exps), "ok": True}
 
 
-def verify_orthogonality_exact(table: CharacterTable, columns: bool = True):
-    """Direct exact pairwise inner products; quadratic in k, for small tables."""
-    got, want = inner(table.chars[:, None], table.chars[None]), np.eye(table.k, dtype=np.int64)
+def verify_orthogonality_exact(table: ClassFunction):
+    """Direct exact pairwise inner products, rows and columns; quadratic in k, for small tables."""
+    got, want = inner(table[:, None], table[None]), np.eye(len(table), dtype=np.int64)
     if not np.array_equal(got, want):
         i, j = np.argwhere(got != want)[0]
         raise AssertionError(f"<chi_{i}, chi_{j}> = {got[i, j]}")
-    if not columns:
-        return
     cc = table.classes
     S = cyclo.product_tensor(table.n)
-    Tc = table.tensor @ cyclo.conj_matrix(table.n)
+    Tc = table.vals @ cyclo.conj_matrix(table.n)
     e0 = cyclo.reduction_matrix(table.n)[0]
     order = cc.table.n
-    gram = np.einsum("ica,idb,abt->cdt", table.tensor, Tc, S, optimize=True)
+    gram = np.einsum("ica,idb,abt->cdt", table.vals, Tc, S, optimize=True)
     target = np.einsum("cd,t->cdt", np.diag(order // cc.sizes), e0)
     if not np.array_equal(gram, target):
         raise AssertionError("column orthogonality fails")
@@ -617,7 +576,7 @@ def _fusion(H: GroupTable, G: GroupTable, ccH: ConjClasses, ccG: ConjClasses) ->
 def restrict(f: ClassFunction, H: GroupTable) -> ClassFunction:
     """Restriction from f's group to a subgroup H cut from the same root; one gather."""
     G = f.classes.table
-    ccH = conjugacy_classes_cached(H)
+    ccH = conjugacy_classes(H)
     fus = _fusion(H, G, ccH, f.classes)
     return ClassFunction(ccH, f.n, np.take(f.vals, fus, axis=-2))
 
@@ -625,7 +584,7 @@ def restrict(f: ClassFunction, H: GroupTable) -> ClassFunction:
 def induce(f: ClassFunction, G: GroupTable) -> ClassFunction:
     """Induced class function(s), exactly; dim scales by the index."""
     H = f.classes.table
-    ccG = conjugacy_classes_cached(G)
+    ccG = conjugacy_classes(G)
     fus = _fusion(H, G, f.classes, ccG)
     acc = np.zeros(f.vals.shape[:-2] + (ccG.k, f.vals.shape[-1]), dtype=np.int64)
     np.add.at(acc, (Ellipsis, fus, slice(None)), f.classes.sizes[:, None] * f.vals)
@@ -636,17 +595,17 @@ def induce(f: ClassFunction, G: GroupTable) -> ClassFunction:
     return ClassFunction(ccG, f.n, num // den)
 
 
-def decompose(f: ClassFunction, table: CharacterTable) -> np.ndarray:
-    """Multiplicities m[..., i] of every irreducible in f, int64, one row per member.
+def decompose(f: ClassFunction, irr: ClassFunction) -> np.ndarray:
+    """Multiplicities m[..., i] of every irreducible irr[i] in f, int64, one row per member.
 
     A float Gram row proposes every m_i; the exact reconstruction sum m_i chi_i
     == f fixes them (the rows are linearly independent), and one exact
     inner(f, chi_i) per nonzero (member, irreducible) pair, all in one call,
     computes each a second way.
     """
-    if f.classes is not table.classes:
+    if f.classes is not irr.classes:
         raise ValueError("class function and table live on different partitions")
-    approx = np.einsum("ij,...j->...i", table.gram_weights, f.float_values())
+    approx = np.einsum("ij,...j->...i", irr.gram_weights, f.float_values())
     mults = np.rint(approx.real).astype(np.int64)
     err = np.abs(approx - mults).max(initial=0.0)
     if err > 0.25:
@@ -654,11 +613,11 @@ def decompose(f: ClassFunction, table: CharacterTable) -> np.ndarray:
     if np.any(mults < 0):
         at = np.unravel_index(np.argmin(mults), mults.shape)
         raise AssertionError(f"negative multiplicity {mults[at]} against irreducible {at[-1]}")
-    recon = ClassFunction(table.classes, table.n, np.einsum("...i,ija->...ja", mults, table.tensor))
-    if not recon.same(f):
+    recon = ClassFunction(irr.classes, irr.n, np.einsum("...i,ija->...ja", mults, irr.vals))
+    if recon != f:
         raise AssertionError("decomposition does not reconstruct the class function")
     nz = np.nonzero(mults)
-    exact = inner(ClassFunction(f.classes, f.n, f.vals[nz[:-1]]), table.chars[nz[-1]])
+    exact = inner(f[nz[:-1]], irr[nz[-1]])
     bad = np.flatnonzero(exact != mults[nz])
     if len(bad):
         i, m = nz[-1][bad[0]], mults[nz][bad[0]]

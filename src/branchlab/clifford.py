@@ -156,13 +156,13 @@ class PsiA:
     @cached_property
     def psi_M(self) -> ClassFunction:
         """psi_A as an exact class function on M^ell (classes are singletons)."""
-        cc = chartab.conjugacy_classes_cached(self.layers.Ml)
+        cc = grp.conjugacy_classes(self.layers.Ml)
         return chartab.class_function_from_exponents(cc, self.n, self.exps_M[cc.reps])
 
     @cached_property
     def psi_K(self) -> ClassFunction:
         """psi_[A], the restriction to K^ell."""
-        cc = chartab.conjugacy_classes_cached(self.layers.Kl)
+        cc = grp.conjugacy_classes(self.layers.Kl)
         return chartab.class_function_from_exponents(cc, self.n, self.exps_K[cc.reps])
 
     @cached_property
@@ -194,7 +194,7 @@ class PsiA:
                     f"conjugated inertia group differs from the stabilizer of psi_{{A_d}} ({_where(self, d)})"
                 )
             c_sl_d = grp.subgroup(sl, mask[sl_in_gl], name="C_SL2(psi_A_d)")
-            cc_d = chartab.conjugacy_classes_cached(c_sl_d)
+            cc_d = grp.conjugacy_classes(c_sl_d)
             iperm = gl.conj_perm(int(gl.inv[td]))
             back_C = C.pos_of_codes(mat._vpack(L.spec, gl.entries(iperm[c_sl_d.pos_in(gl)[cc_d.reps]])))
             if np.any(back_C < 0):
@@ -605,7 +605,7 @@ def extends_to(psi: ClassFunction, H: GroupTable) -> tuple[bool, ClassFunction |
     ext = _extend_all(Hq, base, limit=1)[0]
     if not _roots_agree(ext[Hq.lab[kpos]], E, exps_K, N):
         raise AssertionError("constructed extension does not restrict to psi")
-    ccH = chartab.conjugacy_classes_cached(H)
+    ccH = grp.conjugacy_classes(H)
     return True, chartab.class_function_from_exponents(ccH, E, ext[Hq.lab[ccH.reps]])
 
 
@@ -617,7 +617,7 @@ def all_linear_characters(H: GroupTable) -> ClassFunction:
     exts = np.array(_extend_all(Hq, base))
     if len(exts) != Hq.size:
         raise AssertionError(f"found {len(exts)} linear characters, expected {Hq.size}")
-    ccH = chartab.conjugacy_classes_cached(H)
+    ccH = grp.conjugacy_classes(H)
     return chartab.class_function_from_exponents(ccH, Hq.exponent, exts[:, Hq.lab[ccH.reps]])
 
 
@@ -652,13 +652,13 @@ def phi_set(psiA: PsiA, budget: int = grp.DEFAULT_BUDGET) -> ClassFunction:
             )
         if not _roots_agree(exts[:, Hq.lab[ml_in_C]], Hq.exponent, psiA.exps_M, psiA.n):
             raise AssertionError(f"extension does not restrict to psi_A ({_where(psiA)})")
-        ccC = chartab.conjugacy_classes_cached(C)
+        ccC = grp.conjugacy_classes(C)
         return chartab.class_function_from_exponents(ccC, Hq.exponent, exts[:, Hq.lab[ccC.reps]])
     # odd r: the psi_A fiber of the full table, <Ind psi_A, phi> = <Res phi, psi_A>
     table = chartab.character_table_cached(C)
     mults = chartab.decompose(chartab.induce(psiA.psi_M, C), table)
     idx = np.flatnonzero(mults)
-    out = table.chars[idx]
+    out = table[idx]
     if np.any(out.degree != q) or np.any(mults[idx] != q):
         raise AssertionError(
             f"odd-level fiber degrees {out.degree.tolist()}, pairings {mults[idx].tolist()}; "
@@ -706,7 +706,7 @@ def mackey_restriction(psiA: PsiA, phi: ClassFunction) -> list[tuple[RingElem, C
     total = out[0][1]
     for _, cf in out[1:]:
         total = total + cf
-    if not total.same(lhs):
+    if total != lhs:
         raise AssertionError(f"Mackey sum does not equal the direct restriction ({_where(psiA)})")
     degs = np.array([cf.degree for _, cf in out])
     if np.any(degs != degs[0]):

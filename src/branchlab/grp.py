@@ -136,26 +136,6 @@ class GroupTable:
             known = _closure_mask(self, gens, known)
         return gens
 
-    # -------------------------------------------------------------- orders
-
-    @cached_property
-    def element_orders(self):
-        out = np.zeros(self.n, dtype=np.int64)
-        out[self.identity] = 1
-        cur = np.arange(self.n, dtype=np.int64)
-        base = np.arange(self.n, dtype=np.int64)
-        k = 1
-        while np.any(out == 0):
-            alive = out == 0
-            cur[alive] = self.mul(cur[alive], base[alive])
-            k += 1
-            out[alive & (cur == self.identity)] = k
-        return out
-
-    @cached_property
-    def exponent(self):
-        return lcm(*(int(o) for o in np.unique(self.element_orders)))
-
     # -------------------------------------------------------------- permutations
 
     def right_mul_perm(self, g: int):
@@ -377,12 +357,42 @@ class ConjClasses:
         """Class index of the inverses, per class."""
         return self.class_id[self.table.inv[self.reps]]
 
+    @cached_property
+    def power_classes(self) -> np.ndarray:
+        """P[s, j] = class of rep_j^s, for s from 0 to the largest element order.
+
+        One loop powers the k reps until each has returned to the identity;
+        orders and exponent are read off its rows.
+        """
+        G = self.table
+        cur = np.full(self.k, G.identity, dtype=np.int64)
+        back = np.zeros(self.k, dtype=bool)
+        rows = [self.class_id[cur]]
+        while not back.all():
+            cur = G.mul(cur, self.reps)
+            back |= cur == G.identity
+            rows.append(self.class_id[cur])
+        return np.array(rows)
+
+    @cached_property
+    def orders(self) -> np.ndarray:
+        """Element order of each class."""
+        j0 = self.class_id[self.table.identity]
+        return 1 + np.argmax(self.power_classes[1:] == j0, axis=0)
+
+    @cached_property
+    def exponent(self) -> int:
+        return lcm(*map(int, self.orders))
+
     def __repr__(self):
         return f"<{self.k} classes of {self.table.name}, sizes {sorted(set(map(int, self.sizes)))}>"
 
 
 def conjugacy_classes(G: GroupTable) -> ConjClasses:
-    return ConjClasses(G)
+    """The class partition of G, built once per table."""
+    if "classes" not in G.cache:
+        G.cache["classes"] = ConjClasses(G)
+    return G.cache["classes"]
 
 
 def coset_labels(G: GroupTable, H: GroupTable) -> np.ndarray:

@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import chartab, clifford, cyclo, grp, mat, predict, ring
-from .chartab import CharacterTable, ClassFunction
+from .chartab import ClassFunction
 from .grp import GroupTable
 from .mat import Mat2
 from .ring import RingSpec
@@ -37,7 +37,7 @@ KINDS = ("z2", "f2t", "f4t", "eis2")
 # ----------------------------------------------------- regular irreducibles
 
 
-def find_regular(G: GroupTable, table: CharacterTable | None = None):
+def find_regular(G: GroupTable, table: ClassFunction | None = None):
     """[(irreducible index, supporting A list)] over the regular irreducibles.
 
     The support of rho is {A over o_l' : <Res_{M^ell} rho, psi_A> != 0};
@@ -62,8 +62,7 @@ def find_regular(G: GroupTable, table: CharacterTable | None = None):
     # rho is constant on each GL2 class meeting M^ell, so psi_A is summed per
     # class first; plain einsum loops, as BLAS threads would cost CPU for no wall time
     cls, cls_m = np.unique(table.classes.class_id[Ml.pos_in(G)], return_inverse=True)
-    zs = np.exp(2j * np.pi * np.arange(table.tensor.shape[2]) / table.n)
-    V = np.einsum("ija,a->ij", table.tensor[:, cls], zs)  # [k, c] float values of rho
+    V = table.float_values()[:, cls]  # [k, c] float values of rho
     W = np.zeros((num_A, len(cls)), dtype=complex)  # [A, c] class sums of conjugated psi
     np.add.at(W, (slice(None), cls_m), np.exp(-2j * np.pi * T / n))
     coef = np.einsum("ic,ac->ia", V, W) / Ml.n
@@ -73,18 +72,18 @@ def find_regular(G: GroupTable, table: CharacterTable | None = None):
 
     entries = mat._vunpack(lp, np.arange(num_A, dtype=np.int64))
     cyc = mat.cyclic_mask(lp, entries)
-    ccM = chartab.conjugacy_classes_cached(Ml)
+    ccM = grp.conjugacy_classes(Ml)
     red_n = cyclo.reduction_matrix(n)
     exps_at_reps = T[:, ccM.reps] % n
 
-    res = chartab.restrict(table.chars, Ml)
+    res = chartab.restrict(table, Ml)
     forms: dict = {}  # A codes -> companion form, which validates an explicit conjugator
 
     out = []
-    for i in range(table.k):
+    for i in range(len(table)):
         supp = np.flatnonzero(mult[i] > 0)
         vals = np.einsum("s,sja->ja", mult[i, supp], red_n[exps_at_reps[supp]])
-        if not ClassFunction(ccM, n, vals).same(res[i]):
+        if ClassFunction(ccM, n, vals) != res[i]:
             raise AssertionError(f"support reconstruction failed for irreducible {i}")
         if not np.all(cyc[supp]):
             continue  # not regular
@@ -238,9 +237,10 @@ def verify_branching(
 
     t = time.perf_counter()
     reg_ids = [i for i, _ in regs]
-    decomps = dict(zip(reg_ids, chartab.decompose(chartab.restrict(gl_tab.chars[reg_ids], sl), sl_tab)))
+    decomps = dict(zip(reg_ids, chartab.decompose(chartab.restrict(gl_tab[reg_ids], sl), sl_tab)))
     timing["decompose"] = time.perf_counter() - t
 
+    gl_deg, sl_deg = gl_tab.degree, sl_tab.degree
     forms: dict = {}  # supp[0] codes -> companion form: a regular's support is one full orbit
     by_orbit: dict = {}  # triple -> (companion form, regular irreducibles)
     for i, supp in regs:
@@ -272,7 +272,7 @@ def verify_branching(
             if len(phis) != len(members):
                 raise AssertionError(f"{len(phis)} fiber members vs {len(members)} regular irreducibles ({where})")
             # one induce of the fiber; each regular must equal exactly one induced row
-            rhos, inds = chartab._align(gl_tab.chars[members], chartab.induce(phis, gl))
+            rhos, inds = chartab._align(gl_tab[members], chartab.induce(phis, gl))
             rows: dict = {}
             for k, v in enumerate(inds.vals):
                 rows.setdefault(v.tobytes(), []).append(k)
@@ -296,9 +296,9 @@ def verify_branching(
 
         orbit_max_delta = 0
         for i in members:
-            dim = int(gl_tab.degrees[i])
+            dim = int(gl_deg[i])
             js = np.flatnonzero(decomps[i])
-            dims = [int(sl_tab.degrees[j]) for j in js]
+            dims = sl_deg[js].tolist()
             mults = decomps[i][js].tolist()
             delta = len(js)
             orbit_max_delta = max(orbit_max_delta, delta)
@@ -354,7 +354,7 @@ def verify_branching(
                 raise AssertionError(f"ring-level centralizer sizes disagree with the stabilizer scan ({where})")
             # the SL2 irreducibles over psi_[A] are the constituents of Ind_{K^l}^{SL2} psi_[A]
             fiber = chartab.decompose(chartab.induce(psiA.psi_K, sl), sl_tab)
-            fiber_dims = [int(sl_tab.degrees[j]) for j in np.flatnonzero(fiber)]
+            fiber_dims = sl_deg[np.flatnonzero(fiber)].tolist()
             ok_bound = all(Fraction(d) >= bound for d in fiber_dims)
             min_dim_checks.append(
                 {
@@ -405,7 +405,7 @@ def verify_branching(
         r=spec.r,
         gl_order=gl.n,
         sl_order=sl.n,
-        num_irreducibles=gl_tab.k,
+        num_irreducibles=len(gl_tab),
         records=records,
         summary=summary,
         timing={k: round(v, 6) for k, v in timing.items()},
@@ -463,8 +463,9 @@ def report_csv(report: BranchReport) -> str:
     return buf.getvalue()
 
 
-def chartab_json(G: GroupTable, table: CharacterTable) -> dict:
+def chartab_json(G: GroupTable, table: ClassFunction) -> dict:
     cc = table.classes
+    degrees = table.degree.tolist()
     return {
         "group": G.name,
         "kind": G.spec.short_name,
@@ -472,33 +473,29 @@ def chartab_json(G: GroupTable, table: CharacterTable) -> dict:
         "order": G.n,
         "num_classes": cc.k,
         "root_order": table.n,
-        "degrees": [int(d) for d in table.degrees],
+        "degrees": degrees,
         "classes": [
             {
                 "rep": mat.encode_mat(G.matrix(int(cc.reps[j]))),
                 "size": int(cc.sizes[j]),
-                "element_order": int(G.element_orders[int(cc.reps[j])]),
+                "element_order": int(cc.orders[j]),
             }
             for j in range(cc.k)
         ],
         "irreducibles": [
-            {
-                "degree": int(table.degrees[i]),
-                "values": [_fmt_cyclo(table.n, v) for v in table.tensor[i]],
-            }
-            for i in range(table.k)
+            {"degree": d, "values": [_fmt_cyclo(table.n, v) for v in row]} for d, row in zip(degrees, table.vals)
         ],
     }
 
 
-def chartab_csv(G: GroupTable, table: CharacterTable) -> str:
+def chartab_csv(G: GroupTable, table: ClassFunction) -> str:
     cc = table.classes
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["irr", "degree"] + [mat.encode_mat(G.matrix(int(p))) for p in cc.reps])
     w.writerow(["class_size", ""] + [int(s) for s in cc.sizes])
-    for i in range(table.k):
-        w.writerow([f"chi_{i}", int(table.degrees[i])] + [_fmt_cyclo(table.n, v) for v in table.tensor[i]])
+    for i, (d, row) in enumerate(zip(table.degree.tolist(), table.vals)):
+        w.writerow([f"chi_{i}", d] + [_fmt_cyclo(table.n, v) for v in row])
     return buf.getvalue()
 
 
@@ -507,7 +504,6 @@ def chartab_csv(G: GroupTable, table: CharacterTable) -> str:
 
 def _add_common(p: argparse.ArgumentParser, need_ring=True):
     p.add_argument("--kind", choices=KINDS, required=need_ring, help="ring family")
-    p.add_argument("--q", type=int, default=None, help="residue field size (fixed by the alias)")
     p.add_argument("--r", type=int, required=need_ring, help="quotient level")
     p.add_argument("--budget", type=int, default=None, help="max group order to enumerate")
     p.add_argument("--seed", type=int, default=0, help="seed for the character-table splitting order")
@@ -525,7 +521,7 @@ def _budget_of(args) -> int:
 
 
 def _ring_of(args) -> RingSpec:
-    return ring.make_ring(args.kind, q=args.q, r=args.r)
+    return ring.make_ring(args.kind, r=args.r)
 
 
 def _emit(args, text: str):

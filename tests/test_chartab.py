@@ -15,7 +15,7 @@ from branchlab import chartab, clifford, cyclo, grp, mat, ring, verify
 
 
 def burnside_float(G):
-    cc = chartab.conjugacy_classes_cached(G)
+    cc = grp.conjugacy_classes(G)
     k = cc.k
     M = np.zeros((k, k, k))  # M[i][:, col]: class-multiplication coefficients
     for col in range(k):
@@ -163,8 +163,8 @@ def _combo_group(groups, kind, r, group):
 
 def _combo_case(groups, kind, r, group):
     G = _combo_group(groups, kind, r, group)
-    cc = chartab.conjugacy_classes_cached(G)
-    p = chartab.dixon_prime(G.n, G.exponent)
+    cc = grp.conjugacy_classes(G)
+    p = chartab.dixon_prime(G.n, cc.exponent)
     thetas = np.random.default_rng(5).integers(1, p, size=(3, cc.k), dtype=np.int64)
     want = [_class_matrix_combo_reference(G, cc, theta, p) for theta in thetas]
     return G, cc, p, thetas, want
@@ -230,8 +230,8 @@ def _count_passes(monkeypatch, G, seed, repeat_row0=False):
 
     with monkeypatch.context() as m:
         m.setattr(chartab, "_class_matrix_combos", logged)
-        cc = chartab.conjugacy_classes_cached(G)
-        chartab._central_characters(G, cc, chartab.dixon_prime(G.n, G.exponent), seed)
+        cc = grp.conjugacy_classes(G)
+        chartab._central_characters(G, cc, chartab.dixon_prime(G.n, cc.exponent), seed)
     assert rounds == [t % 3 for t in range(len(rounds))]
     return len(passes), len(rounds)
 
@@ -266,13 +266,40 @@ def test_splitting_that_never_progresses_stops_at_24_rounds(groups, monkeypatch)
         chartab.dixon_table(G, seed=0)
 
 
+def test_dixon_degree_checks_raise(groups, monkeypatch):
+    G = groups("z2", 2)  # GL2(Z/4): degrees 1 to 6
+    real_central, real_degrees = chartab._central_characters, chartab._degrees_mod
+
+    def swapped(cc, omega, p):  # the degrees of a linear and the 6-dimensional irreducible trade places
+        degs = real_degrees(cc, omega, p)
+        i, j = np.argmin(degs), np.argmax(degs)
+        degs[[i, j]] = degs[[j, i]]
+        return degs
+
+    with monkeypatch.context() as m:
+        m.setattr(chartab, "_degrees_mod", swapped)
+        with pytest.raises(AssertionError, match="eigenvalue multiplicities exceed the degree"):
+            chartab.dixon_table(G)
+
+    def duplicated(G, cc, p, seed):  # a linear central character is replaced by the 6-dimensional one
+        omega = real_central(G, cc, p, seed)
+        degs = real_degrees(cc, omega, p)
+        omega[np.argmin(degs)] = omega[np.argmax(degs)]
+        return omega
+
+    with monkeypatch.context() as m:
+        m.setattr(chartab, "_central_characters", duplicated)
+        with pytest.raises(AssertionError, match="sum-of-squares"):
+            chartab.dixon_table(G)
+
+
 # ------------------------------------------------------------- known tables
 
 
 def test_s3_table_exact(groups):
     G = groups("z2", 1)  # GL2(F2) = S3
     T = chartab.character_table_cached(G)
-    assert sorted(map(int, T.degrees)) == [1, 1, 2]
+    assert sorted(map(int, T.degree)) == [1, 1, 2]
     chartab.verify_orthogonality_exact(T)
     assert chartab.orthogonality_certificate(T)["ok"]
     cc = T.classes
@@ -286,7 +313,7 @@ def test_s3_table_exact(groups):
 def test_abelian_congruence_subgroup_is_all_linear(groups):
     M1 = grp.congruence_subgroup(groups("z2", 2), 1)
     T = chartab.character_table_cached(M1)
-    assert T.k == 16 and all(int(d) == 1 for d in T.degrees)
+    assert len(T) == 16 and all(int(d) == 1 for d in T.degree)
     chartab.verify_orthogonality_exact(T)
 
 
@@ -306,8 +333,8 @@ def test_degree_profiles(kind, r, group, groups):
     if group == "sl":
         G = grp.sl2_subgroup(G)
     T = chartab.character_table_cached(G)
-    assert sorted(map(int, T.degrees)) == DEGREE_PROFILES[(kind, r, group)]
-    assert int(np.sum(T.degrees.astype(object) ** 2)) == G.n
+    assert sorted(map(int, T.degree)) == DEGREE_PROFILES[(kind, r, group)]
+    assert int(np.sum(T.degree.astype(object) ** 2)) == G.n
     chartab.verify_orthogonality_exact(T)
 
 
@@ -321,16 +348,16 @@ def test_dixon_is_seed_independent(groups):
     G = grp.sl2_subgroup(groups("f2t", 2))
     T0 = chartab.dixon_table(G, seed=0)
     T1 = chartab.dixon_table(G, seed=99)
-    assert np.array_equal(T0.tensor, T1.tensor)  # canonical row order
-    assert np.array_equal(T0.degrees, T1.degrees)
+    assert np.array_equal(T0.vals, T1.vals)  # canonical row order
+    assert np.array_equal(T0.degree, T1.degree)
 
 
 def test_dixon_is_seed_independent_through_reduced_hessenberg_forms(groups):
     G = groups("z2", 3)  # GL2(Z/8), k = 60
     T0 = chartab.dixon_table(G, seed=0)
     T1 = chartab.dixon_table(G, seed=99)
-    assert np.array_equal(T0.tensor, T1.tensor)
-    assert np.array_equal(T0.degrees, T1.degrees)
+    assert np.array_equal(T0.vals, T1.vals)
+    assert np.array_equal(T0.degree, T1.degree)
 
 
 # ------------------------------------------------------ class-function laws
@@ -339,22 +366,40 @@ def test_dixon_is_seed_independent_through_reduced_hessenberg_forms(groups):
 def test_class_function_ops(groups):
     G = groups("z2", 2)
     T = chartab.character_table_cached(G)
-    f, g = T.char(4), T.char(9)
+    f, g = T[4], T[9]
     z = f.float_values()
     w = g.float_values()
     assert np.allclose((f + g).float_values(), z + w)
     assert np.allclose((f - g).float_values(), z - w)
     assert np.allclose(f.scale(3).float_values(), 3 * z)
     assert np.allclose(f.conj().float_values(), np.conj(z))
-    assert f.degree == int(T.degrees[4])
-    assert f.same(f) and not f.same(g)
+    assert f.degree == int(T.degree[4])
+    assert f == f and f != g
     # value at the identity class = degree
     cc = T.classes
     cid = int(cc.class_id[G.identity])
     assert cyclo.to_integer(f.vals[cid]) == f.degree
     # with_order embeds into a larger root order without changing values
     f2 = f.with_order(2 * f.n)
-    assert f2.n == 2 * f.n and f2.same(f)
+    assert f2.n == 2 * f.n and f2 == f
+
+
+def test_class_function_equality(groups):
+    G = groups("z2", 2)
+    T = chartab.character_table_cached(G)
+    assert (T[0] == T[1]) is False and (T[0] == T[0]) is True
+    assert T[0] != T[1]
+    # a stack is equal only when every member is
+    assert T == T and T[[0, 1]] == T[[0, 1]]
+    assert T[[0, 1]] != T[[0, 2]] and T[[0, 1]] != T[[1, 0]]
+    # embeddings into a larger root order compare equal, single or stacked
+    assert T[3].with_order(2 * T.n) == T[3]
+    assert T == T.with_order(3 * T.n)
+    with pytest.raises(ValueError, match="different partitions"):
+        T[0] == chartab.character_table_cached(grp.sl2_subgroup(G))[0]
+    assert T[0] != "chi_0"
+    with pytest.raises(TypeError):
+        hash(T[0])
 
 
 def test_inner_products(groups):
@@ -362,20 +407,20 @@ def test_inner_products(groups):
     T = chartab.character_table_cached(G)
     triv = chartab.trivial_character(T.classes)
     assert chartab.inner(triv, triv) == 1
-    assert chartab.inner(T.char(5), T.char(5)) == 1
-    assert chartab.inner(T.char(5), T.char(6)) == 0
+    assert chartab.inner(T[5], T[5]) == 1
+    assert chartab.inner(T[5], T[6]) == 0
 
 
 def test_regular_character_decomposition(groups):
     T = chartab.character_table_cached(groups("z2", 2))
     reg = chartab.regular_character(T.classes)
     dec = chartab.decompose(reg, T)
-    assert dec.dtype == np.int64 and np.array_equal(dec, T.degrees)
+    assert dec.dtype == np.int64 and np.array_equal(dec, T.degree)
 
 
 def _decompose_by_inner(f, table):
     """Reference: one exact inner product against every row."""
-    return np.array([chartab.inner(f, table.char(i)) for i in range(table.k)])
+    return np.array([chartab.inner(f, table[i]) for i in range(len(table))])
 
 
 @pytest.mark.parametrize("kind,r", [("z2", 4), ("z2", 3), ("f2t", 3), ("eis2", 3)])
@@ -387,7 +432,7 @@ def test_decompose_matches_the_per_irreducible_loop(kind, r, groups):
     regs = verify.find_regular(G, TG)
     assert regs
     for i, _ in regs:
-        res = chartab.restrict(TG.char(i), S)
+        res = chartab.restrict(TG[i], S)
         assert np.array_equal(chartab.decompose(res, TS), _decompose_by_inner(res, TS))
 
 
@@ -410,7 +455,7 @@ def test_decompose_matches_the_per_irreducible_loop_on_mackey_summands(kind, gro
 
 def _fake_table(T, tensor, weights):
     """A table on T's classes with the given rows and decompose float weights."""
-    fake = chartab.CharacterTable(T.classes, T.n, tensor, T.degrees)
+    fake = chartab.ClassFunction(T.classes, T.n, tensor)
     fake.__dict__["gram_weights"] = weights
     return fake
 
@@ -418,17 +463,17 @@ def _fake_table(T, tensor, weights):
 def test_decompose_rounds_float_proposals_to_the_nearest_integer(groups):
     T = chartab.character_table_cached(groups("z2", 2))
     reg = chartab.regular_character(T.classes)
-    assert 0.03 * int(T.degrees.max()) < 0.25  # a 3% error stays inside the tolerance
+    assert 0.03 * int(T.degree.max()) < 0.25  # a 3% error stays inside the tolerance
     for scale in (0.97, 1.03):
-        assert np.array_equal(chartab.decompose(reg, _fake_table(T, T.tensor, scale * T.gram_weights)), T.degrees)
+        assert np.array_equal(chartab.decompose(reg, _fake_table(T, T.vals, scale * T.gram_weights)), T.degree)
     with pytest.raises(AssertionError, match="nearest integers"):
-        chartab.decompose(reg, _fake_table(T, T.tensor, 1.4 * T.gram_weights))
+        chartab.decompose(reg, _fake_table(T, T.vals, 1.4 * T.gram_weights))
 
 
 def test_decompose_rejects_what_is_not_a_character(groups):
     T = chartab.character_table_cached(groups("z2", 2))
     with pytest.raises(AssertionError, match="negative multiplicity"):
-        chartab.decompose(T.char(0) - T.char(1), T)
+        chartab.decompose(T[0] - T[1], T)
     # 1 at the identity and 0 elsewhere: every multiplicity is d_i / |G|
     delta = np.zeros((T.classes.k, 1), dtype=np.int64)
     delta[int(T.classes.class_id[T.classes.table.identity])] = 1
@@ -436,7 +481,7 @@ def test_decompose_rejects_what_is_not_a_character(groups):
         chartab.decompose(chartab.ClassFunction(T.classes, 1, delta), T)
     TS = chartab.character_table_cached(grp.sl2_subgroup(groups("z2", 2)))
     with pytest.raises(ValueError):
-        chartab.decompose(TS.char(0), T)
+        chartab.decompose(TS[0], T)
 
 
 def test_decompose_checks_each_constituent_exactly(groups):
@@ -444,19 +489,19 @@ def test_decompose_checks_each_constituent_exactly(groups):
     # float weights that propose the right coordinates the reconstruction
     # passes, and only the exact <f, chi_i> of the support sees the bad row
     T = chartab.character_table_cached(groups("z2", 2))
-    tensor = T.tensor.copy()
-    tensor[0] += T.tensor[1]
+    tensor = T.vals.copy()
+    tensor[0] += T.vals[1]
     W = T.gram_weights.copy()
     W[1] -= W[0]
     fake = _fake_table(T, tensor, W)
     with pytest.raises(AssertionError, match="exact"):
-        chartab.decompose(fake.char(0), fake)
+        chartab.decompose(fake[0], fake)
 
 
 def test_decompose_checks_every_member_of_a_stack(groups):
     T = chartab.character_table_cached(groups("z2", 2))
-    assert np.array_equal(chartab.decompose(T.chars[[0, 1]], T), np.eye(T.k, dtype=np.int64)[:2])
-    bad = chartab.ClassFunction(T.classes, T.n, np.stack([T.tensor[0], T.tensor[0] - T.tensor[1]]))
+    assert np.array_equal(chartab.decompose(T[[0, 1]], T), np.eye(len(T), dtype=np.int64)[:2])
+    bad = chartab.ClassFunction(T.classes, T.n, np.stack([T.vals[0], T.vals[0] - T.vals[1]]))
     with pytest.raises(AssertionError, match="negative multiplicity -1 against irreducible 1"):
         chartab.decompose(bad, T)
 
@@ -471,27 +516,27 @@ def test_frobenius_reciprocity(groups):
     TS = chartab.character_table_cached(S)
     for i in (0, 3, 9):
         for j in (0, 5, 13):
-            lhs = chartab.inner(chartab.induce(TS.char(i), G), TG.char(j))
-            rhs = chartab.inner(TS.char(i), chartab.restrict(TG.char(j), S))
+            lhs = chartab.inner(chartab.induce(TS[i], G), TG[j])
+            rhs = chartab.inner(TS[i], chartab.restrict(TG[j], S))
             assert lhs == rhs
 
 
 def test_induction_from_trivial_subgroup_is_regular(groups):
     G = groups("z2", 2)
     one = grp.subgroup(G, np.array([G.identity]), gens=[], name="1")
-    t = chartab.trivial_character(chartab.conjugacy_classes_cached(one))
+    t = chartab.trivial_character(grp.conjugacy_classes(one))
     ind = chartab.induce(t, G)
-    assert ind.same(chartab.regular_character(chartab.conjugacy_classes_cached(G)))
+    assert ind == chartab.regular_character(grp.conjugacy_classes(G))
 
 
 def test_induction_is_transitive(groups):
     G = groups("z2", 2)
     S = grp.sl2_subgroup(G)
     one = grp.subgroup(S, np.array([S.identity]), gens=[], name="1")
-    t = chartab.trivial_character(chartab.conjugacy_classes_cached(one))
+    t = chartab.trivial_character(grp.conjugacy_classes(one))
     via_s = chartab.induce(chartab.induce(t, S), G)
     direct = chartab.induce(t, G)
-    assert via_s.same(direct)
+    assert via_s == direct
 
 
 def test_restriction_dimension_bookkeeping(groups):
@@ -499,15 +544,15 @@ def test_restriction_dimension_bookkeeping(groups):
     S = grp.sl2_subgroup(G)
     TG = chartab.character_table_cached(G)
     TS = chartab.character_table_cached(S)
-    for i in range(TG.k):
-        res = chartab.restrict(TG.char(i), S)
+    for i in range(len(TG)):
+        res = chartab.restrict(TG[i], S)
         dec = chartab.decompose(res, TS)
-        assert int(dec @ TS.degrees) == int(TG.degrees[i])
+        assert int(dec @ TS.degree) == int(TG.degree[i])
 
 
 def test_induced_degree_scales_by_index(groups):
     G = groups("z2", 2)
     M1 = grp.congruence_subgroup(G, 1)
     TM = chartab.character_table_cached(M1)
-    ind = chartab.induce(TM.char(3), G)
-    assert ind.degree == TM.char(3).degree * (G.n // M1.n)
+    ind = chartab.induce(TM[3], G)
+    assert ind.degree == TM[3].degree * (G.n // M1.n)

@@ -356,7 +356,7 @@ def test_per_table_routes_match_per_orbit_recomputation(kind, r, groups):
 def test_extends_to_identity_case(groups):
     pa = _psi(groups("z2", 2), [[0, 0], [1, 0]])
     ok, ext = clifford.extends_to(pa.psi_K, pa.layers.Kl)
-    assert ok and ext.same(pa.psi_K)
+    assert ok and ext == pa.psi_K
 
 
 def test_extends_to_against_linear_character_search(groups):
@@ -370,7 +370,7 @@ def test_extends_to_against_linear_character_search(groups):
             continue  # brute comparison only makes sense when K^l sits inside H
 
         def restricts_to_psi(h):
-            return chartab.restrict(h, L.Kl).same(pa.psi_K)
+            return chartab.restrict(h, L.Kl) == pa.psi_K
 
         brute = any(restricts_to_psi(h) for h in clifford.all_linear_characters(H))
         ok, ext = clifford.extends_to(pa.psi_K, H)
@@ -420,7 +420,7 @@ def test_phi_set_even_level(groups):
         phis = clifford.phi_set(pa)
         assert len(phis) == 2 and all(p.degree == 1 for p in phis)
         # distinct characters extending psi_A
-        assert not phis[0].same(phis[1])
+        assert phis[0] != phis[1]
 
 
 def test_phi_set_odd_level(groups):
@@ -441,7 +441,7 @@ def test_phi_set_odd_level_matches_the_restriction_filter(kind, groups):
             brute = [phi for phi in table if chartab.inner(chartab.restrict(phi, pa.layers.Ml), pa.psi_M)]
             got = clifford.phi_set(pa)
             assert len(got) == len(brute) > 0
-            assert all(f.same(g) for f, g in zip(got, brute))
+            assert all(f == g for f, g in zip(got, brute))
 
 
 def test_phi_set_budget(groups):
@@ -466,7 +466,7 @@ def test_mackey_pieces_sum_to_the_restriction(groups):
             total = None
             for _, cf in mr:
                 total = cf if total is None else total + cf
-            assert total.same(lhs)
+            assert total == lhs
             dims = {cf.degree for _, cf in mr}
             assert len(dims) == 1  # all summands share one dimension
             sl_tab = chartab.character_table_cached(L.sl)
@@ -482,7 +482,7 @@ def test_mackey_restriction_of_a_stack_is_member_by_member(groups):
     for k, phi in enumerate(phis):
         single = clifford.mackey_restriction(pa, phi)
         assert [d for d, _ in single] == [d for d, _ in stacked]
-        assert all(cf.same(st[k]) for (_, cf), (_, st) in zip(single, stacked))
+        assert all(cf == st[k] for (_, cf), (_, st) in zip(single, stacked))
     # one reducible member fails the whole stack
     mixed = chartab.ClassFunction(phis.classes, phis.n, np.stack([phis.vals[0], phis.vals[0] + phis.vals[1]]))
     with pytest.raises(AssertionError, match="not irreducible"):

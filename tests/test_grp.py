@@ -70,9 +70,10 @@ def test_mul_matches_matrix_product():
             assert got == mat.mat_mul(G.matrix(a), G.matrix(b))
 
 
-def test_dets_traces_element_orders():
+def test_dets_traces_class_orders():
     G = _gl("z2", 2)
-    orders = G.element_orders
+    cc = grp.conjugacy_classes(G)
+    orders = np.zeros(G.n, dtype=np.int64)
     for p in range(G.n):
         M = G.matrix(p)
         assert G.dets[p] == mat.det(M).code
@@ -82,8 +83,22 @@ def test_dets_traces_element_orders():
         while acc != G.identity:
             acc = int(G.mul(np.int64(acc), np.int64(p)))
             k += 1
-        assert orders[p] == k
-    assert G.exponent == int(np.lcm.reduce(orders))
+        orders[p] = k
+    assert np.array_equal(cc.orders, orders[cc.reps])
+    assert cc.exponent == int(np.lcm.reduce(orders))
+    # row s of the power-class matrix holds the class of every rep^s
+    P = cc.power_classes
+    assert len(P) == orders.max() + 1
+    for j, rep in enumerate(cc.reps):
+        acc = G.identity
+        for s in range(len(P)):
+            assert P[s, j] == cc.class_id[acc]
+            acc = int(G.mul(np.int64(acc), np.int64(rep)))
+
+
+def test_conjugacy_classes_are_built_once_per_table():
+    G = _gl("z2", 1)
+    assert grp.conjugacy_classes(G) is grp.conjugacy_classes(G) is G.cache["classes"]
 
 
 def test_congruence_subgroups():

@@ -1,0 +1,37 @@
+"""What the benchmark's span recorder reads of branchlab still exists.
+
+perfbench/spans.py patches the functions named in its TARGETS table and
+takes counts from their results; an API move that drops a target or changes
+a counted result would break a traced benchmark run, so the table is read
+here, without editing it, against the current modules.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from branchlab import chartab, clifford, grp, mat, predict, ring, verify
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+MODULES = {m.__name__.rsplit(".", 1)[1]: m for m in (chartab, clifford, grp, mat, predict, ring, verify)}
+
+
+def _spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_every_span_target_resolves():
+    for mod_name, attr, _ in _spans().TARGETS:
+        owner = MODULES[mod_name]
+        *path, leaf = attr.split(".")
+        for part in path:
+            owner = getattr(owner, part)
+        assert callable(owner.__dict__.get(leaf)), f"{mod_name}.{attr}"
+
+
+def test_dixon_table_count_is_the_class_count(groups):
+    count = {(m, a): c for m, a, c in _spans().TARGETS}[("chartab", "dixon_table")]
+    G = groups("z2", 2)
+    assert count((G,), chartab.dixon_table(G)) == grp.ConjClasses(G).k == 14

@@ -32,8 +32,8 @@ def test_find_regular_matches_brute_support(groups):
         for d in range(lp.size)
     ]
     brute = {}
-    for i in range(table.k):
-        res = chartab.restrict(table.char(i), Ml)
+    for i in range(len(table)):
+        res = chartab.restrict(table[i], Ml)
         supp = [A for A in all_A if chartab.inner(res, clifford.make_psiA(G, A).psi_M) != 0]
         if all(mat.is_cyclic(A) for A in supp):
             brute[i] = sorted(A.codes for A in supp)
@@ -47,9 +47,9 @@ def test_find_regular_matches_brute_support(groups):
     # the trivial character is supported on A = 0 only, which is not cyclic
     triv = [
         i
-        for i in range(table.k)
-        if table.degrees[i] == 1
-        and np.all(table.tensor[i] == table.tensor[i, 0])
+        for i in range(len(table))
+        if table.degree[i] == 1
+        and np.all(table.vals[i] == table.vals[i, 0])
     ]
     assert len(triv) == 1 and triv[0] not in {i for i, _ in regs}
 
