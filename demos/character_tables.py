@@ -44,8 +44,8 @@ def main():
     spec = ring.make_ring("z2", r=2)
     G = grp.build_gl2(spec)
     S = grp.sl2_subgroup(G)
-    tabG = chartab.character_table_cached(G)
-    tabS = chartab.character_table_cached(S)
+    tabG = chartab.dixon_table(G)
+    tabS = chartab.dixon_table(S)
 
     print_table(S, tabS)
 
@@ -57,7 +57,7 @@ def main():
     print()
 
     # the regular character decomposes as sum d_i * chi_i
-    reg = chartab.regular_character(tabS.classes)
+    reg = chartab.regular_character(S)
     mults = chartab.decompose(reg, tabS)
     assert (mults == tabS.degree).all()
     print(f"regular character of SL2 = {_sum_text(mults)}")

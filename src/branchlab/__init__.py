@@ -8,8 +8,8 @@ Modules, bottom to top:
 - cyclo: exact cyclotomic integers in the power basis (values of characters).
 - grp: enumerated GL2/SL2 tables, subgroups, conjugacy classes.
 - chartab: exact class functions and character tables (eigenspace splitting
-  over a finite field; a table is one ClassFunction stack),
-  induction/restriction/decomposition.
+  over a finite field; a table is one ClassFunction stack, held by its caller,
+  and a class function holds its group), induction/restriction/decomposition.
 - clifford: the orbit characters psi_A, their stabilizers, extension theory,
   and the Mackey decomposition of restricted induced characters.
 - predict: closed-form constituent-count bounds valid at every level.
@@ -19,7 +19,6 @@ Modules, bottom to top:
 from . import chartab, clifford, cyclo, grp, mat, predict, ring, verify
 from .chartab import (
     ClassFunction,
-    character_table_cached,
     decompose,
     dixon_table,
     induce,
@@ -57,7 +56,6 @@ __all__ = [
     "all_linear_characters",
     "build_gl2",
     "build_sl2",
-    "character_table_cached",
     "chartab",
     "cli_main",
     "clifford",

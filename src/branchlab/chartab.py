@@ -23,12 +23,14 @@ sum stays below |G| p however many columns a batch holds.
 
 A class function is an integer coefficient row per conjugacy class in the
 canonical power basis of Q(zeta_n) (cyclo), and a ClassFunction holds a
-whole stack of them, vals[..., k, phi(n)].  A character table is that
-stack and nothing more: dixon_table returns the irreducibles as one
-ClassFunction over Q(zeta_e), e the group exponent, rows in a canonical
-order (by degree, then by coefficients).  Equality, inner products,
-induction, restriction and decomposition are each one exact integer array
-operation over every member.  In decompose a
+whole stack of them, vals[..., k, phi(n)], together with its group; the
+group's one class partition (grp.conjugacy_classes) indexes the rows.  A
+character table is that stack and nothing more: dixon_table returns the
+irreducibles as one ClassFunction over Q(zeta_e), e the group exponent, rows
+in a canonical order (by degree, then by coefficients).  The caller holds
+the table; nothing is cached on the group, which the table points at.
+Equality, inner products, induction, restriction and decomposition are each
+one exact integer array operation over every member.  In decompose a
 float Gram row only proposes the multiplicities: the rows of a character
 table are linearly independent, so the exact reconstruction
 sum m_i chi_i == f fixes every m_i, and one exact inner product per
@@ -198,23 +200,28 @@ def _poly_roots_mod(coeffs: np.ndarray, p: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ClassFunction:
-    """Exact class function, or a stack of them, on one class partition.
+    """Exact class function, or a stack of them, on one group.
 
-    vals[..., j, :] is the power-basis vector of the value on class j; the
-    leading axes index the members of a stack, and every operation acts on
-    all members at once.  len, indexing and iteration run over the leading
-    axis.  == is exact equality of the whole stack after embedding both
-    sides in a common root order; class functions on different partitions
-    cannot be compared (ValueError).  The values are arrays, so a class
-    function is unhashable.
+    vals[..., j, :] is the power-basis vector of the value on class j of the
+    group's one class partition, grp.conjugacy_classes(group); the leading
+    axes index the members of a stack, and every operation acts on all
+    members at once.  len, indexing and iteration run over the leading axis.
+    == is exact equality of the whole stack after embedding both sides in a
+    common root order; class functions on different groups cannot be
+    compared (ValueError).  The values are arrays, so a class function is
+    unhashable.
     """
 
-    classes: ConjClasses
+    group: GroupTable
     n: int
     vals: np.ndarray  # [..., k, euler_phi(n)] int64, read-only
 
     def __post_init__(self):
         self.vals.setflags(write=False)
+
+    @property
+    def classes(self) -> ConjClasses:
+        return conjugacy_classes(self.group)
 
     def __len__(self) -> int:
         if self.vals.ndim < 3:
@@ -223,7 +230,7 @@ class ClassFunction:
 
     def __getitem__(self, idx) -> "ClassFunction":
         idx = idx if isinstance(idx, tuple) else (idx,)
-        return ClassFunction(self.classes, self.n, self.vals[idx + (Ellipsis, slice(None), slice(None))])
+        return ClassFunction(self.group, self.n, self.vals[idx + (Ellipsis, slice(None), slice(None))])
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
@@ -243,7 +250,7 @@ class ClassFunction:
 
     @property
     def degree(self) -> "int | np.ndarray":
-        j0 = int(self.classes.class_id[self.classes.table.identity])
+        j0 = int(self.classes.class_id[self.group.identity])
         return cyclo.to_integer(self.vals[..., j0, :])
 
     def with_order(self, m: int) -> "ClassFunction":
@@ -251,21 +258,21 @@ class ClassFunction:
             return self
         if m % self.n:
             raise ValueError("new order must be a multiple")
-        return ClassFunction(self.classes, m, self.vals @ cyclo.embed_matrix(self.n, m))
+        return ClassFunction(self.group, m, self.vals @ cyclo.embed_matrix(self.n, m))
 
     def conj(self) -> "ClassFunction":
-        return ClassFunction(self.classes, self.n, self.vals @ cyclo.conj_matrix(self.n))
+        return ClassFunction(self.group, self.n, self.vals @ cyclo.conj_matrix(self.n))
 
     def __add__(self, other):
         f, g = _align(self, other)
-        return ClassFunction(f.classes, f.n, f.vals + g.vals)
+        return ClassFunction(f.group, f.n, f.vals + g.vals)
 
     def __sub__(self, other):
         f, g = _align(self, other)
-        return ClassFunction(f.classes, f.n, f.vals - g.vals)
+        return ClassFunction(f.group, f.n, f.vals - g.vals)
 
     def scale(self, m: int) -> "ClassFunction":
-        return ClassFunction(self.classes, self.n, m * self.vals)
+        return ClassFunction(self.group, self.n, m * self.vals)
 
     def float_values(self) -> np.ndarray:
         zs = np.exp(2j * np.pi * np.arange(self.vals.shape[-1]) / self.n)
@@ -274,36 +281,36 @@ class ClassFunction:
     @cached_property
     def gram_weights(self) -> np.ndarray:
         """[..., k] complex conj(f(c_j)) |c_j| / |G|, so <g, f> ~ gram_weights . g."""
-        return np.conj(self.float_values()) * (self.classes.sizes / self.classes.table.n)
+        return np.conj(self.float_values()) * (self.classes.sizes / self.group.n)
 
     def __repr__(self):
         stack = f"stack {self.vals.shape[:-2]} of " if self.vals.ndim > 2 else ""
-        return f"<{stack}class function on {self.classes.table.name}, order {self.n}, deg {self.degree}>"
+        return f"<{stack}class function on {self.group.name}, order {self.n}, deg {self.degree}>"
 
 
 def _align(f: ClassFunction, g: ClassFunction):
-    if f.classes is not g.classes:
-        raise ValueError("class functions live on different partitions")
+    if f.group is not g.group:
+        raise ValueError("class functions live on different groups")
     m = lcm(f.n, g.n)
     return f.with_order(m), g.with_order(m)
 
 
-def class_function_from_exponents(classes: ConjClasses, n: int, exps) -> ClassFunction:
+def class_function_from_exponents(G: GroupTable, n: int, exps) -> ClassFunction:
     """Linear character from per-class exponents: class j maps to zeta_n^exps[j]."""
     red = cyclo.reduction_matrix(n)
     vals = red[np.asarray(exps, dtype=np.int64) % n]
-    return ClassFunction(classes, n, vals.astype(np.int64))
+    return ClassFunction(G, n, vals.astype(np.int64))
 
 
-def trivial_character(classes: ConjClasses) -> ClassFunction:
-    return class_function_from_exponents(classes, 1, np.zeros(classes.k, dtype=np.int64))
+def trivial_character(G: GroupTable) -> ClassFunction:
+    return class_function_from_exponents(G, 1, np.zeros(conjugacy_classes(G).k, dtype=np.int64))
 
 
-def regular_character(classes: ConjClasses) -> ClassFunction:
-    vals = np.zeros((classes.k, 1), dtype=np.int64)
-    j0 = int(classes.class_id[classes.table.identity])
-    vals[j0, 0] = classes.table.n
-    return ClassFunction(classes, 1, vals)
+def regular_character(G: GroupTable) -> ClassFunction:
+    cc = conjugacy_classes(G)
+    vals = np.zeros((cc.k, 1), dtype=np.int64)
+    vals[cc.class_id[G.identity], 0] = G.n
+    return ClassFunction(G, 1, vals)
 
 
 # ------------------------------------------------------------- inner products
@@ -320,7 +327,7 @@ def inner(f: ClassFunction, g: ClassFunction) -> "int | np.ndarray":
     gc = g.vals @ cyclo.conj_matrix(g.n)
     W = np.einsum("...ja,...jb->...ab", f.classes.sizes[:, None] * f.vals, gc)
     tot = np.einsum("...ab,abt->...t", W, S)
-    order = f.classes.table.n
+    order = f.group.n
     if np.any(tot % order):
         raise cyclo.NotRational(f"inner product not integral: {tot} / {order}")
     return cyclo.to_integer(tot // order)
@@ -419,9 +426,9 @@ def _central_characters(G: GroupTable, cc: ConjClasses, p: int, seed: int) -> np
     return omega
 
 
-def _degrees_mod(cc: ConjClasses, omega: np.ndarray, p: int) -> np.ndarray:
-    order = cc.table.n
-    where = f"{cc.table.name}, k={cc.k}, p={p}"
+def _degrees_mod(G: GroupTable, cc: ConjClasses, omega: np.ndarray, p: int) -> np.ndarray:
+    order = G.n
+    where = f"{G.name}, k={cc.k}, p={p}"
     inv_sizes = np.array([pow(int(s), p - 2, p) for s in cc.sizes], dtype=np.int64)
     jstar = cc.inverse_class
     degs = np.empty(cc.k, dtype=np.int64)
@@ -456,7 +463,7 @@ def dixon_table(G: GroupTable, seed: int = 0) -> ClassFunction:
     p = dixon_prime(G.n, e)
     _check_headroom(G.name, G.n, cc.k, p)
     omega = _central_characters(G, cc, p, seed)
-    degs = _degrees_mod(cc, omega, p)
+    degs = _degrees_mod(G, cc, omega, p)
     inv_sizes = np.array([pow(int(s), p - 2, p) for s in cc.sizes], dtype=np.int64)
     chi_p = (degs[:, None] * omega % p) * inv_sizes[None, :] % p
 
@@ -488,14 +495,7 @@ def dixon_table(G: GroupTable, seed: int = 0) -> ClassFunction:
     bad = np.any(tensor[:, int(cc.class_id[G.identity])] != degs[:, None] * red[0], axis=1)
     if np.any(bad):
         raise AssertionError(f"identity-class value disagrees with the degree of irreducible {np.argmax(bad)}")
-    return ClassFunction(cc, e, tensor)
-
-
-def character_table_cached(G: GroupTable, seed: int = 0) -> ClassFunction:
-    key = ("chartab", seed)
-    if key not in G.cache:
-        G.cache[key] = dixon_table(G, seed=seed)
-    return G.cache[key]
+    return ClassFunction(G, e, tensor)
 
 
 # ------------------------------------------------------------- orthogonality
@@ -514,7 +514,7 @@ def orthogonality_certificate(table: ClassFunction) -> dict:
     cc = table.classes
     n = table.n
     phi_n = table.vals.shape[2]
-    order = cc.table.n
+    order = table.group.n
     # coefficient bound: |sum_c |c| v w S| <= sum_c |c| * max|v| * max|w| * phi * max|S|
     S = cyclo.product_tensor(n)
     vmax = int(np.abs(table.vals).max())
@@ -559,7 +559,7 @@ def verify_orthogonality_exact(table: ClassFunction):
     S = cyclo.product_tensor(table.n)
     Tc = table.vals @ cyclo.conj_matrix(table.n)
     e0 = cyclo.reduction_matrix(table.n)[0]
-    order = cc.table.n
+    order = table.group.n
     gram = np.einsum("ica,idb,abt->cdt", table.vals, Tc, S, optimize=True)
     target = np.einsum("cd,t->cdt", np.diag(order // cc.sizes), e0)
     if not np.array_equal(gram, target):
@@ -575,15 +575,14 @@ def _fusion(H: GroupTable, G: GroupTable, ccH: ConjClasses, ccG: ConjClasses) ->
 
 def restrict(f: ClassFunction, H: GroupTable) -> ClassFunction:
     """Restriction from f's group to a subgroup H cut from the same root; one gather."""
-    G = f.classes.table
     ccH = conjugacy_classes(H)
-    fus = _fusion(H, G, ccH, f.classes)
-    return ClassFunction(ccH, f.n, np.take(f.vals, fus, axis=-2))
+    fus = _fusion(H, f.group, ccH, f.classes)
+    return ClassFunction(H, f.n, np.take(f.vals, fus, axis=-2))
 
 
 def induce(f: ClassFunction, G: GroupTable) -> ClassFunction:
     """Induced class function(s), exactly; dim scales by the index."""
-    H = f.classes.table
+    H = f.group
     ccG = conjugacy_classes(G)
     fus = _fusion(H, G, f.classes, ccG)
     acc = np.zeros(f.vals.shape[:-2] + (ccG.k, f.vals.shape[-1]), dtype=np.int64)
@@ -592,7 +591,7 @@ def induce(f: ClassFunction, G: GroupTable) -> ClassFunction:
     den = H.n * ccG.sizes[:, None]
     if np.any(num % den):
         raise AssertionError("induced values are not integral over the fusion data")
-    return ClassFunction(ccG, f.n, num // den)
+    return ClassFunction(G, f.n, num // den)
 
 
 def decompose(f: ClassFunction, irr: ClassFunction) -> np.ndarray:
@@ -603,8 +602,8 @@ def decompose(f: ClassFunction, irr: ClassFunction) -> np.ndarray:
     inner(f, chi_i) per nonzero (member, irreducible) pair, all in one call,
     computes each a second way.
     """
-    if f.classes is not irr.classes:
-        raise ValueError("class function and table live on different partitions")
+    if f.group is not irr.group:
+        raise ValueError("class function and table live on different groups")
     approx = np.einsum("ij,...j->...i", irr.gram_weights, f.float_values())
     mults = np.rint(approx.real).astype(np.int64)
     err = np.abs(approx - mults).max(initial=0.0)
@@ -613,7 +612,7 @@ def decompose(f: ClassFunction, irr: ClassFunction) -> np.ndarray:
     if np.any(mults < 0):
         at = np.unravel_index(np.argmin(mults), mults.shape)
         raise AssertionError(f"negative multiplicity {mults[at]} against irreducible {at[-1]}")
-    recon = ClassFunction(irr.classes, irr.n, np.einsum("...i,ija->...ja", mults, irr.vals))
+    recon = ClassFunction(irr.group, irr.n, np.einsum("...i,ija->...ja", mults, irr.vals))
     if recon != f:
         raise AssertionError("decomposition does not reconstruct the class function")
     nz = np.nonzero(mults)

@@ -25,7 +25,9 @@ conjugates, M^ell' coset labels, residues mod pi^ell') is done once per GL2
 table on _Layers, clifford's one entry in the table's cache; each orbit only
 gathers from it, every route from its own data, so the routes stay
 independent.  What depends on A (inertia, the Mackey twists) is a cached
-property of the fresh PsiA from make_psiA, freed with it.
+property of the fresh PsiA from make_psiA.  Its subgroups are held by the
+PsiA alone and cache nothing that points back at them, so reference
+counting frees them with it.
 """
 
 from __future__ import annotations
@@ -65,7 +67,6 @@ class _Layers:
     Mlp: GroupTable
     Kl: GroupTable
     B_M: tuple  # (m - I)/pi^ell entrywise, per M^ell position
-    B_K: tuple
     pi_ell_code: int
 
     @cached_property
@@ -128,7 +129,7 @@ def _layers(G: GroupTable) -> _Layers:
         pe = ring.mul(pe, ring.uniformizer(spec))
     out = _Layers(
         spec, ring.truncate(spec, ellp), ell, ellp, G, sl, Ml, grp.congruence_subgroup(G, ellp), Kl,
-        _b_arrays(spec, Ml, ell), _b_arrays(spec, Kl, ell), pe.code,
+        _b_arrays(spec, Ml, ell), pe.code,
     )
     G.cache["clifford_layers"] = out
     return out
@@ -141,9 +142,10 @@ def _layers(G: GroupTable) -> _Layers:
 class PsiA:
     """psi_A on M^ell together with its restriction psi_[A] to K^ell.
 
-    exps_M / exps_K hold the zeta_n exponent of the character value at every
-    member position of M^ell / K^ell.  The cached properties are this orbit's
-    data; they live and die with this object, never on the group table.
+    exps_M holds the zeta_n exponent of the character value at every member
+    position of M^ell, exps_K its gather at K^ell (a subgroup of M^ell).  The
+    cached properties are this orbit's data; they live and die with this
+    object, never on the group table.
     """
 
     layers: _Layers
@@ -151,19 +153,22 @@ class PsiA:
     Atilde: Mat2
     n: int
     exps_M: np.ndarray = field(repr=False)
-    exps_K: np.ndarray = field(repr=False)
+
+    @cached_property
+    def exps_K(self) -> np.ndarray:
+        return self.exps_M[self.layers.Kl.pos_in(self.layers.Ml)]
 
     @cached_property
     def psi_M(self) -> ClassFunction:
         """psi_A as an exact class function on M^ell (classes are singletons)."""
-        cc = grp.conjugacy_classes(self.layers.Ml)
-        return chartab.class_function_from_exponents(cc, self.n, self.exps_M[cc.reps])
+        Ml = self.layers.Ml
+        return chartab.class_function_from_exponents(Ml, self.n, self.exps_M[grp.conjugacy_classes(Ml).reps])
 
     @cached_property
     def psi_K(self) -> ClassFunction:
         """psi_[A], the restriction to K^ell."""
-        cc = grp.conjugacy_classes(self.layers.Kl)
-        return chartab.class_function_from_exponents(cc, self.n, self.exps_K[cc.reps])
+        Kl = self.layers.Kl
+        return chartab.class_function_from_exponents(Kl, self.n, self.exps_K[grp.conjugacy_classes(Kl).reps])
 
     @cached_property
     def stabilizer_mask_gl(self) -> np.ndarray:
@@ -177,8 +182,8 @@ class PsiA:
 
     @cached_property
     def twists(self) -> list[tuple]:
-        """Per d in D_A: (d, classes of C_SL2(psi_{A_d}), C_GL2(psi_A)-positions
-        of d^-1 x d at their reps); mackey_restriction's phi-independent half."""
+        """Per d in D_A: (d, C_SL2(psi_{A_d}), C_GL2(psi_A)-positions of d^-1 x d
+        at its class reps); mackey_restriction's phi-independent half."""
         I = inertia(self)
         L = self.layers
         C, gl, sl = I.c_gl, L.gl, L.sl
@@ -194,12 +199,12 @@ class PsiA:
                     f"conjugated inertia group differs from the stabilizer of psi_{{A_d}} ({_where(self, d)})"
                 )
             c_sl_d = grp.subgroup(sl, mask[sl_in_gl], name="C_SL2(psi_A_d)")
-            cc_d = grp.conjugacy_classes(c_sl_d)
+            reps_d = grp.conjugacy_classes(c_sl_d).reps
             iperm = gl.conj_perm(int(gl.inv[td]))
-            back_C = C.pos_of_codes(mat._vpack(L.spec, gl.entries(iperm[c_sl_d.pos_in(gl)[cc_d.reps]])))
+            back_C = C.pos_of_codes(mat._vpack(L.spec, gl.entries(iperm[c_sl_d.pos_in(gl)[reps_d]])))
             if np.any(back_C < 0):
                 raise AssertionError(f"phi^d argument left C_GL2(psi_A) ({_where(self, d)})")
-            out.append((d, cc_d, back_C))
+            out.append((d, c_sl_d, back_C))
         return out
 
     def __repr__(self):
@@ -231,8 +236,7 @@ def make_psiA(G: GroupTable, A: Mat2) -> PsiA:
     if A.spec != L.spec_lp:
         raise ValueError(f"A must be over the level-{L.ellp} quotient ring, got level {A.spec.r}")
     Atilde = mat.mat_lift(L.spec, A)
-    At = mat._as_vec(Atilde)
-    return PsiA(L, A, Atilde, ring.psi_order(L.spec), _psi_exps(L, At, L.B_M), _psi_exps(L, At, L.B_K))
+    return PsiA(L, A, Atilde, ring.psi_order(L.spec), _psi_exps(L, mat._as_vec(Atilde), L.B_M))
 
 
 def _require_companion(A: Mat2):
@@ -477,8 +481,7 @@ class _AbelianQuotient:
 
 
 def _abelian_quotient(H: GroupTable) -> _AbelianQuotient:
-    if "abelian_quotient" in H.cache:
-        return H.cache["abelian_quotient"]
+    """H/[H,H], computed afresh: the caller holds it, nothing is cached on H."""
     Hd = grp.derived_subgroup(H)
     dpos = Hd.pos_in(H)
     raw = grp.coset_labels(H, Hd)
@@ -498,9 +501,7 @@ def _abelian_quotient(H: GroupTable) -> _AbelianQuotient:
         k += 1
         ords[alive & (cur == idl)] = k
     E = lcm(*(int(o) for o in np.unique(ords)))
-    out = _AbelianQuotient(H, dpos, lab, reps, size, E, idl)
-    H.cache["abelian_quotient"] = out
-    return out
+    return _AbelianQuotient(H, dpos, lab, reps, size, E, idl)
 
 
 def _extend_all(Hq: _AbelianQuotient, base: np.ndarray, limit: int | None = None) -> list[np.ndarray]:
@@ -590,7 +591,7 @@ def extends_to(psi: ClassFunction, H: GroupTable) -> tuple[bool, ClassFunction |
     Criterion: psi extends iff it is trivial on K cap [H, H].  The witness is
     built through the abelianization of H and verified to restrict to psi.
     """
-    K = psi.classes.table
+    K = psi.group
     if psi.degree != 1:
         raise ValueError("psi must be linear")
     kpos = K.pos_in(H)
@@ -605,8 +606,8 @@ def extends_to(psi: ClassFunction, H: GroupTable) -> tuple[bool, ClassFunction |
     ext = _extend_all(Hq, base, limit=1)[0]
     if not _roots_agree(ext[Hq.lab[kpos]], E, exps_K, N):
         raise AssertionError("constructed extension does not restrict to psi")
-    ccH = grp.conjugacy_classes(H)
-    return True, chartab.class_function_from_exponents(ccH, E, ext[Hq.lab[ccH.reps]])
+    reps = grp.conjugacy_classes(H).reps
+    return True, chartab.class_function_from_exponents(H, E, ext[Hq.lab[reps]])
 
 
 def all_linear_characters(H: GroupTable) -> ClassFunction:
@@ -617,8 +618,8 @@ def all_linear_characters(H: GroupTable) -> ClassFunction:
     exts = np.array(_extend_all(Hq, base))
     if len(exts) != Hq.size:
         raise AssertionError(f"found {len(exts)} linear characters, expected {Hq.size}")
-    ccH = grp.conjugacy_classes(H)
-    return chartab.class_function_from_exponents(ccH, Hq.exponent, exts[:, Hq.lab[ccH.reps]])
+    reps = grp.conjugacy_classes(H).reps
+    return chartab.class_function_from_exponents(H, Hq.exponent, exts[:, Hq.lab[reps]])
 
 
 # ------------------------------------------------------------------ the phi layer
@@ -652,10 +653,10 @@ def phi_set(psiA: PsiA, budget: int = grp.DEFAULT_BUDGET) -> ClassFunction:
             )
         if not _roots_agree(exts[:, Hq.lab[ml_in_C]], Hq.exponent, psiA.exps_M, psiA.n):
             raise AssertionError(f"extension does not restrict to psi_A ({_where(psiA)})")
-        ccC = grp.conjugacy_classes(C)
-        return chartab.class_function_from_exponents(ccC, Hq.exponent, exts[:, Hq.lab[ccC.reps]])
+        reps = grp.conjugacy_classes(C).reps
+        return chartab.class_function_from_exponents(C, Hq.exponent, exts[:, Hq.lab[reps]])
     # odd r: the psi_A fiber of the full table, <Ind psi_A, phi> = <Res phi, psi_A>
-    table = chartab.character_table_cached(C)
+    table = chartab.dixon_table(C)
     mults = chartab.decompose(chartab.induce(psiA.psi_M, C), table)
     idx = np.flatnonzero(mults)
     out = table[idx]
@@ -687,7 +688,7 @@ def mackey_restriction(psiA: PsiA, phi: ClassFunction) -> list[tuple[RingElem, C
     I = inertia(psiA)
     L = psiA.layers
     C, gl, sl = I.c_gl, L.gl, L.sl
-    if phi.classes.table is not C:
+    if phi.group is not C:
         raise ValueError("phi must be a class function on C_GL2(psi_A)")
     rho = chartab.induce(phi, gl)
     if np.any(chartab.inner(rho, rho) != 1):
@@ -695,10 +696,10 @@ def mackey_restriction(psiA: PsiA, phi: ClassFunction) -> list[tuple[RingElem, C
     lhs = chartab.restrict(rho, sl)
     expected = phi.degree * sl.n
     out = []
-    for d, cc_d, back_C in psiA.twists:
-        phid = ClassFunction(cc_d, phi.n, np.take(phi.vals, phi.classes.class_id[back_C], axis=-2))
+    for d, c_sl_d, back_C in psiA.twists:
+        phid = ClassFunction(c_sl_d, phi.n, np.take(phi.vals, phi.classes.class_id[back_C], axis=-2))
         ind = chartab.induce(phid, sl)
-        if np.any(expected % cc_d.table.n) or np.any(ind.degree != expected // cc_d.table.n):
+        if np.any(expected % c_sl_d.n) or np.any(ind.degree != expected // c_sl_d.n):
             raise AssertionError(
                 f"summand dimension disagrees with dim(phi) |SL2| / |C_SL2(psi_{{A_d}})| ({_where(psiA, d)})"
             )

@@ -11,6 +11,13 @@ between any two tables of one root.
 Orbit computations (conjugacy classes, cosets, double cosets) run as min-label
 propagation over generator permutation arrays.  Generating sets are found
 greedily and verified by breadth-first closure, so every table is self-checking.
+
+Ownership runs one way.  A subgroup holds its root, a table holds its class
+partition (cache["classes"]), and a class function holds its table; nothing a
+table caches points back at it.  So a subgroup is freed by reference counting
+as soon as its last holder lets go.  The one cycle is by design: a GL2 root's
+cache["clifford_layers"] holds subgroups that reach the root's index, and it
+holds no per-orbit data.
 """
 
 from __future__ import annotations
@@ -54,8 +61,8 @@ class GroupTable:
         for t in self.ms:
             t.setflags(write=False)
         self.n = len(self.ms[0])
-        # results other modules compute once per table: classes, character tables,
-        # clifford's A-independent layers; per-orbit psi_A data lives on its PsiA
+        # results other modules compute once per table: "classes" on every table,
+        # "clifford_layers" on a GL2 root (see the module docstring)
         self.cache = {}
         if root is None:
             self._root = None
@@ -123,10 +130,6 @@ class GroupTable:
     @cached_property
     def dets(self):
         return mat._vdet(self.spec, self.ms)
-
-    @cached_property
-    def traces(self):
-        return mat._vtrace(self.spec, self.ms)
 
     def _greedy_gens(self):
         gens: list[int] = []
@@ -339,10 +342,14 @@ def _orbit_labels(n: int, perms) -> np.ndarray:
 
 
 class ConjClasses:
-    """Partition of a GroupTable into conjugacy classes."""
+    """Partition of a GroupTable into conjugacy classes, with its power data.
+
+    Everything is computed here, from the table, and the table is not kept:
+    the partition is cached on its table (conjugacy_classes), never the
+    other way round.
+    """
 
     def __init__(self, table: GroupTable):
-        self.table = table
         perms = [table.conj_perm(g) for g in table.gens]
         lab = _orbit_labels(table.n, perms)
         self.reps = np.unique(lab)
@@ -351,41 +358,25 @@ class ConjClasses:
         self.sizes = np.bincount(self.class_id, minlength=self.k)
         assert int(self.sizes.sum()) == table.n
         assert all(table.n % int(s) == 0 for s in self.sizes)
-
-    @cached_property
-    def inverse_class(self):
-        """Class index of the inverses, per class."""
-        return self.class_id[self.table.inv[self.reps]]
-
-    @cached_property
-    def power_classes(self) -> np.ndarray:
-        """P[s, j] = class of rep_j^s, for s from 0 to the largest element order.
-
-        One loop powers the k reps until each has returned to the identity;
-        orders and exponent are read off its rows.
-        """
-        G = self.table
-        cur = np.full(self.k, G.identity, dtype=np.int64)
+        # class index of the inverses, per class
+        self.inverse_class = self.class_id[table.inv[self.reps]]
+        # P[s, j] = class of rep_j^s, for s from 0 to the largest element order:
+        # one loop powers the k reps until each has returned to the identity
+        cur = np.full(self.k, table.identity, dtype=np.int64)
         back = np.zeros(self.k, dtype=bool)
         rows = [self.class_id[cur]]
         while not back.all():
-            cur = G.mul(cur, self.reps)
-            back |= cur == G.identity
+            cur = table.mul(cur, self.reps)
+            back |= cur == table.identity
             rows.append(self.class_id[cur])
-        return np.array(rows)
-
-    @cached_property
-    def orders(self) -> np.ndarray:
-        """Element order of each class."""
-        j0 = self.class_id[self.table.identity]
-        return 1 + np.argmax(self.power_classes[1:] == j0, axis=0)
-
-    @cached_property
-    def exponent(self) -> int:
-        return lcm(*map(int, self.orders))
+        self.power_classes = np.array(rows)
+        # element order of each class, and the group exponent
+        j0 = self.class_id[table.identity]
+        self.orders = 1 + np.argmax(self.power_classes[1:] == j0, axis=0)
+        self.exponent = lcm(*map(int, self.orders))
 
     def __repr__(self):
-        return f"<{self.k} classes of {self.table.name}, sizes {sorted(set(map(int, self.sizes)))}>"
+        return f"<{self.k} conjugacy classes, sizes {sorted(set(map(int, self.sizes)))}>"
 
 
 def conjugacy_classes(G: GroupTable) -> ConjClasses:

@@ -37,12 +37,13 @@ KINDS = ("z2", "f2t", "f4t", "eis2")
 # ----------------------------------------------------- regular irreducibles
 
 
-def find_regular(G: GroupTable, table: ClassFunction | None = None):
-    """[(irreducible index, supporting A list)] over the regular irreducibles.
+def find_regular(G: GroupTable, table: ClassFunction):
+    """[(irreducible index, supporting A list)] over the regular irreducibles of G.
 
-    The support of rho is {A over o_l' : <Res_{M^ell} rho, psi_A> != 0};
-    rho is regular iff every supporting A is cyclic.  A float transform only
-    proposes the support; acceptance is the exact identity
+    table is G's character table (chartab.dixon_table).  The support of rho
+    is {A over o_l' : <Res_{M^ell} rho, psi_A> != 0}; rho is regular iff
+    every supporting A is cyclic.  A float transform only proposes the
+    support; acceptance is the exact identity
     sum_A m_A psi_A = Res_{M^ell} rho, which pins the m_A uniquely because
     distinct characters of the abelian M^ell are linearly independent.  For
     regular rho the support is verified to be a single conjugation orbit
@@ -50,8 +51,6 @@ def find_regular(G: GroupTable, table: ClassFunction | None = None):
     conjugator) carrying one common multiplicity.  Companion forms are
     memoized per call, by A.
     """
-    if table is None:
-        table = chartab.character_table_cached(G)
     L = clifford._layers(G)
     lp = L.spec_lp
     Ml = L.Ml
@@ -83,7 +82,7 @@ def find_regular(G: GroupTable, table: ClassFunction | None = None):
     for i in range(len(table)):
         supp = np.flatnonzero(mult[i] > 0)
         vals = np.einsum("s,sja->ja", mult[i, supp], red_n[exps_at_reps[supp]])
-        if ClassFunction(ccM, n, vals) != res[i]:
+        if ClassFunction(Ml, n, vals) != res[i]:
             raise AssertionError(f"support reconstruction failed for irreducible {i}")
         if not np.all(cyc[supp]):
             continue  # not regular
@@ -225,10 +224,10 @@ def verify_branching(
     timing["build"] = time.perf_counter() - t
 
     t = time.perf_counter()
-    gl_tab = chartab.character_table_cached(gl, seed)
+    gl_tab = chartab.dixon_table(gl, seed)
     timing["chartab_gl"] = time.perf_counter() - t
     t = time.perf_counter()
-    sl_tab = chartab.character_table_cached(sl, seed)
+    sl_tab = chartab.dixon_table(sl, seed)
     timing["chartab_sl"] = time.perf_counter() - t
 
     t = time.perf_counter()
@@ -271,14 +270,12 @@ def verify_branching(
             phis = clifford.phi_set(psiA, budget=budget)
             if len(phis) != len(members):
                 raise AssertionError(f"{len(phis)} fiber members vs {len(members)} regular irreducibles ({where})")
-            # one induce of the fiber; each regular must equal exactly one induced row
-            rhos, inds = chartab._align(gl_tab[members], chartab.induce(phis, gl))
-            rows: dict = {}
-            for k, v in enumerate(inds.vals):
-                rows.setdefault(v.tobytes(), []).append(k)
+            # one induce of the fiber; each regular must be Ind phi for exactly one phi
+            ind = chartab.decompose(chartab.induce(phis, gl), gl_tab)
+            irreducible = ind.sum(axis=1) == 1
             match = []
-            for i, v in zip(members, rhos.vals):
-                hits = rows.get(v.tobytes(), [])
+            for i in members:
+                hits = np.flatnonzero(irreducible & (ind[:, i] == 1))
                 if len(hits) != 1:
                     raise AssertionError(
                         f"irreducible {i} matches {len(hits)} fiber members, expected exactly 1 ({where})"
@@ -596,7 +593,7 @@ def _cmd_chartab(args) -> int:
         G = grp.build_sl2(spec, budget=budget)
     else:
         G = grp.build_gl2(spec, budget=budget)
-    table = chartab.character_table_cached(G, args.seed)
+    table = chartab.dixon_table(G, args.seed)
     if args.format == "csv":
         _emit(args, chartab_csv(G, table))
     else:
@@ -628,8 +625,7 @@ def _cmd_selftest(args) -> int:
     def _orth():
         spec = ring.make_ring("z2", r=2)
         G = grp.build_gl2(spec, budget=budget)
-        table = chartab.character_table_cached(G)
-        chartab.verify_orthogonality_exact(table)
+        chartab.verify_orthogonality_exact(chartab.dixon_table(G))
 
     def _nr():
         for kind, lim in (("z2", 12), ("f2t", 12), ("f4t", 8), ("eis2", 8)):

@@ -2,12 +2,13 @@
 
 Group tables and full verification reports are built once per session (a
 level-4 report takes a few seconds, its character tables most of that) and
-handed out through getter fixtures keyed by (kind, r).
+handed out through getter fixtures keyed by (kind, r); character tables are
+computed once per group object and held here.
 """
 
 import pytest
 
-from branchlab import grp, ring, verify
+from branchlab import chartab, grp, ring, verify
 
 acceptance_lines = []
 
@@ -39,6 +40,18 @@ def groups():
         if key not in cache:
             cache[key] = grp.build_gl2(ring.make_ring(kind, r=r))
         return cache[key]
+
+    return get
+
+
+@pytest.fixture(scope="session")
+def chartabs():
+    cache = {}
+
+    def get(G):
+        if G not in cache:
+            cache[G] = chartab.dixon_table(G)
+        return cache[G]
 
     return get
 

@@ -60,7 +60,7 @@ def test_criterion_01_group_orders(criterion_report):
 # 2 ------------------------------------------------------------------------
 
 
-def test_criterion_02_character_tables_exact(criterion_report, groups):
+def test_criterion_02_character_tables_exact(criterion_report, groups, chartabs):
     def body():
         gl16 = None
         tables = 0
@@ -69,7 +69,7 @@ def test_criterion_02_character_tables_exact(criterion_report, groups):
                 G = groups(kind, r)
                 for H in (G, clifford._layers(G).sl):
                     t = time.perf_counter()
-                    tab = chartab.character_table_cached(H)
+                    tab = chartabs(H)
                     dt = time.perf_counter() - t
                     if kind == "z2" and r == 4 and H is G:
                         gl16 = dt

@@ -5,6 +5,7 @@ scan (conjugate every generator-level element against every character value)
 so the vectorized routes inside the library are checked against brute force.
 """
 
+import gc
 import weakref
 
 import numpy as np
@@ -182,6 +183,18 @@ def test_inertia_matches_brute_stabilizers(kind, rows, groups):
     assert set(I.c_sl_bracket.pos_in(L.sl).tolist()) == brute_br
 
 
+@pytest.mark.parametrize("kind,r", [("z2", 4), ("eis2", 3)])
+def test_psi_bracket_is_the_trace_pairing_on_K(kind, r, groups):
+    # exps_K gathers psi_A at K^l inside M^l; the pairing on K^l's own entries is a second route
+    G = groups(kind, r)
+    L = clifford._layers(G)
+    lp = L.spec_lp
+    B_K = clifford._b_arrays(L.spec, L.Kl, L.ell)
+    for code in range(0, lp.size**4, max(1, lp.size**4 // 16)):
+        pa = clifford.make_psiA(G, mat.Mat2(lp, *map(int, mat._vunpack(lp, np.int64(code)))))
+        assert np.array_equal(pa.exps_K, clifford._psi_exps(L, mat._as_vec(pa.Atilde), B_K))
+
+
 def test_inertia_invariants(groups):
     for kind, r in [("z2", 2), ("f2t", 2), ("z2", 3), ("f2t", 3)]:
         G = groups(kind, r)
@@ -249,14 +262,25 @@ def test_nilpotent_trace_at_r4_has_two_cosets(groups):
 
 
 def test_inertia_is_freed_with_its_psiA(groups):
-    G = groups("z2", 3)
+    def held(G):
+        pa = _psi(G, [[0, 0], [1, 0]])
+        I = clifford.inertia(pa)
+        phis = clifford.phi_set(pa)
+        clifford.mackey_restriction(pa, phis)
+        subs = [I.c_gl, I.c_sl, I.c_sl_bracket, phis.group] + [c_sl_d for _, c_sl_d, _ in pa.twists]
+        return [weakref.ref(H) for H in subs]
 
-    def held():
-        I = clifford.inertia(_psi(G, [[0, 0], [1, 0]]))
-        return [weakref.ref(H) for H in (I.c_gl, I.c_sl, I.c_sl_bracket)]
-
-    # reference counting alone frees the subgroups: no gc.collect() here
-    assert [ref() for ref in held()] == [None, None, None]
+    # odd r builds a Dixon table of C_GL2(psi_A), even r its abelianization;
+    # this orbit has |D_A| = 1 at z2 r=3 and 2 at f2t r=4.  Reference counting
+    # alone frees every subgroup: the cyclic collector is off
+    gc.disable()
+    try:
+        for kind, r, dA in (("z2", 3, 1), ("f2t", 4, 2)):
+            refs = held(groups(kind, r))
+            assert len(refs) == 4 + dA
+            assert [ref() for ref in refs] == [None] * len(refs), (kind, r)
+    finally:
+        gc.enable()
 
 
 def test_orbit_sweep_leaves_no_per_orbit_cache_keys(groups):
@@ -437,7 +461,7 @@ def test_phi_set_odd_level_matches_the_restriction_filter(kind, groups):
     for a in range(lp.size):
         for b in range(lp.size):
             pa = clifford.make_psiA(G, mat.mat_from_codes(lp, 0, a, 1, b))
-            table = chartab.character_table_cached(clifford.inertia(pa).c_gl)
+            table = chartab.dixon_table(clifford.inertia(pa).c_gl)
             brute = [phi for phi in table if chartab.inner(chartab.restrict(phi, pa.layers.Ml), pa.psi_M)]
             got = clifford.phi_set(pa)
             assert len(got) == len(brute) > 0
@@ -450,7 +474,7 @@ def test_phi_set_budget(groups):
         clifford.phi_set(pa, budget=1)
 
 
-def test_mackey_pieces_sum_to_the_restriction(groups):
+def test_mackey_pieces_sum_to_the_restriction(groups, chartabs):
     for kind, r, rows in [
         ("z2", 2, [[0, 0], [1, 0]]),
         ("z2", 2, [[0, 1], [1, 1]]),
@@ -469,7 +493,7 @@ def test_mackey_pieces_sum_to_the_restriction(groups):
             assert total == lhs
             dims = {cf.degree for _, cf in mr}
             assert len(dims) == 1  # all summands share one dimension
-            sl_tab = chartab.character_table_cached(L.sl)
+            sl_tab = chartabs(L.sl)
             for _, cf in mr:
                 dec = chartab.decompose(cf, sl_tab)
                 assert dec.any() and dec.min() >= 0
@@ -484,7 +508,7 @@ def test_mackey_restriction_of_a_stack_is_member_by_member(groups):
         assert [d for d, _ in single] == [d for d, _ in stacked]
         assert all(cf == st[k] for (_, cf), (_, st) in zip(single, stacked))
     # one reducible member fails the whole stack
-    mixed = chartab.ClassFunction(phis.classes, phis.n, np.stack([phis.vals[0], phis.vals[0] + phis.vals[1]]))
+    mixed = chartab.ClassFunction(phis.group, phis.n, np.stack([phis.vals[0], phis.vals[0] + phis.vals[1]]))
     with pytest.raises(AssertionError, match="not irreducible"):
         clifford.mackey_restriction(pa, mixed)
 

@@ -77,7 +77,6 @@ def test_dets_traces_class_orders():
     for p in range(G.n):
         M = G.matrix(p)
         assert G.dets[p] == mat.det(M).code
-        assert G.traces[p] == mat.trace(M).code
         # brute element order
         k, acc = 1, p
         while acc != G.identity:

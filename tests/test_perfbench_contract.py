@@ -3,10 +3,12 @@
 perfbench/spans.py patches the functions named in its TARGETS table and
 takes counts from their results; an API move that drops a target or changes
 a counted result would break a traced benchmark run, so the table is read
-here, without editing it, against the current modules.
+here, without editing it, against the current modules.  The worker's smoke
+jobs run here too, against their expected records.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 from branchlab import chartab, clifford, grp, mat, predict, ring, verify
@@ -35,3 +37,18 @@ def test_dixon_table_count_is_the_class_count(groups):
     count = {(m, a): c for m, a, c in _spans().TARGETS}[("chartab", "dixon_table")]
     G = groups("z2", 2)
     assert count((G,), chartab.dixon_table(G)) == grp.ConjClasses(G).k == 14
+
+
+def test_smoke_workload_matches_its_expected_records(monkeypatch):
+    # the worker, loaded unedited, runs the smoke jobs in this process: an API
+    # move under orbit_job or verify_job fails here, not first in a benchmark run
+    monkeypatch.syspath_prepend(str(SPANS.parent))
+    spec = importlib.util.spec_from_file_location("perfbench_worker", SPANS.parent / "worker.py")
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    expected = json.loads(worker.EXPECTED.read_text())
+    jobs = worker.make_jobs("smoke", 0)
+    assert len(jobs) == 3
+    for job_id, run in jobs:
+        record, _ = run()
+        assert worker.matches(job_id, record, expected), job_id

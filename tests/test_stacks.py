@@ -19,12 +19,12 @@ from branchlab import chartab, grp, ring
 def _tables():
     G = grp.build_gl2(ring.make_ring("z2", r=2))
     groups = {"GL2": G, "SL2": grp.sl2_subgroup(G), "M1": grp.congruence_subgroup(G, 1)}
-    return {name: chartab.character_table_cached(H) for name, H in groups.items()}
+    return {name: chartab.dixon_table(H) for name, H in groups.items()}
 
 
 def _stack(table, coeffs):
     """One generalized character sum_i coeffs[m, i] chi_i per row of coeffs."""
-    return chartab.ClassFunction(table.classes, table.n, np.einsum("mi,ija->mja", coeffs, table.vals))
+    return chartab.ClassFunction(table.group, table.n, np.einsum("mi,ija->mja", coeffs, table.vals))
 
 
 @st.composite
@@ -42,7 +42,7 @@ def _case(draw, lo=-3):
 @given(_case(), st.integers(-4, 4), st.integers(-4, 4))
 def test_restrict_and_induce_are_linear(case, a, b):
     TH, TG, F1, F2, X1, X2, _ = case
-    G, H = TG.classes.table, TH.classes.table
+    G, H = TG.group, TH.group
 
     def lin(u, v):
         return u.scale(a) + v.scale(b)
@@ -57,7 +57,7 @@ def test_restrict_and_induce_are_linear(case, a, b):
 @given(_case())
 def test_restriction_of_a_stack_is_member_by_member(case):
     TH, _, _, _, X1, _, _ = case
-    H = TH.classes.table
+    H = TH.group
     res = chartab.restrict(X1, H)
     assert len(res) == len(X1)
     for i in range(len(X1)):
@@ -68,7 +68,7 @@ def test_restriction_of_a_stack_is_member_by_member(case):
 @given(_case())
 def test_frobenius_reciprocity_member_by_member(case):
     TH, TG, F1, _, X1, _, _ = case
-    G, H = TG.classes.table, TH.classes.table
+    G, H = TG.group, TH.group
     lhs = chartab.inner(chartab.induce(F1, G), X1)
     rhs = chartab.inner(F1, chartab.restrict(X1, H))
     assert lhs.shape == (len(F1),) and np.array_equal(lhs, rhs)

@@ -17,11 +17,11 @@ GOLDEN = Path(__file__).parent / "golden"
 # -------------------------------------------------------------- find_regular
 
 
-def test_find_regular_matches_brute_support(groups):
+def test_find_regular_matches_brute_support(groups, chartabs):
     # independent route: <Res_{M^ell} rho, psi_A> for every A over o_l',
     # then "regular" = all supporting A cyclic
     G = groups("z2", 2)
-    table = chartab.character_table_cached(G)
+    table = chartabs(G)
     L = clifford._layers(G)
     lp, Ml = L.spec_lp, L.Ml
     all_A = [
@@ -75,13 +75,13 @@ def test_verify_caches_only_per_table_results_on_gl(monkeypatch):
     monkeypatch.setattr(grp, "build_gl2", lambda *a, **kw: built.append(real(*a, **kw)) or built[-1])
     verify.verify_branching(ring.make_ring("z2", r=3), seed=0)
     assert len(built) == 1
-    assert set(built[0].cache) <= {"classes", ("chartab", 0), "clifford_layers"}
+    assert set(built[0].cache) == {"classes", "clifford_layers"}
 
 
 def test_find_regular_needs_gl():
     sl = grp.build_sl2(ring.make_ring("z2", r=2))
     with pytest.raises(ValueError):
-        verify.find_regular(sl)
+        verify.find_regular(sl, chartab.dixon_table(sl))
 
 
 # ------------------------------------------------------------ golden reports
