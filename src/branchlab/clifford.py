@@ -13,12 +13,16 @@ and that determinant image.  It also gives character-extension tests through
 abelianizations, the fiber Irr(C_GL2(psi_A) | psi_A), and the coset-twisted
 decomposition
 
-    Res_SL2 Ind(phi) = sum over d in D_A of Ind(phi^d).
+    Res_SL2 Ind(phi) = sum over d in D_A of Ind_{C_SL2(psi_{A_d})}(phi^d).
+
+With t_d = diag(d, 1), which normalizes SL2, each summand is the one induced
+character Ind_{C_SL2(psi_A)} Res phi read at t_d^-1 x t_d, so a coset costs a
+permutation of the SL2 classes, not a subgroup.
 
 Every identity with two independent computation paths (stabilizer scan vs
-product formula, coset counts vs centralizer determinant images, twisted
-domains vs conjugated subgroups) is computed both ways; the cross-check
-failures raise, and are part of the contract.
+product formula, coset counts vs centralizer determinant images, the
+stabilizer of psi_{A_d} vs the t_d-conjugate of C_GL2(psi_A)) is computed
+both ways; the cross-check failures raise, and are part of the contract.
 
 What lives where.  Work that does not depend on A (the layers, generator
 conjugates, M^ell' coset labels, residues mod pi^ell') is done once per GL2
@@ -182,29 +186,34 @@ class PsiA:
 
     @cached_property
     def twists(self) -> list[tuple]:
-        """Per d in D_A: (d, C_SL2(psi_{A_d}), C_GL2(psi_A)-positions of d^-1 x d
-        at its class reps); mackey_restriction's phi-independent half."""
+        """Per d in D_A: (d, perm_d), mackey_restriction's phi-independent half.
+
+        With t_d = diag(d, 1), perm_d[j] is the SL2 class of t_d^-1 x_j t_d for
+        the rep x_j of SL2 class j.  Conjugation by t_d normalizes SL2 and
+        carries C_GL2(psi_A) onto the stabilizer of psi_{A_d}, A_d = t_d A t_d^-1;
+        that second fact is checked here for every d against make_psiA(A_d)'s
+        own stabilizer scan, so Ind_{C_SL2(psi_{A_d})} phi^d is the untwisted
+        Ind_{C_SL2(psi_A)} Res phi read through perm_d.
+        """
         I = inertia(self)
         L = self.layers
-        C, gl, sl = I.c_gl, L.gl, L.sl
-        c_in_gl, sl_in_gl = C.pos_in(gl), sl.pos_in(gl)
+        spec, gl, sl = L.spec, L.gl, L.sl
+        cc = grp.conjugacy_classes(sl)
+        reps = sl.entries(cc.reps)
         out = []
         for d in I.dA_reps:
-            td = gl.pos_of_matrix(Mat2(L.spec, d.code, 0, 0, 1))
+            dc = np.int64(d.code)
             mask = np.zeros(gl.n, dtype=bool)
-            mask[gl.conj_perm(td)[c_in_gl]] = True
+            mask[gl.pos_of_codes(mat._vpack(spec, mat._vconj_diag(spec, I.c_gl.ms, dc)))] = True
             A_d = mat.conjugate_by_diag(self.A, d)
             if not np.array_equal(mask, make_psiA(gl, A_d).stabilizer_mask_gl):
                 raise AssertionError(
                     f"conjugated inertia group differs from the stabilizer of psi_{{A_d}} ({_where(self, d)})"
                 )
-            c_sl_d = grp.subgroup(sl, mask[sl_in_gl], name="C_SL2(psi_A_d)")
-            reps_d = grp.conjugacy_classes(c_sl_d).reps
-            iperm = gl.conj_perm(int(gl.inv[td]))
-            back_C = C.pos_of_codes(mat._vpack(L.spec, gl.entries(iperm[c_sl_d.pos_in(gl)[reps_d]])))
-            if np.any(back_C < 0):
-                raise AssertionError(f"phi^d argument left C_GL2(psi_A) ({_where(self, d)})")
-            out.append((d, c_sl_d, back_C))
+            pos = sl.pos_of_codes(mat._vpack(spec, mat._vconj_diag(spec, reps, ring._vinv(spec, dc))))
+            if np.any(pos < 0):
+                raise AssertionError(f"conjugate of an SL2 class rep left SL2 ({_where(self, d)})")
+            out.append((d, cc.class_id[pos]))
         return out
 
     def __repr__(self):
@@ -679,11 +688,16 @@ def mackey_restriction(psiA: PsiA, phi: ClassFunction) -> list[tuple[RingElem, C
     """[(d, Ind_{C_SL2(psi_{A_d})} phi^d)] for d over D_A, with exactness checks.
 
     phi is one class function on C_GL2(psi_A) or a stack of them; every
-    summand is a stack of phi's shape.  phi^d(x) = phi(diag(d,1)^-1 x diag(d,1)).
+    summand is a stack of phi's shape.  phi^d(x) = phi(t_d^-1 x t_d) with
+    t_d = diag(d, 1).  Since t_d normalizes SL2,
+
+        Ind_{C_SL2(psi_{A_d})} phi^d (x) = Ind_{C_SL2(psi_A)} Res phi (t_d^-1 x t_d),
+
+    so one induced stack is read at the classes PsiA.twists permutes, which
+    also checks t_d C_GL2(psi_A) t_d^-1 against the stabilizer of psi_{A_d}.
     Member by member, the sum of the summands is checked to equal
-    Res_SL2 Ind_GL2(phi) exactly, the twisted domains are checked against
-    independently computed stabilizers, and all summand dimensions agree.
-    The phi-independent work is PsiA.twists.
+    Res_SL2 Ind_GL2(phi) exactly, and all summand dimensions agree with
+    dim(phi) |SL2| / |C_SL2(psi_A)|.
     """
     I = inertia(psiA)
     L = psiA.layers
@@ -695,15 +709,15 @@ def mackey_restriction(psiA: PsiA, phi: ClassFunction) -> list[tuple[RingElem, C
         raise AssertionError(f"Ind(phi) is not irreducible; phi is outside the psi_A fiber ({_where(psiA)})")
     lhs = chartab.restrict(rho, sl)
     expected = phi.degree * sl.n
+    ind = chartab.induce(chartab.restrict(phi, I.c_sl), sl)
     out = []
-    for d, c_sl_d, back_C in psiA.twists:
-        phid = ClassFunction(c_sl_d, phi.n, np.take(phi.vals, phi.classes.class_id[back_C], axis=-2))
-        ind = chartab.induce(phid, sl)
-        if np.any(expected % c_sl_d.n) or np.any(ind.degree != expected // c_sl_d.n):
+    for d, perm in psiA.twists:
+        summand = ClassFunction(sl, ind.n, np.take(ind.vals, perm, axis=-2))
+        if np.any(expected % I.c_sl.n) or np.any(summand.degree != expected // I.c_sl.n):
             raise AssertionError(
-                f"summand dimension disagrees with dim(phi) |SL2| / |C_SL2(psi_{{A_d}})| ({_where(psiA, d)})"
+                f"summand dimension disagrees with dim(phi) |SL2| / |C_SL2(psi_A)| ({_where(psiA, d)})"
             )
-        out.append((d, ind))
+        out.append((d, summand))
     total = out[0][1]
     for _, cf in out[1:]:
         total = total + cf

@@ -8,7 +8,7 @@ from it holds its sorted positions in the root and their inverse map, so a
 lookup is root index -> local position, and K.pos_in(H) moves positions
 between any two tables of one root.
 
-Orbit computations (conjugacy classes, cosets, double cosets) run as min-label
+Orbit computations (conjugacy classes, coset labels) run as min-label
 propagation over generator permutation arrays.  Generating sets are found
 greedily and verified by breadth-first closure, so every table is self-checking.
 
@@ -143,9 +143,6 @@ class GroupTable:
 
     def right_mul_perm(self, g: int):
         return self._lookup(mat._vmat_mul(self.spec, self.ms, self.entries(g)))
-
-    def left_mul_perm(self, g: int):
-        return self._lookup(mat._vmat_mul(self.spec, self.entries(g), self.ms))
 
     def conj_perm(self, g: int):
         """x -> g x g^-1 as a position permutation."""
@@ -389,21 +386,3 @@ def conjugacy_classes(G: GroupTable) -> ConjClasses:
 def coset_labels(G: GroupTable, H: GroupTable) -> np.ndarray:
     """Per position of G, the least position of its left coset gH."""
     return _orbit_labels(G.n, [G.right_mul_perm(g) for g in H.pos_in(G)[H.gens]])
-
-
-def cosets(G: GroupTable, H: GroupTable) -> np.ndarray:
-    """Representatives (positions in G) of the left cosets gH."""
-    reps = np.unique(coset_labels(G, H))
-    assert len(reps) * H.n == G.n
-    return reps
-
-
-def double_cosets(G: GroupTable, H1: GroupTable, H2: GroupTable):
-    """(representatives, sizes) for H1\\G/H2."""
-    p1 = [G.left_mul_perm(g) for g in H1.pos_in(G)[H1.gens]]
-    p2 = [G.right_mul_perm(g) for g in H2.pos_in(G)[H2.gens]]
-    labels = _orbit_labels(G.n, p1 + p2)
-    reps, counts = np.unique(labels, return_counts=True)
-    assert int(counts.sum()) == G.n
-    return reps, counts
-

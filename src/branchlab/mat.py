@@ -106,6 +106,12 @@ def _vmat_inv(spec, X):
     )
 
 
+def _vconj_diag(spec, X, d):
+    """Entries of diag(d, 1) X diag(d, 1)^-1 for unit codes d: only the off-diagonal entries scale."""
+    a, b, c, e = X
+    return a, ring._vmul(spec, d, b), ring._vmul(spec, ring._vinv(spec, d), c), e
+
+
 def _vpack(spec, X):
     s = spec.size
     a, b, c, d = (np.asarray(t, dtype=np.int64) for t in X)
@@ -265,22 +271,11 @@ def pencil_units(A: Mat2):
 
 
 def centralizer_unit_matrices(A: Mat2) -> list[Mat2]:
-    """All X in GL_2 with AX = XA; {xI + yA} route for cyclic A, full scan else."""
-    spec = A.spec
-    n = spec.size
-    if is_cyclic(A):
-        X, keep = pencil_units(A)
-    else:
-        if n**4 > 1 << 24:
-            raise ValueError("non-cyclic centralizer scan over GL_2 exceeds the enumeration budget")
-        X = _vunpack(spec, np.arange(n**4, dtype=np.int64))
-        Av = _as_vec(A)
-        keep = ring._vval(spec, _vdet(spec, X)) == 0
-        AX = _vmat_mul(spec, Av, X)
-        XA = _vmat_mul(spec, X, Av)
-        for t in range(4):
-            keep &= AX[t] == XA[t]
-    return [_from_vec(spec, tuple(t[i] for t in X)) for i in np.flatnonzero(keep)]
+    """All X in GL_2 with AX = XA, for cyclic A: the units among {xI + yA}."""
+    if not is_cyclic(A):
+        raise ValueError(f"{encode_mat(A)} is not cyclic")
+    X, keep = pencil_units(A)
+    return [_from_vec(A.spec, tuple(t[i] for t in X)) for i in np.flatnonzero(keep)]
 
 
 def centralizer_units(A: Mat2) -> tuple[int, int]:
@@ -295,14 +290,7 @@ def conjugate_by_diag(A: Mat2, d: RingElem) -> Mat2:
     if ring.val(d) != 0:
         raise ValueError("twist parameter must be a unit")
     gd = d if d.spec == A.spec else ring.proj(d.spec, A.spec, d)
-    gi = ring.inv(gd)
-    return Mat2(
-        A.spec,
-        A.m11,
-        ring.mul(gd, A.entry(0, 1)).code,
-        ring.mul(gi, A.entry(1, 0)).code,
-        A.m22,
-    )
+    return _from_vec(A.spec, _vconj_diag(A.spec, _as_vec(A), np.int64(gd.code)))
 
 
 # ---------------------------------------------------------------- text form

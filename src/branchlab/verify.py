@@ -188,16 +188,6 @@ class BranchReport:
         )
 
 
-def _trace_info(spec: RingSpec, A: Mat2) -> tuple[str, bool | None]:
-    tr = mat.trace(A)
-    unit = ring.is_unit(tr)
-    square = None
-    if spec.char_two and unit and spec.r % 2 == 0:
-        squares = set(map(int, ring.square_unit_codes(A.spec)))
-        square = int(tr.code) in squares
-    return ("unit" if unit else "nonunit"), square
-
-
 def verify_branching(
     spec: RingSpec,
     *,
@@ -262,8 +252,6 @@ def verify_branching(
         where = clifford._where(psiA)
         I = clifford.inertia(psiA)
         dA = len(I.dA_reps)
-        det_cent = mat.centralizer_units(comp)[1]
-        trace_class, trace_square = _trace_info(spec, comp)
 
         if mackey_on:
             t = time.perf_counter()
@@ -300,9 +288,7 @@ def verify_branching(
             delta = len(js)
             orbit_max_delta = max(orbit_max_delta, delta)
             mfree = all(m == 1 for m in mults)
-            pred = predict.predict_branching(
-                spec, trace_class, det_cent=det_cent, trace_square=trace_square, dim_rho=dim
-            )
+            pred = predict.predict_branching(spec, None, A=comp, dim_rho=dim)
             notes = []
             ok = mfree
             if pred.dA is not None and pred.dA != dA:
@@ -326,8 +312,8 @@ def verify_branching(
                     dim=dim,
                     orbit=triple,
                     orbit_text=orbit_text,
-                    trace_class=trace_class,
-                    trace_square=trace_square,
+                    trace_class=pred.trace_class,
+                    trace_square=pred.trace_square,
                     dA=dA,
                     delta=delta,
                     constituent_dims=dims,
@@ -343,8 +329,9 @@ def verify_branching(
                 )
             )
 
-        # dimension lower bound for constituents over psi_[A] (char 2, odd r > 2)
-        if spec.char_two and spec.r == 3 and trace_class == "nonunit":
+        # dimension lower bound for constituents over psi_[A] (char 2, odd r > 2);
+        # the trace class is the orbit's, so the last member's prediction holds it
+        if spec.char_two and spec.r == 3 and pred.trace_class == "nonunit":
             bound = predict.min_dim_bound(spec, comp)
             prof = predict.centralizer_profile(spec, comp)
             if prof["c_sl_psi"] != I.c_sl.n or prof["c_gl_psi"] != I.c_gl.n:

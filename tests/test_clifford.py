@@ -267,17 +267,16 @@ def test_inertia_is_freed_with_its_psiA(groups):
         I = clifford.inertia(pa)
         phis = clifford.phi_set(pa)
         clifford.mackey_restriction(pa, phis)
-        subs = [I.c_gl, I.c_sl, I.c_sl_bracket, phis.group] + [c_sl_d for _, c_sl_d, _ in pa.twists]
-        return [weakref.ref(H) for H in subs]
+        return [weakref.ref(H) for H in (I.c_gl, I.c_sl, I.c_sl_bracket, phis.group)]
 
     # odd r builds a Dixon table of C_GL2(psi_A), even r its abelianization;
     # this orbit has |D_A| = 1 at z2 r=3 and 2 at f2t r=4.  Reference counting
     # alone frees every subgroup: the cyclic collector is off
     gc.disable()
     try:
-        for kind, r, dA in (("z2", 3, 1), ("f2t", 4, 2)):
+        for kind, r in (("z2", 3), ("f2t", 4)):
             refs = held(groups(kind, r))
-            assert len(refs) == 4 + dA
+            assert len(refs) == 4
             assert [ref() for ref in refs] == [None] * len(refs), (kind, r)
     finally:
         gc.enable()
@@ -511,6 +510,45 @@ def test_mackey_restriction_of_a_stack_is_member_by_member(groups):
     mixed = chartab.ClassFunction(phis.group, phis.n, np.stack([phis.vals[0], phis.vals[0] + phis.vals[1]]))
     with pytest.raises(AssertionError, match="not irreducible"):
         clifford.mackey_restriction(pa, mixed)
+
+
+def _literal_twist(pa, d, phi):
+    """The twist built literally through conj_perm over GL2: the SL2 class of
+    t_d^-1 x t_d per SL2 class rep x, and Ind phi^d from the subgroup
+    C_SL2(psi_{A_d}) = t_d C_SL2(psi_A) t_d^-1 with its own classes."""
+    L = pa.layers
+    gl, sl, C = L.gl, L.sl, clifford.inertia(pa).c_gl
+    td = gl.pos_of_matrix(mat.Mat2(L.spec, d.code, 0, 0, 1))
+    back = gl.conj_perm(int(gl.inv[td]))  # x -> t_d^-1 x t_d
+    cc = grp.conjugacy_classes(sl)
+    perm = cc.class_id[sl.pos_of_codes(mat._vpack(L.spec, gl.entries(back[sl.pos_in(gl)[cc.reps]])))]
+    mask = np.zeros(gl.n, dtype=bool)
+    mask[gl.conj_perm(td)[C.pos_in(gl)]] = True
+    c_sl_d = grp.subgroup(sl, mask[sl.pos_in(gl)], name="C_SL2(psi_A_d)")
+    reps_d = c_sl_d.pos_in(gl)[grp.conjugacy_classes(c_sl_d).reps]
+    back_C = C.pos_of_codes(mat._vpack(L.spec, gl.entries(back[reps_d])))
+    assert np.all(back_C >= 0)
+    phid = chartab.ClassFunction(c_sl_d, phi.n, np.take(phi.vals, phi.classes.class_id[back_C], axis=-2))
+    return perm, chartab.induce(phid, sl)
+
+
+@pytest.mark.parametrize("kind,r", [("z2", 3), ("z2", 4), ("f2t", 3), ("f2t", 4)])
+def test_twists_match_the_literal_conjugation(kind, r, groups):
+    # each summand is one induced character read through perm_d; the literal
+    # route builds each twisted subgroup and its phi^d instead
+    G = groups(kind, r)
+    dAs = []
+    for A in _companions(clifford._layers(G).spec_lp):
+        pa = clifford.make_psiA(G, A)
+        phis = clifford.phi_set(pa)
+        summands = clifford.mackey_restriction(pa, phis)
+        assert [d for d, _ in pa.twists] == [d for d, _ in summands] == clifford.inertia(pa).dA_reps
+        for (d, perm), (_, cf) in zip(pa.twists, summands):
+            ref_perm, ref_ind = _literal_twist(pa, d, phis)
+            assert np.array_equal(perm, ref_perm)
+            assert cf == ref_ind
+        dAs.append(len(pa.twists))
+    assert max(dAs) == (2 if r == 4 else 1)  # r = 4 reaches a twist by d != 1
 
 
 def test_mackey_rejects_foreign_phi(groups):

@@ -176,7 +176,7 @@ def test_centralizer_orbit_identity():
 def test_cosets_partition():
     G = _gl("z2", 2)
     H = grp.congruence_subgroup(G, 1)
-    reps = grp.cosets(G, H)
+    reps = np.unique(grp.coset_labels(G, H))
     assert len(reps) * H.n == G.n
     seen = set()
     hset = H.root_pos
@@ -194,28 +194,9 @@ def test_coset_labels_partition(sub):
     lab = grp.coset_labels(G, H)
     reps, sizes = np.unique(lab, return_counts=True)
     assert len(reps) * H.n == G.n and np.all(sizes == H.n)
-    assert np.array_equal(reps, grp.cosets(G, H))
     # g H lies in the class of g; equal sizes make it the whole class
     members = G.mul(reps[:, None], H.pos_in(G)[None, :])
     assert np.all(lab[members] == reps[:, None])
-
-
-def test_double_cosets_partition():
-    G = _gl("z2", 2)
-    H = grp.congruence_subgroup(G, 1)
-    S = grp.sl2_subgroup(G)
-    reps, sizes = grp.double_cosets(G, S, H)
-    assert int(np.sum(sizes)) == G.n
-    seen = set()
-    for t, size in zip(reps, sizes):
-        dc = {
-            int(G.mul(G.mul(np.int64(int(s)), np.int64(int(t))), np.int64(int(h))))
-            for s in S.root_pos
-            for h in H.root_pos
-        }
-        assert len(dc) == int(size) and not (dc & seen)
-        seen |= dc
-    assert len(seen) == G.n
 
 
 def test_subgroup_closure_and_derived():
@@ -352,9 +333,7 @@ def test_perm_actions():
     G = grp.build_sl2(ring.make_ring("f2t", r=2))
     g = 7
     right = G.right_mul_perm(g)
-    left = G.left_mul_perm(g)
     conj = G.conj_perm(g)
     for x in range(0, G.n, 5):
         assert right[x] == int(G.mul(np.int64(x), np.int64(g)))
-        assert left[x] == int(G.mul(np.int64(g), np.int64(x)))
         assert conj[x] == int(G.mul(G.mul(np.int64(g), np.int64(x)), G.inv[g]))

@@ -4,7 +4,7 @@ perfbench/spans.py patches the functions named in its TARGETS table and
 takes counts from their results; an API move that drops a target or changes
 a counted result would break a traced benchmark run, so the table is read
 here, without editing it, against the current modules.  The worker's smoke
-jobs run here too, against their expected records.
+and mackey-r3 jobs run here too, against their expected records.
 """
 
 import importlib.util
@@ -39,16 +39,26 @@ def test_dixon_table_count_is_the_class_count(groups):
     assert count((G,), chartab.dixon_table(G)) == grp.ConjClasses(G).k == 14
 
 
-def test_smoke_workload_matches_its_expected_records(monkeypatch):
-    # the worker, loaded unedited, runs the smoke jobs in this process: an API
-    # move under orbit_job or verify_job fails here, not first in a benchmark run
+def _run_workload(monkeypatch, workload: str, num_jobs: int):
+    # the worker, loaded unedited, runs the workload's jobs in this process: an
+    # API move under orbit_job or verify_job fails here, not first in a benchmark run
     monkeypatch.syspath_prepend(str(SPANS.parent))
     spec = importlib.util.spec_from_file_location("perfbench_worker", SPANS.parent / "worker.py")
     worker = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(worker)
     expected = json.loads(worker.EXPECTED.read_text())
-    jobs = worker.make_jobs("smoke", 0)
-    assert len(jobs) == 3
+    jobs = worker.make_jobs(workload, 0)
+    assert len(jobs) == num_jobs
     for job_id, run in jobs:
         record, _ = run()
         assert worker.matches(job_id, record, expected), job_id
+
+
+def test_smoke_workload_matches_its_expected_records(monkeypatch):
+    _run_workload(monkeypatch, "smoke", 3)
+
+
+def test_mackey_r3_workload_matches_its_expected_records(monkeypatch):
+    # verify at r = 3 with the Mackey route on, for z2, f2t and eis2 (the one
+    # run of eis2 r = 3 through Mackey in the suite)
+    _run_workload(monkeypatch, "mackey-r3", 3)
