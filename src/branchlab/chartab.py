@@ -21,6 +21,16 @@ dixon_table refuses groups where k p^2 >= 2^63 or |G| p >= 2^53; a pass
 bins each column's |G| products apart from the others', so every float64
 sum stays below |G| p however many columns a batch holds.
 
+When only the constituents of one character f = m * (sum of distinct
+irreducibles of one degree) are wanted, fiber finds them without the full
+table.  The vector v0(c) = |c| f(c) is a sum of their central characters, so
+the smallest space holding v0 and closed under the three combinations of
+one pass (a Krylov block) is spanned by them whenever the combinations
+separate them, which its dimension, f(1) / (m * degree), shows; a block that
+falls short redraws.  The block splits by the same step and lifts by the
+same power-map transform as the full table, at the cost of one product pass
+and block-sized eigenproblems in place of k-dimensional ones.
+
 A class function is an integer coefficient row per conjugacy class in the
 canonical power basis of Q(zeta_n) (cyclo), and a ClassFunction holds a
 whole stack of them, vals[..., k, phi(n)], together with its group; the
@@ -341,6 +351,8 @@ _COMBO_CHUNK = 1 << 12
 # splitting rounds served by one _class_matrix_combos pass: over 100 tables
 # (seeds 1-5 of the benchmark's z2 r=4 and r=3 jobs) every table split in 2 or 3
 _ROUNDS_PER_PASS = 3
+# splitting rounds (theta rows) drawn before a split or a Krylov block gives up
+_MAX_ROUNDS = 24
 
 
 def _class_matrix_combos(G: GroupTable, cc: ConjClasses, thetas: np.ndarray, p: int) -> np.ndarray:
@@ -368,6 +380,42 @@ def _class_matrix_combos(G: GroupTable, cc: ConjClasses, thetas: np.ndarray, p: 
     return M
 
 
+def _split_round(subspaces: list, M: np.ndarray, p: int, where: str) -> list:
+    """Split every subspace of dimension > 1 into its eigenspaces under M.
+
+    A subspace is a k x d basis of an M-invariant space, or None for the
+    whole space in the identity basis: there T = M, and the eigenvectors are
+    the split vectors, so no restriction or change of basis is formed.
+    """
+    out = []
+    for S in subspaces:
+        if S is not None and S.shape[1] == 1:
+            out.append(S)
+            continue
+        T = M if S is None else _restriction_mod(S, (M @ S) % p, p)
+        d = len(T)
+        found = 0
+        for lam, V in _eigenspaces_mod(T, p):
+            if np.any((T @ V - lam * V) % p):
+                raise AssertionError(f"eigenvectors of root {lam} fail T v = lam v ({where}, subspace dim {d})")
+            out.append(V if S is None else (S @ V) % p)
+            found += V.shape[1]
+        if found != d:
+            raise AssertionError(f"eigenspace split lost dimensions: {found} of {d} ({where}, subspace dim {d})")
+    return out
+
+
+def _normalized(G: GroupTable, cc: ConjClasses, vecs: np.ndarray, p: int, where: str) -> np.ndarray:
+    """Rows of central characters from eigenvector columns, scaled to 1 at the identity class."""
+    j0 = int(cc.class_id[G.identity])
+    omega = np.empty(vecs.shape[::-1], dtype=np.int64)
+    for i, v in enumerate(vecs.T):
+        if v[j0] == 0:
+            raise AssertionError(f"eigenvector {i} vanishes at the identity class ({where}, subspace dim 1)")
+        omega[i] = (v * pow(int(v[j0]), p - 2, p)) % p
+    return omega
+
+
 def _central_characters(G: GroupTable, cc: ConjClasses, p: int, seed: int) -> np.ndarray:
     """All k central-character vectors mod p, rows normalized at the identity.
 
@@ -381,10 +429,10 @@ def _central_characters(G: GroupTable, cc: ConjClasses, p: int, seed: int) -> np
     """
     k = cc.k
     rng = np.random.default_rng(seed)
-    subspaces = [np.eye(k, dtype=np.int64)]
+    subspaces = [None]
     rounds = 0
-    while any(S.shape[1] > 1 for S in subspaces):
-        if rounds >= 24:
+    while any(S is None or S.shape[1] > 1 for S in subspaces):
+        if rounds >= _MAX_ROUNDS:
             dmax = max(S.shape[1] for S in subspaces)
             raise AssertionError(
                 f"eigenspace splitting failed to converge ({G.name}, k={k}, p={p}, "
@@ -393,37 +441,10 @@ def _central_characters(G: GroupTable, cc: ConjClasses, p: int, seed: int) -> np
         if rounds % _ROUNDS_PER_PASS == 0:
             thetas = rng.integers(1, p, size=(_ROUNDS_PER_PASS, k), dtype=np.int64)
             combos = _class_matrix_combos(G, cc, thetas, p)
-        M = combos[rounds % _ROUNDS_PER_PASS]
-        nxt = []
-        for S in subspaces:
-            d = S.shape[1]
-            if d == 1:
-                nxt.append(S)
-                continue
-            where = f"{G.name}, k={k}, p={p}, round {rounds}, subspace dim {d}"
-            T = _restriction_mod(S, (M @ S) % p, p)
-            found = 0
-            for lam, V in _eigenspaces_mod(T, p):
-                if np.any((T @ V - lam * V) % p):
-                    raise AssertionError(f"eigenvectors of root {lam} fail T v = lam v ({where})")
-                nxt.append((S @ V) % p)
-                found += V.shape[1]
-            if found != d:
-                raise AssertionError(f"eigenspace split lost dimensions: {found} of {d} ({where})")
-        subspaces = nxt
+        where = f"{G.name}, k={k}, p={p}, round {rounds}"
+        subspaces = _split_round(subspaces, combos[rounds % _ROUNDS_PER_PASS], p, where)
         rounds += 1
-    vecs = np.hstack(subspaces) % p  # columns are eigenvectors
-    j0 = int(cc.class_id[G.identity])
-    omega = np.empty((k, k), dtype=np.int64)
-    for i in range(k):
-        v = vecs[:, i]
-        if v[j0] == 0:
-            raise AssertionError(
-                f"eigenvector {i} vanishes at the identity class "
-                f"({G.name}, k={k}, p={p}, after round {rounds}, subspace dim 1)"
-            )
-        omega[i] = (v * pow(int(v[j0]), p - 2, p)) % p
-    return omega
+    return _normalized(G, cc, np.hstack(subspaces), p, f"{G.name}, k={k}, p={p}, after round {rounds}")
 
 
 def _degrees_mod(G: GroupTable, cc: ConjClasses, omega: np.ndarray, p: int) -> np.ndarray:
@@ -456,22 +477,24 @@ def _check_headroom(name: str, order: int, k: int, p: int):
         raise ValueError(f"{name}: k * p^2 >= 2^63, so int64 mod-p sums would overflow (k={k}, p={p})")
 
 
-def dixon_table(G: GroupTable, seed: int = 0) -> ClassFunction:
-    """Every irreducible character of an enumerated group, as one stack [k, k, phi(e)]."""
-    cc = conjugacy_classes(G)
+def _lift(G: GroupTable, cc: ConjClasses, omega: np.ndarray, degs: np.ndarray, p: int) -> np.ndarray:
+    """Exact characters [rows, k, phi(e)] from central characters mod p, in canonical row order.
+
+    chi(c) = deg omega(c) / |c| mod p, with zeta_e sent to g^((p-1)/e) for
+    the least primitive root g mod p.  Per class j of element order n_j, a
+    discrete Fourier transform over the power classes rep_j^s gives the
+    multiplicity of every n_j-th root of unity as an eigenvalue, checked to
+    lie in [0, deg] and to sum to deg.  Rows sort by degree, then by
+    coefficients.
+    """
     e = cc.exponent
-    p = dixon_prime(G.n, e)
-    _check_headroom(G.name, G.n, cc.k, p)
-    omega = _central_characters(G, cc, p, seed)
-    degs = _degrees_mod(G, cc, omega, p)
     inv_sizes = np.array([pow(int(s), p - 2, p) for s in cc.sizes], dtype=np.int64)
     chi_p = (degs[:, None] * omega % p) * inv_sizes[None, :] % p
-
     z = pow(sympy.primitive_root(p), (p - 1) // e, p)
     orders, P = cc.orders, cc.power_classes
     red = cyclo.reduction_matrix(e)
     phi_e = red.shape[1]
-    tensor = np.zeros((cc.k, cc.k, phi_e), dtype=np.int64)
+    tensor = np.zeros((len(omega), cc.k, phi_e), dtype=np.int64)
     for j in range(cc.k):
         nj = int(orders[j])
         zn = pow(int(z), e // nj, p)
@@ -482,7 +505,7 @@ def dixon_table(G: GroupTable, seed: int = 0) -> ClassFunction:
         sm = np.outer(np.arange(nj), np.arange(nj))
         D = zpow[(-sm) % nj]
         ninv = pow(nj, p - 2, p)
-        block = chi_p[:, P[:nj, j]]  # [k_irr, nj]
+        block = chi_p[:, P[:nj, j]]  # [rows, nj]
         am = (block @ D) % p * ninv % p
         if np.any(am > degs[:, None]):
             raise AssertionError("eigenvalue multiplicities exceed the degree")
@@ -490,12 +513,100 @@ def dixon_table(G: GroupTable, seed: int = 0) -> ClassFunction:
             raise AssertionError("eigenvalue multiplicities do not sum to the degree")
         tensor[:, j, :] = am @ red[(np.arange(nj) * (e // nj)) % e]
     # canonical row order: by degree, then lexicographically by coefficients
-    idx = sorted(range(cc.k), key=lambda i: (int(degs[i]), tensor[i].tobytes()))
+    idx = sorted(range(len(omega)), key=lambda i: (int(degs[i]), tensor[i].tobytes()))
     tensor, degs = tensor[idx], degs[idx]
     bad = np.any(tensor[:, int(cc.class_id[G.identity])] != degs[:, None] * red[0], axis=1)
     if np.any(bad):
         raise AssertionError(f"identity-class value disagrees with the degree of irreducible {np.argmax(bad)}")
-    return ClassFunction(G, e, tensor)
+    return tensor
+
+
+def dixon_table(G: GroupTable, seed: int = 0) -> ClassFunction:
+    """Every irreducible character of an enumerated group, as one stack [k, k, phi(e)]."""
+    cc = conjugacy_classes(G)
+    e = cc.exponent
+    p = dixon_prime(G.n, e)
+    _check_headroom(G.name, G.n, cc.k, p)
+    omega = _central_characters(G, cc, p, seed)
+    return ClassFunction(G, e, _lift(G, cc, omega, _degrees_mod(G, cc, omega, p), p))
+
+
+def _krylov_block(Ms: np.ndarray, v0: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The smallest space W holding v0 and invariant under every Ms[t] (mod p).
+
+    Returns (X, T): X is a basis of W as rows [d, k], T[t] the matrix [d, d]
+    of Ms[t] on W in that basis.  Each step row-reduces the basis with the
+    images of the rows it added last, and only the rows whose pivots are new
+    go on: with the old rows they span the grown space, so X collects every
+    multiplied row, spans W, and all of its images are at hand for T.
+    """
+    R, pivots = _rref_mod(v0[None, :], p)
+    rows, images = [], []
+    B = new = R[: len(pivots)]
+    while len(new):
+        rows.append(new)
+        images.append(Ms @ new.T % p)  # [t, k, rows]
+        R, grown = _rref_mod(np.vstack([B, *np.moveaxis(images[-1], 2, 1)]), p)
+        B = R[: len(grown)]
+        new = B[[i for i, c in enumerate(grown) if c not in pivots]]
+        pivots = grown
+    X = np.vstack(rows)
+    MX = np.concatenate(images, axis=2)
+    return X, np.stack([_restriction_mod(X.T, m, p) for m in MX])
+
+
+def fiber(f: ClassFunction, degree: int, mult: int, seed: int = 0) -> ClassFunction:
+    """The irreducible constituents of a character f = mult * (sum of distinct irreducibles of one degree).
+
+    The members are found without the full table, as a Krylov block of the
+    class-matrix space.  Each member phi has central character omega_phi(c)
+    = |c| phi(c) / degree, so v0(c) = |c| f(c) = mult degree sum omega_phi,
+    and v0 lies in the span W of the omega_phi, which every class matrix
+    maps into itself.  One _class_matrix_combos pass gives three random
+    combinations; closing v0 under all three (_krylov_block) spans W exactly
+    when the three rows separate every member, which the dimension
+    f(1) / (mult degree) tells.  A block that falls short draws a fresh pass,
+    up to _MAX_ROUNDS rows.  _split_round then splits W row by row, in the
+    block's own coordinates, into the omega_phi, and _lift lifts them as
+    dixon_table does.  The stack is over Q(zeta_e), e the group exponent, in
+    dixon_table's canonical row order, and is checked exactly: mult sum phi
+    == f, <phi, phi> = 1, members pairwise distinct.
+    """
+    G, cc = f.group, f.classes
+    k, e = cc.k, cc.exponent
+    count, rem = divmod(int(f.degree), mult * degree)
+    if rem or count == 0:
+        raise ValueError(f"f(1) = {f.degree} is not a positive multiple of mult * degree = {mult * degree}")
+    p = dixon_prime(G.n, lcm(e, f.n))
+    _check_headroom(G.name, G.n, k, p)
+    # f mod p with zeta_n sent to g^((p-1)/n), the embedding _lift reads zeta_e through
+    zn = pow(sympy.primitive_root(p), (p - 1) // f.n, p)
+    pw = np.array([pow(zn, t, p) for t in range(f.vals.shape[-1])], dtype=np.int64)
+    v0 = (f.vals % p) @ pw % p * (cc.sizes % p) % p
+    rng = np.random.default_rng(seed)
+    for rounds in range(_ROUNDS_PER_PASS, _MAX_ROUNDS + 1, _ROUNDS_PER_PASS):
+        thetas = rng.integers(1, p, size=(_ROUNDS_PER_PASS, k), dtype=np.int64)
+        X, T = _krylov_block(_class_matrix_combos(G, cc, thetas, p), v0, p)
+        if len(X) >= count:
+            break
+    where = f"{G.name}, k={k}, p={p}, {count} members"
+    if len(X) != count:
+        raise AssertionError(f"Krylov block has dim {len(X)} after {rounds} rounds ({where})")
+    subspaces = [None]
+    for t, M in enumerate(T):
+        subspaces = _split_round(subspaces, M, p, f"{where}, block row {t}")
+    if len(subspaces) != count:
+        raise AssertionError(f"block split into {len(subspaces)} spaces ({where})")
+    omega = _normalized(G, cc, X.T @ np.hstack(subspaces) % p, p, f"{where}, block")
+    tensor = _lift(G, cc, omega, np.full(count, degree, dtype=np.int64), p)
+    out = ClassFunction(G, e, tensor)
+    if ClassFunction(G, e, mult * tensor.sum(axis=0)) != f:
+        raise AssertionError(f"{mult} * the sum of the members is not f ({where})")
+    if np.any(inner(out, out) != 1):
+        raise AssertionError(f"a member has norm other than 1 ({where})")
+    if np.any(np.all(tensor[1:] == tensor[:-1], axis=(1, 2))):
+        raise AssertionError(f"two members are equal ({where})")
+    return out
 
 
 # ------------------------------------------------------------- orthogonality

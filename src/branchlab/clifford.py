@@ -638,9 +638,11 @@ def phi_set(psiA: PsiA, budget: int = grp.DEFAULT_BUDGET) -> ClassFunction:
     """Irr(C_GL2(psi_A) | psi_A) as one stack of class functions on C_GL2(psi_A).
 
     Even r: the linear characters of the abelianization extending psi_A.
-    Odd r: the constituents of Ind_{M^ell}^{C_GL2(psi_A)} psi_A in the full
-    character table of C_GL2(psi_A); by Frobenius reciprocity these are the
-    members with a nonzero (hence full) pairing with psi_A on M^ell.
+    Odd r: every member has degree q and Ind_{M^ell}^{C_GL2(psi_A)} psi_A =
+    q sum phi, so chartab.fiber splits Ind psi_A as a Krylov block of the
+    class-matrix space of C_GL2(psi_A), without its full character table;
+    each member pairs with psi_A on M^ell exactly q times, and the stack is in
+    the table's canonical row order.
     Dimensions (1 for even r, q for odd r) and the fiber size are verified
     on the whole stack.
     """
@@ -664,14 +666,15 @@ def phi_set(psiA: PsiA, budget: int = grp.DEFAULT_BUDGET) -> ClassFunction:
             raise AssertionError(f"extension does not restrict to psi_A ({_where(psiA)})")
         reps = grp.conjugacy_classes(C).reps
         return chartab.class_function_from_exponents(C, Hq.exponent, exts[:, Hq.lab[reps]])
-    # odd r: the psi_A fiber of the full table, <Ind psi_A, phi> = <Res phi, psi_A>
-    table = chartab.dixon_table(C)
-    mults = chartab.decompose(chartab.induce(psiA.psi_M, C), table)
-    idx = np.flatnonzero(mults)
-    out = table[idx]
-    if np.any(out.degree != q) or np.any(mults[idx] != q):
+    # odd r: Ind psi_A = q sum phi, split as a Krylov block of C's class-matrix space
+    try:
+        out = chartab.fiber(chartab.induce(psiA.psi_M, C), q, q)
+    except AssertionError as exc:
+        raise AssertionError(f"{exc} ({_where(psiA)})") from exc
+    pairing = chartab.inner(chartab.restrict(out, L.Ml), psiA.psi_M)
+    if np.any(out.degree != q) or np.any(pairing != q):
         raise AssertionError(
-            f"odd-level fiber degrees {out.degree.tolist()}, pairings {mults[idx].tolist()}; "
+            f"odd-level fiber degrees {out.degree.tolist()}, pairings {pairing.tolist()}; "
             f"expected q = {q} ({_where(psiA)})"
         )
     if len(out) * q**2 != fiber:

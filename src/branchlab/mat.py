@@ -9,7 +9,6 @@ the group layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 

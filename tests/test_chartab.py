@@ -266,6 +266,19 @@ def test_splitting_that_never_progresses_stops_at_24_rounds(groups, monkeypatch)
         chartab.dixon_table(G, seed=0)
 
 
+@pytest.mark.parametrize("kind,r", [("z2", 2), ("f2t", 3)])
+def test_fiber_returns_the_table_rows_of_each_degree(kind, r, groups, chartabs):
+    # every degree's irreducibles, summed with multiplicity 2, split back into
+    # the same rows as the full table's, in its order
+    T = chartabs(groups(kind, r))
+    for d in np.unique(T.degree):
+        rows = np.flatnonzero(T.degree == d)
+        f = chartab.ClassFunction(T.group, T.n, 2 * T.vals[rows].sum(axis=0))
+        assert chartab.fiber(f, int(d), 2) == T[rows]
+    with pytest.raises(ValueError, match="not a positive multiple"):
+        chartab.fiber(T[0], 2, 1)
+
+
 def test_dixon_degree_checks_raise(groups, monkeypatch):
     G = groups("z2", 2)  # GL2(Z/4): degrees 1 to 6
     real_central, real_degrees = chartab._central_characters, chartab._degrees_mod

@@ -452,19 +452,54 @@ def test_phi_set_odd_level(groups):
     assert len(phis) == 8 and all(p.degree == 2 for p in phis)
 
 
-@pytest.mark.parametrize("kind", ["z2", "f2t"])
+@pytest.mark.parametrize("kind", ["z2", "f2t", "eis2"])
 def test_phi_set_odd_level_matches_the_restriction_filter(kind, groups):
-    # phi_set decomposes Ind psi_A; the brute force pairs every Res phi with psi_A
+    # phi_set splits Ind psi_A without the full table of C_GL2(psi_A); the
+    # reference builds that table and pairs every Res phi with psi_A
     G = groups(kind, 3)
     lp = clifford._layers(G).spec_lp
     for a in range(lp.size):
         for b in range(lp.size):
             pa = clifford.make_psiA(G, mat.mat_from_codes(lp, 0, a, 1, b))
             table = chartab.dixon_table(clifford.inertia(pa).c_gl)
-            brute = [phi for phi in table if chartab.inner(chartab.restrict(phi, pa.layers.Ml), pa.psi_M)]
+            brute = [i for i, phi in enumerate(table) if chartab.inner(chartab.restrict(phi, pa.layers.Ml), pa.psi_M)]
             got = clifford.phi_set(pa)
             assert len(got) == len(brute) > 0
-            assert all(f == g for f, g in zip(got, brute))
+            assert got == table[brute]
+
+
+def test_phi_set_odd_level_at_r5():
+    # orbit (1;2;2): |C_GL2(psi_A)| = 32768 with 1472 classes, |D_A| = 2.  r = 5 is
+    # below z2's stable range r >= 6, and the norm law does not hold on every
+    # orbit: on (1;0;0) some Res_SL2 Ind phi have norm 4 against |D_A| = 2.
+    # GL2(Z/32) is built here, not in the session cache, so it is freed after.
+    G = grp.build_gl2(ring.make_ring("z2", r=5))
+    L = clifford._layers(G)
+    pa = clifford.make_psiA(G, mat.mat_from_codes(L.spec_lp, 0, 2, 1, 2))
+    I = clifford.inertia(pa)
+    phis = clifford.phi_set(pa)
+    assert len(phis) == 32 and np.all(phis.degree == 2)
+    q_sum = chartab.ClassFunction(I.c_gl, phis.n, 2 * phis.vals.sum(axis=0))
+    assert q_sum == chartab.induce(pa.psi_M, I.c_gl)
+    res = chartab.restrict(chartab.induce(phis, G), L.sl)
+    assert len(I.dA_reps) == 2 and np.all(chartab.inner(res, res) == 2)
+
+
+def test_phi_set_odd_level_redraws_a_short_block_then_names_the_orbit(groups, monkeypatch):
+    # every row the sum of all class matrices: it acts as 0 on each nontrivial
+    # central character, so the Krylov block of Ind psi_A stays at dim 1
+    real = chartab._class_matrix_combos
+    passes = []
+
+    def degenerate(G, cc, thetas, p):
+        passes.append(1)
+        return real(G, cc, np.ones_like(thetas), p)
+
+    monkeypatch.setattr(chartab, "_class_matrix_combos", degenerate)
+    pa = _psi(groups("z2", 3), [[0, 0], [1, 0]])
+    with pytest.raises(AssertionError, match=r"block has dim 1 after 24 rounds .*\(z2, r=3, orbit \(1;0;0\)\)"):
+        clifford.phi_set(pa)
+    assert len(passes) == 8
 
 
 def test_phi_set_budget(groups):

@@ -171,6 +171,21 @@ def test_mackey_cross_check_failures_raise(monkeypatch):
         verify.verify_branching(ring.make_ring("z2", r=2))
 
 
+def test_mackey_route_builds_no_table_beyond_gl2_and_sl2(monkeypatch):
+    # the odd-level fiber is a Krylov block, so a silent fallback to full
+    # tables of C_GL2(psi_A) would show here even with identical outputs
+    real = chartab.dixon_table
+    built = []
+
+    def counted(G, *args):
+        built.append(G.name)
+        return real(G, *args)
+
+    monkeypatch.setattr(chartab, "dixon_table", counted)
+    verify.verify_branching(ring.make_ring("z2", r=3), mackey=True)
+    assert built == ["GL2", "SL2"]
+
+
 def test_budget_error():
     with pytest.raises(grp.BudgetError):
         verify.verify_branching(ring.make_ring("z2", r=2), budget=10)
