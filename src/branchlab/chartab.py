@@ -555,7 +555,7 @@ def _krylov_block(Ms: np.ndarray, v0: np.ndarray, p: int) -> tuple[np.ndarray, n
     return X, np.stack([_restriction_mod(X.T, m, p) for m in MX])
 
 
-def fiber(f: ClassFunction, degree: int, mult: int, seed: int = 0) -> ClassFunction:
+def fiber(f: ClassFunction, degree: int, mult: int) -> ClassFunction:
     """The irreducible constituents of a character f = mult * (sum of distinct irreducibles of one degree).
 
     The members are found without the full table, as a Krylov block of the
@@ -583,7 +583,7 @@ def fiber(f: ClassFunction, degree: int, mult: int, seed: int = 0) -> ClassFunct
     zn = pow(sympy.primitive_root(p), (p - 1) // f.n, p)
     pw = np.array([pow(zn, t, p) for t in range(f.vals.shape[-1])], dtype=np.int64)
     v0 = (f.vals % p) @ pw % p * (cc.sizes % p) % p
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     for rounds in range(_ROUNDS_PER_PASS, _MAX_ROUNDS + 1, _ROUNDS_PER_PASS):
         thetas = rng.integers(1, p, size=(_ROUNDS_PER_PASS, k), dtype=np.int64)
         X, T = _krylov_block(_class_matrix_combos(G, cc, thetas, p), v0, p)
