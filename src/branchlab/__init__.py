@@ -10,8 +10,9 @@ Modules, bottom to top:
 - chartab: exact class functions and character tables (eigenspace splitting
   over a finite field; a table is one ClassFunction stack, held by its caller,
   and a class function holds its group), induction/restriction/decomposition.
-- clifford: the orbit characters psi_A, their stabilizers, extension theory,
-  and the Mackey decomposition of restricted induced characters.
+- clifford: the orbit characters psi_A, their stabilizers, the fiber
+  Irr(C_GL2(psi_A) | psi_A), and the Mackey decomposition of restricted
+  induced characters.
 - predict: closed-form constituent-count bounds valid at every level.
 - verify: the end-to-end pipeline behind the `branchlab` command.
 """
@@ -27,8 +28,6 @@ from .chartab import (
 )
 from .clifford import (
     H_group,
-    all_linear_characters,
-    extends_to,
     h_set,
     inertia,
     mackey_restriction,
@@ -53,7 +52,6 @@ __all__ = [
     "Prediction",
     "RingElem",
     "RingSpec",
-    "all_linear_characters",
     "build_gl2",
     "build_sl2",
     "chartab",
@@ -63,7 +61,6 @@ __all__ = [
     "cyclo",
     "decompose",
     "dixon_table",
-    "extends_to",
     "find_regular",
     "gl2_order",
     "grp",

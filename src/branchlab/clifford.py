@@ -9,9 +9,9 @@ for a fixed coordinate lift A~ of A.  Over a full GL2 table, this module
 builds psi_A and its restriction psi_[A] to K^ell = M^ell cap SL2, the
 unipotent h/H layers, and inertia(psi_A), which keeps C_GL2(psi_A),
 C_SL2(psi_A), C_SL2(psi_[A]), the coset space D_A = o_r^x / det C_GL2(psi_A)
-and that determinant image.  It also gives character-extension tests through
-abelianizations, the fiber Irr(C_GL2(psi_A) | psi_A), and the coset-twisted
-decomposition
+and that determinant image.  It also gives the fiber Irr(C_GL2(psi_A) | psi_A)
+(at even r, the linear characters of C_GL2(psi_A)/ker psi_A extending psi_A)
+and the coset-twisted decomposition
 
     Res_SL2 Ind(phi) = sum over d in D_A of Ind_{C_SL2(psi_{A_d})}(phi^d).
 
@@ -38,11 +38,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 
 import numpy as np
 
-from . import chartab, cyclo, grp, mat, ring
+from . import chartab, grp, mat, ring
 from .chartab import ClassFunction
 from .grp import GroupTable
 from .mat import Mat2
@@ -470,15 +470,14 @@ def _inertia(psiA: PsiA) -> InertiaData:
     return InertiaData(c_gl, c_sl, c_sl_bracket, dA_reps, det_image)
 
 
-# ------------------------------------------------------------------ abelianization and extensions
+# ------------------------------------------------------------------ abelian quotients
 
 
 @dataclass(eq=False)
 class _AbelianQuotient:
-    """H/[H,H] with labels, coset representatives, and exponent."""
+    """Abelian H/N: labels, coset representatives, a multiple of its exponent."""
 
     H: GroupTable
-    derived_pos: np.ndarray  # positions of [H,H] inside H
     lab: np.ndarray  # H position -> quotient label
     reps: np.ndarray  # representative H position per label
     size: int
@@ -489,31 +488,26 @@ class _AbelianQuotient:
         return self.lab[self.H.mul(int(self.reps[i]), self.reps[np.asarray(j, dtype=np.int64)])]
 
 
-def _abelian_quotient(H: GroupTable) -> _AbelianQuotient:
-    """H/[H,H], computed afresh: the caller holds it, nothing is cached on H."""
-    Hd = grp.derived_subgroup(H)
-    dpos = Hd.pos_in(H)
-    raw = grp.coset_labels(H, Hd)
+def _abelian_quotient(H: GroupTable, N: GroupTable) -> _AbelianQuotient:
+    """H/N for a normal N, by the coset labels of N; nothing is cached on H.
+
+    Raises unless every commutator of two generators of H lies in N, that is,
+    unless H/N is abelian.  The exponent is H's own, a multiple of H/N's.
+    """
+    raw = grp.coset_labels(H, N)
     reps = np.unique(raw)
     lab = np.searchsorted(reps, raw).astype(np.int64)
     size = len(reps)
-    assert size * Hd.n == H.n
+    assert size * N.n == H.n
     idl = int(lab[H.identity])
-    ords = np.zeros(size, dtype=np.int64)
-    ords[idl] = 1
-    cur = np.arange(size, dtype=np.int64)
-    base = np.arange(size, dtype=np.int64)
-    k = 1
-    while np.any(ords == 0):
-        alive = ords == 0
-        cur[alive] = lab[H.mul(reps[cur[alive]], reps[base[alive]])]
-        k += 1
-        ords[alive & (cur == idl)] = k
-    E = lcm(*(int(o) for o in np.unique(ords)))
-    return _AbelianQuotient(H, dpos, lab, reps, size, E, idl)
+    g = np.array(H.gens, dtype=np.int64)
+    comm = H.mul(H.mul(g[:, None], g[None, :]), H.mul(H.inv[g][:, None], H.inv[g][None, :]))
+    if np.any(lab[comm] != idl):
+        raise AssertionError(f"{H.name}/{N.name} is not abelian")
+    return _AbelianQuotient(H, lab, reps, size, grp.conjugacy_classes(H).exponent, idl)
 
 
-def _extend_all(Hq: _AbelianQuotient, base: np.ndarray, limit: int | None = None) -> list[np.ndarray]:
+def _extend_all(Hq: _AbelianQuotient, base: np.ndarray) -> list[np.ndarray]:
     """All exponent labelings of the quotient extending a seeded partial character.
 
     base holds a mod-exponent value on the labels of a subgroup (and -1
@@ -528,8 +522,6 @@ def _extend_all(Hq: _AbelianQuotient, base: np.ndarray, limit: int | None = None
         missing = np.flatnonzero(cur < 0)
         if missing.size == 0:
             out.append(cur)
-            if limit is not None and len(out) >= limit:
-                return out
             continue
         q = int(missing[0])
         n, x = 1, q
@@ -555,24 +547,10 @@ def _extend_all(Hq: _AbelianQuotient, base: np.ndarray, limit: int | None = None
     return out
 
 
-def _linear_exponents(psi: ClassFunction) -> tuple[np.ndarray, int]:
-    """Per-position root-of-unity exponents of a linear character."""
-    N = psi.n
-    red = cyclo.reduction_matrix(N)
-    lookup = {red[t].tobytes(): t for t in range(N)}
-    exps_cls = np.empty(psi.classes.k, dtype=np.int64)
-    for j in range(psi.classes.k):
-        key = psi.vals[j].tobytes()
-        if key not in lookup:
-            raise ValueError("psi must be linear (root-of-unity valued)")
-        exps_cls[j] = lookup[key]
-    return exps_cls[psi.classes.class_id], N
-
-
 def _rescale_exponents(t: np.ndarray, N: int, E: int) -> np.ndarray:
     num = t * E
     if np.any(num % N):
-        raise AssertionError("character values do not embed in the abelianization exponent")
+        raise AssertionError("character values do not embed in the quotient exponent")
     return (num // N) % E
 
 
@@ -585,7 +563,7 @@ def _seed_base(Hq: _AbelianQuotient, labels: np.ndarray, exps: np.ndarray) -> np
     per_label = exps[first_idx]
     spread = per_label[np.searchsorted(ulab, labels)]
     if np.any(spread != exps):
-        raise AssertionError("character is not constant on abelianization fibers")
+        raise AssertionError("character is not constant on the quotient's fibers")
     base = np.full(Hq.size, -1, dtype=np.int64)
     base[ulab] = per_label
     if base[Hq.id_label] not in (-1, 0):
@@ -594,50 +572,13 @@ def _seed_base(Hq: _AbelianQuotient, labels: np.ndarray, exps: np.ndarray) -> np
     return base
 
 
-def extends_to(psi: ClassFunction, H: GroupTable) -> tuple[bool, ClassFunction | None]:
-    """Whether a linear character of K <= H extends to H, with a witness.
-
-    Criterion: psi extends iff it is trivial on K cap [H, H].  The witness is
-    built through the abelianization of H and verified to restrict to psi.
-    """
-    K = psi.group
-    if psi.degree != 1:
-        raise ValueError("psi must be linear")
-    kpos = K.pos_in(H)
-    exps_K, N = _linear_exponents(psi)
-    Hq = _abelian_quotient(H)
-    in_derived = np.zeros(H.n, dtype=bool)
-    in_derived[Hq.derived_pos] = True
-    if np.any((exps_K % N != 0) & in_derived[kpos]):
-        return False, None
-    E = Hq.exponent
-    base = _seed_base(Hq, Hq.lab[kpos], _rescale_exponents(exps_K, N, E))
-    ext = _extend_all(Hq, base, limit=1)[0]
-    if not _roots_agree(ext[Hq.lab[kpos]], E, exps_K, N):
-        raise AssertionError("constructed extension does not restrict to psi")
-    reps = grp.conjugacy_classes(H).reps
-    return True, chartab.class_function_from_exponents(H, E, ext[Hq.lab[reps]])
-
-
-def all_linear_characters(H: GroupTable) -> ClassFunction:
-    """Every linear character of H, through its abelianization, as one stack."""
-    Hq = _abelian_quotient(H)
-    base = np.full(Hq.size, -1, dtype=np.int64)
-    base[Hq.id_label] = 0
-    exts = np.array(_extend_all(Hq, base))
-    if len(exts) != Hq.size:
-        raise AssertionError(f"found {len(exts)} linear characters, expected {Hq.size}")
-    reps = grp.conjugacy_classes(H).reps
-    return chartab.class_function_from_exponents(H, Hq.exponent, exts[:, Hq.lab[reps]])
-
-
 # ------------------------------------------------------------------ the phi layer
 
 
 def phi_set(psiA: PsiA, budget: int = grp.DEFAULT_BUDGET) -> ClassFunction:
     """Irr(C_GL2(psi_A) | psi_A) as one stack of class functions on C_GL2(psi_A).
 
-    Even r: the linear characters of the abelianization extending psi_A.
+    Even r: the linear characters of C_GL2(psi_A)/ker psi_A extending psi_A.
     Odd r: every member has degree q and Ind_{M^ell}^{C_GL2(psi_A)} psi_A =
     q sum phi, so chartab.fiber splits Ind psi_A as a Krylov block of the
     class-matrix space of C_GL2(psi_A), without its full character table;
@@ -654,10 +595,17 @@ def phi_set(psiA: PsiA, budget: int = grp.DEFAULT_BUDGET) -> ClassFunction:
     q, r = L.spec.q, L.spec.r
     fiber = C.n // L.Ml.n
     if r % 2 == 0:
+        # C/M^l is abelian, so [C, C] lies in M^l, and psi_A, which extends
+        # to C, is trivial there: the members are characters of C/ker psi_A
+        # (_abelian_quotient checks that this quotient is abelian)
         ml_in_C = L.Ml.pos_in(C)
-        Hq = _abelian_quotient(C)
-        base = _seed_base(Hq, Hq.lab[ml_in_C], _rescale_exponents(psiA.exps_M, psiA.n, Hq.exponent))
-        exts = np.array(_extend_all(Hq, base))
+        kernel = grp.subgroup(L.Ml, psiA.exps_M % psiA.n == 0, name="ker psi_A")
+        try:
+            Hq = _abelian_quotient(C, kernel)
+            base = _seed_base(Hq, Hq.lab[ml_in_C], _rescale_exponents(psiA.exps_M, psiA.n, Hq.exponent))
+            exts = np.array(_extend_all(Hq, base))
+        except AssertionError as exc:
+            raise AssertionError(f"{exc} ({_where(psiA)})") from exc
         if len(exts) != fiber:
             raise AssertionError(
                 f"found {len(exts)} extensions of psi_A, expected [C:M^l] = {fiber} ({_where(psiA)})"

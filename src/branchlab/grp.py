@@ -9,8 +9,8 @@ lookup is root index -> local position, and K.pos_in(H) moves positions
 between any two tables of one root.
 
 Orbit computations (conjugacy classes, coset labels) run as min-label
-propagation over generator permutation arrays.  Generating sets are found
-greedily and verified by breadth-first closure, so every table is self-checking.
+propagation over generator permutation arrays.  Every table finds its own
+generating set greedily, by breadth-first closure.
 
 Ownership runs one way.  A subgroup holds its root, a table holds its class
 partition (cache["classes"]), and a class function holds its table; nothing a
@@ -51,9 +51,9 @@ def sl2_order(spec: RingSpec) -> int:
 class GroupTable:
     """Enumerated matrix group (or subgroup) with entrywise multiplication."""
 
-    def __init__(self, spec, name, ms, gens=None, root=None, root_pos=None):
+    def __init__(self, spec, name, ms, root=None, root_pos=None):
         """root/root_pos: the root table and this table's sorted positions in it
-        (None for a root); gens are given as root positions."""
+        (None for a root)."""
         self.spec = spec
         self.name = name
         # entry codes (m11, m12, m21, m22), one read-only array each, indexed by position
@@ -80,15 +80,7 @@ class GroupTable:
         if self.identity < 0:
             raise ValueError("element set lacks the identity")
         self.inv = self._lookup(mat._vmat_inv(spec, self.ms))
-        if gens is None:
-            self.gens = self._greedy_gens()
-        else:
-            self.gens = [int(g) for g in self.local[np.asarray(gens, dtype=np.int64)]]
-            if any(g < 0 for g in self.gens):
-                raise ValueError("generator not inside the member set")
-            covered = int(_closure_mask(self, self.gens).sum())
-            if covered != self.n:
-                raise ValueError(f"given generators span {covered} of {self.n} elements")
+        self.gens = self._greedy_gens()
 
     @property
     def root(self) -> "GroupTable":
@@ -236,7 +228,7 @@ def build_sl2(spec: RingSpec, budget: int = DEFAULT_BUDGET) -> GroupTable:
     )
 
 
-def subgroup(table: GroupTable, members, gens=None, name="subgroup") -> GroupTable:
+def subgroup(table: GroupTable, members, name="subgroup") -> GroupTable:
     """Wrap a closed subset of table as a child GroupTable.
 
     members: boolean mask or position array.  Closure failures surface as
@@ -245,8 +237,7 @@ def subgroup(table: GroupTable, members, gens=None, name="subgroup") -> GroupTab
     members = np.asarray(members)
     idx = np.flatnonzero(members) if members.dtype == bool else np.sort(members.astype(np.int64))
     ms = tuple(t[idx] for t in table.ms)
-    root_gens = None if gens is None else table.root_pos[np.asarray(gens, dtype=np.int64)]
-    return GroupTable(table.spec, name, ms, gens=root_gens, root=table.root, root_pos=table.root_pos[idx])
+    return GroupTable(table.spec, name, ms, root=table.root, root_pos=table.root_pos[idx])
 
 
 def sl2_subgroup(gl: GroupTable) -> GroupTable:
@@ -275,42 +266,6 @@ def congruence_subgroup(G: GroupTable, i: int) -> GroupTable:
     if G.name in ("GL2", "SL2") and sub.n != expected:
         raise AssertionError(f"|{name}| = {sub.n}, expected {expected}")
     return sub
-
-
-def subgroup_closure(G: GroupTable, generators, name="closure") -> GroupTable:
-    """Subgroup of G generated by the given positions."""
-    gens = [int(g) for g in generators]
-    mask = _closure_mask(G, gens)
-    return subgroup(G, mask, gens=[g for g in gens if g != G.identity] or None, name=name)
-
-
-def normal_closure(G: GroupTable, S, normalizers, name="normal closure") -> GroupTable:
-    """Smallest subgroup of G containing S and stable under the normalizers."""
-    gens = [int(s) for s in S]
-    while True:
-        H = subgroup_closure(G, gens, name=name)
-        fresh = []
-        for g in normalizers:
-            gi = int(G.inv[g])
-            for s in gens:
-                t = G.mul(G.mul(int(g), s), gi)
-                if H.local[G.root_pos[t]] < 0:
-                    fresh.append(int(t))
-        if not fresh:
-            return H
-        gens.extend(fresh)
-
-
-def derived_subgroup(H: GroupTable) -> GroupTable:
-    """Normal closure in H of the commutators of its generator pairs."""
-    comms = set()
-    for a in H.gens:
-        ai = int(H.inv[a])
-        for b in H.gens:
-            bi = int(H.inv[b])
-            comms.add(H.mul(H.mul(int(a), int(b)), H.mul(ai, bi)))
-    comms.discard(H.identity)
-    return normal_closure(H, sorted(comms), H.gens, name=f"[{H.name},{H.name}]")
 
 
 def is_abelian(H: GroupTable) -> bool:

@@ -1,4 +1,4 @@
-"""psi_A machinery: bijection, stabilizers, extensions, Mackey summands.
+"""psi_A machinery: bijection, stabilizers, extensions, the fiber, Mackey summands.
 
 The stabilizer tests re-derive the inertia groups by a literal definition
 scan (conjugate every generator-level element against every character value)
@@ -376,34 +376,6 @@ def test_per_table_routes_match_per_orbit_recomputation(kind, r, groups):
 # -------------------------------------------------------------- extensions
 
 
-def test_extends_to_identity_case(groups):
-    pa = _psi(groups("z2", 2), [[0, 0], [1, 0]])
-    ok, ext = clifford.extends_to(pa.psi_K, pa.layers.Kl)
-    assert ok and ext == pa.psi_K
-
-
-def test_extends_to_against_linear_character_search(groups):
-    # brute: try every linear character of H and compare restrictions
-    pa = _psi(groups("f2t", 2), [[0, 0], [1, 0]])
-    L = pa.layers
-    I = clifford.inertia(pa)
-    checked = 0
-    for H in (I.c_sl, I.c_sl_bracket, clifford.H_group(pa, L.ell)):
-        if not set(L.Kl.pos_in(L.sl).tolist()) <= set(H.pos_in(L.sl).tolist()):
-            continue  # brute comparison only makes sense when K^l sits inside H
-
-        def restricts_to_psi(h):
-            return chartab.restrict(h, L.Kl) == pa.psi_K
-
-        brute = any(restricts_to_psi(h) for h in clifford.all_linear_characters(H))
-        ok, ext = clifford.extends_to(pa.psi_K, H)
-        assert ok == brute
-        if ok:
-            assert restricts_to_psi(ext)
-        checked += 1
-    assert checked >= 2
-
-
 def test_extension_set_is_the_pi_ell_ideal(groups):
     # beta = 1 + t: a unit whose square class blocks extension beyond pi^l o
     G = groups("f2t", 4)
@@ -427,9 +399,10 @@ def test_extension_set_is_the_pi_ell_ideal(groups):
         top = ring.mul(ainv, lam)
         e_lam = sl4.pos_of_matrix(mat.mat_from_codes(spec4, 1, top.code, 0, 1))
         gens = [int(g) for g in c_s_ell.pos_in(sl4)[c_s_ell.gens]] + [e_lam]
-        Hc = grp.subgroup_closure(sl4, gens, name="C_S^l<e_lam>")
-        ok, _ = clifford.extends_to(pb.psi_K, Hc)
-        if ok:
+        Hc = grp.subgroup(sl4, grp._closure_mask(sl4, gens), name="C_S^l<e_lam>")
+        # psi_[A] extends to Hc iff some linear character of Hc restricts to it
+        linear = [h for h in chartab.dixon_table(Hc) if h.degree == 1]
+        if any(chartab.inner(chartab.restrict(h, L4.Kl), pb.psi_K) == 1 for h in linear):
             e_set.append(lam.code)
     assert set(e_set) == pi2
 
@@ -452,6 +425,16 @@ def test_phi_set_odd_level(groups):
     assert len(phis) == 8 and all(p.degree == 2 for p in phis)
 
 
+def _restriction_filter(pa):
+    """(phi_set's stack, the reference fiber): the reference is every row of
+    the full table of C_GL2(psi_A) whose restriction to M^l pairs with psi_A."""
+    table = chartab.dixon_table(clifford.inertia(pa).c_gl)
+    brute = [i for i, phi in enumerate(table) if chartab.inner(chartab.restrict(phi, pa.layers.Ml), pa.psi_M)]
+    got = clifford.phi_set(pa)
+    assert len(got) == len(brute) > 0
+    return got, table[brute]
+
+
 @pytest.mark.parametrize("kind", ["z2", "f2t", "eis2"])
 def test_phi_set_odd_level_matches_the_restriction_filter(kind, groups):
     # phi_set splits Ind psi_A without the full table of C_GL2(psi_A); the
@@ -460,12 +443,39 @@ def test_phi_set_odd_level_matches_the_restriction_filter(kind, groups):
     lp = clifford._layers(G).spec_lp
     for a in range(lp.size):
         for b in range(lp.size):
-            pa = clifford.make_psiA(G, mat.mat_from_codes(lp, 0, a, 1, b))
-            table = chartab.dixon_table(clifford.inertia(pa).c_gl)
-            brute = [i for i, phi in enumerate(table) if chartab.inner(chartab.restrict(phi, pa.layers.Ml), pa.psi_M)]
-            got = clifford.phi_set(pa)
-            assert len(got) == len(brute) > 0
-            assert got == table[brute]
+            got, ref = _restriction_filter(clifford.make_psiA(G, mat.mat_from_codes(lp, 0, a, 1, b)))
+            assert got == ref
+
+
+@pytest.mark.parametrize(
+    "kind,r,rows",
+    [pytest.param(k, 2, None, id=f"{k}-2-all") for k in ("z2", "f2t", "eis2")]
+    + [
+        pytest.param("z2", 4, [[0, 0], [1, 0]], id="z2-4-(1;0;0)"),
+        pytest.param("z2", 4, [[0, 3], [1, 2]], id="z2-4-(1;3;2)"),
+    ],
+)
+def test_phi_set_even_level_matches_the_restriction_filter(kind, r, rows, groups):
+    # the even stack comes out of C/ker psi_A in search order, so compare row
+    # sets; rows=None runs every A, a given companion matrix one orbit
+    G = groups(kind, r)
+    lp = clifford._layers(G).spec_lp
+    if rows is None:
+        As = [mat.mat_from_codes(lp, 0, a, 1, b) for a in range(lp.size) for b in range(lp.size)]
+    else:
+        As = [mat.mat(lp, rows)]
+    for A in As:
+        got, ref = _restriction_filter(clifford.make_psiA(G, A))
+        assert np.all(got.degree == 1)
+        f, g = chartab._align(got, ref)
+        assert {v.tobytes() for v in f.vals} == {v.tobytes() for v in g.vals}
+
+
+def test_abelian_quotient_rejects_a_nonabelian_quotient(groups):
+    G = groups("z2", 2)
+    one = grp.subgroup(G, np.array([G.identity]), name="1")
+    with pytest.raises(AssertionError, match="not abelian"):
+        clifford._abelian_quotient(G, one)
 
 
 def test_phi_set_odd_level_at_r5():
@@ -584,6 +594,18 @@ def test_twists_match_the_literal_conjugation(kind, r, groups):
             assert cf == ref_ind
         dAs.append(len(pa.twists))
     assert max(dAs) == (2 if r == 4 else 1)  # r = 4 reaches a twist by d != 1
+
+
+def test_twist_check_names_the_orbit_when_the_conjugated_inertia_group_differs(groups, monkeypatch):
+    # at z2 r <= 4 the check cannot fail on its own (A_d = d A over o_l'), so
+    # make_psiA is swapped, after inertia, for another orbit's psi
+    G = groups("z2", 4)
+    pa = _psi(G, [[0, 0], [1, 0]])
+    clifford.inertia(pa)
+    other = _psi(G, [[0, 3], [1, 2]])
+    monkeypatch.setattr(clifford, "make_psiA", lambda gl, A: other)
+    with pytest.raises(AssertionError, match=r"conjugated inertia group differs .*\(z2, r=4, orbit \(1;0;0\), d=1\)$"):
+        pa.twists
 
 
 def test_mackey_rejects_foreign_phi(groups):
