@@ -7,7 +7,7 @@ its linear characters are exactly
 
 for a fixed coordinate lift A~ of A.  Over a full GL2 table, this module
 builds psi_A and its restriction psi_[A] to K^ell = M^ell cap SL2, the
-unipotent h/H layers, and inertia(psi_A), which keeps C_GL2(psi_A),
+unipotent h/H layers, and the inertia data of psi_A: C_GL2(psi_A),
 C_SL2(psi_A), C_SL2(psi_[A]), the coset space D_A = o_r^x / det C_GL2(psi_A)
 and that determinant image.  It also gives the fiber Irr(C_GL2(psi_A) | psi_A)
 (at even r, the linear characters of C_GL2(psi_A)/ker psi_A extending psi_A)
@@ -25,13 +25,14 @@ stabilizer of psi_{A_d} vs the t_d-conjugate of C_GL2(psi_A)) is computed
 both ways; the cross-check failures raise, and are part of the contract.
 
 What lives where.  Work that does not depend on A (the layers, generator
-conjugates, M^ell' coset labels, residues mod pi^ell') is done once per GL2
-table on _Layers, clifford's one entry in the table's cache; each orbit only
-gathers from it, every route from its own data, so the routes stay
-independent.  What depends on A (inertia, the Mackey twists) is a cached
-property of the fresh PsiA from make_psiA.  Its subgroups are held by the
-PsiA alone and cache nothing that points back at them, so reference
-counting frees them with it.
+conjugates, residues mod pi^ell', whose classes are the cosets of M^ell') is
+done once per GL2 table on _Layers, clifford's one entry in the table's cache;
+each orbit only gathers from it, every route from its own data, so the routes
+stay independent.  What depends on A (each inertia result, the Mackey twists)
+is a cached property of the fresh PsiA from make_psiA, built and checked when
+first read; inertia(psiA) reads them all.  Its subgroups are held by the PsiA
+alone and cache nothing that points back at them, so reference counting frees
+them with it.
 """
 
 from __future__ import annotations
@@ -58,7 +59,9 @@ class _Layers:
 
     Every layer is cut from the same root table as gl/sl, so positions move
     between them with GroupTable.pos_in.  The cached properties are the
-    A-independent halves of inertia's routes.
+    A-independent halves of inertia's routes.  M^ell' is the kernel of
+    reduction mod pi^ell', so its left cosets are the residue classes that
+    residues indexes; it needs no table of its own.
     """
 
     spec: RingSpec
@@ -68,7 +71,6 @@ class _Layers:
     gl: GroupTable
     sl: GroupTable
     Ml: GroupTable
-    Mlp: GroupTable
     Kl: GroupTable
     B_M: tuple  # (m - I)/pi^ell entrywise, per M^ell position
     pi_ell_code: int
@@ -80,11 +82,6 @@ class _Layers:
     @cached_property
     def conj_K(self) -> np.ndarray:
         return _conjugate_positions(self.sl, self.Kl)
-
-    @cached_property
-    def Mlp_labels(self) -> np.ndarray:
-        """Label of the left coset g M^ell' of every gl position."""
-        return grp.coset_labels(self.gl, self.Mlp)
 
     @cached_property
     def residues(self) -> tuple[np.ndarray, np.ndarray]:
@@ -131,10 +128,7 @@ def _layers(G: GroupTable) -> _Layers:
     pe = ring.one(spec)
     for _ in range(ell):
         pe = ring.mul(pe, ring.uniformizer(spec))
-    out = _Layers(
-        spec, ring.truncate(spec, ellp), ell, ellp, G, sl, Ml, grp.congruence_subgroup(G, ellp), Kl,
-        _b_arrays(spec, Ml, ell), pe.code,
-    )
+    out = _Layers(spec, ring.truncate(spec, ellp), ell, ellp, G, sl, Ml, Kl, _b_arrays(spec, Ml, ell), pe.code)
     G.cache["clifford_layers"] = out
     return out
 
@@ -180,9 +174,79 @@ class PsiA:
         return _stabilizer_mask(self.layers.conj_M, self.layers.Ml, self.exps_M)
 
     @cached_property
-    def inertia_data(self) -> InertiaData:
-        """What inertia(self) returns; _inertia runs once per PsiA."""
-        return _inertia(self)
+    def c_gl_mask(self) -> np.ndarray:
+        """C_GL2(psi_A) as a mask on gl: the stabilizer scan, checked against
+        the product formula C_GL2(A~) M^ell' and the residue commutation."""
+        _require_companion(self.A)
+        L = self.layers
+        spec, lp, gl = L.spec, L.spec_lp, L.gl
+        stab = self.stabilizer_mask_gl
+        cent_lift = _commute_mask(spec, gl.ms, self.Atilde.codes)
+        # the cosets a M^ell' are the residue classes mod pi^ell', so
+        # C_GL2(A~) M^ell' is the union of the classes C_GL2(A~) meets
+        codes, index = L.residues
+        hit = np.zeros(len(codes), dtype=bool)
+        hit[index[cent_lift]] = True
+        if not np.array_equal(stab, hit[index]):
+            raise AssertionError(f"C_GL2(psi_A): stabilizer scan and product formula disagree ({_where(self)})")
+        resid = _commute_mask(lp, mat._vunpack(lp, codes), self.A.codes)[index]
+        if not np.array_equal(stab, resid):
+            raise AssertionError(f"C_GL2(psi_A): stabilizer scan and residue commutation disagree ({_where(self)})")
+        return stab
+
+    @cached_property
+    def c_gl(self) -> GroupTable:
+        """C_GL2(psi_A), a subgroup of GL2."""
+        return grp.subgroup(self.layers.gl, self.c_gl_mask, name="C_GL2(psi_A)")
+
+    @cached_property
+    def c_sl(self) -> GroupTable:
+        """C_SL2(psi_A) = C_GL2(psi_A) cap SL2."""
+        L = self.layers
+        return grp.subgroup(L.sl, self.c_gl_mask[L.sl.pos_in(L.gl)], name="C_SL2(psi_A)")
+
+    @cached_property
+    def c_sl_bracket(self) -> GroupTable:
+        """C_SL2(psi_[A]): the stabilizer scan over K^ell, checked against the
+        scalar test and the product formula C_SL2(psi_A) H^ell'."""
+        L = self.layers
+        sl = L.sl
+        bstab = _stabilizer_mask(L.conj_K, L.Kl, self.exps_K)
+        if not np.array_equal(bstab, _scalar_conj_mask_sl(L, self.A)):
+            raise AssertionError(f"C_SL2(psi_[A]): stabilizer scan and scalar test disagree ({_where(self)})")
+        bprod = _product_mask(sl, self.c_sl.pos_in(sl), H_group(self, L.ellp).pos_in(sl))
+        if not np.array_equal(bstab, bprod):
+            raise AssertionError(f"C_SL2(psi_[A]): stabilizer scan and H-product formula disagree ({_where(self)})")
+        return grp.subgroup(sl, bstab, name="C_SL2(psi_[A])")
+
+    @cached_property
+    def det_image(self) -> np.ndarray:
+        """Sorted codes of det C_GL2(psi_A)."""
+        return np.unique(self.layers.gl.dets[self.c_gl_mask])
+
+    @cached_property
+    def dA_reps(self) -> list[RingElem]:
+        """D_A = o_r^x / det C_GL2(psi_A): the smallest-code unit per coset, by
+        explicit coset enumeration, checked against three counts."""
+        L, det_image = self.layers, self.det_image
+        spec = L.spec
+        units = ring.unit_codes(spec)
+        coset_label = ring._vmul(spec, units[:, None], det_image[None, :]).min(axis=1)
+        rep_codes = np.unique(coset_label)
+        if len(rep_codes) * len(det_image) != len(units):
+            raise AssertionError(f"determinant cosets do not partition the units evenly ({_where(self)})")
+        _csize, dsize = mat.centralizer_units(self.A)
+        if len(det_image) != dsize * spec.q**L.ell:
+            raise AssertionError(f"|det C_GL2(psi_A)| = {len(det_image)} != {dsize} * q^{L.ell} ({_where(self)})")
+        low_units = ring.unit_count(L.spec_lp)
+        if low_units % dsize or len(rep_codes) != low_units // dsize:
+            raise AssertionError(
+                f"|D_A| = {len(rep_codes)} does not match (q-1)q^(l'-1)/|det C(A)| = {low_units}/{dsize} "
+                f"({_where(self)})"
+            )
+        if ring.val(mat.trace(self.A)) == 0 and len(rep_codes) != 1:
+            raise AssertionError(f"unit trace must give |D_A| = 1, got {len(rep_codes)} ({_where(self)})")
+        return [RingElem(spec, int(c)) for c in rep_codes]
 
     @cached_property
     def twists(self) -> list[tuple]:
@@ -195,16 +259,15 @@ class PsiA:
         own stabilizer scan, so Ind_{C_SL2(psi_{A_d})} phi^d is the untwisted
         Ind_{C_SL2(psi_A)} Res phi read through perm_d.
         """
-        I = inertia(self)
         L = self.layers
         spec, gl, sl = L.spec, L.gl, L.sl
         cc = grp.conjugacy_classes(sl)
         reps = sl.entries(cc.reps)
         out = []
-        for d in I.dA_reps:
+        for d in self.dA_reps:
             dc = np.int64(d.code)
             mask = np.zeros(gl.n, dtype=bool)
-            mask[gl.pos_of_codes(mat._vpack(spec, mat._vconj_diag(spec, I.c_gl.ms, dc)))] = True
+            mask[gl.pos_of_codes(mat._vpack(spec, mat._vconj_diag(spec, self.c_gl.ms, dc)))] = True
             A_d = mat.conjugate_by_diag(self.A, d)
             if not np.array_equal(mask, make_psiA(gl, A_d).stabilizer_mask_gl):
                 raise AssertionError(
@@ -386,88 +449,18 @@ def _scalar_conj_mask_sl(L: _Layers, A: Mat2) -> np.ndarray:
 # ------------------------------------------------------------------ inertia
 
 
-@dataclass(eq=False)
-class InertiaData:
-    """Stabilizer subgroups and coset data of one psi_A, held by its PsiA."""
+def inertia(psiA: PsiA) -> PsiA:
+    """psiA, with every inertia result built and checked: c_gl, c_sl,
+    c_sl_bracket, det_image and dA_reps.
 
-    c_gl: GroupTable  # C_GL2(psi_A), subgroup of GL2
-    c_sl: GroupTable  # C_SL2(psi_A) = C_GL2(psi_A) cap SL2
-    c_sl_bracket: GroupTable  # C_SL2(psi_[A])
-    dA_reps: list  # smallest-code unit per coset of det C_GL2(psi_A) in o_r^x
-    det_image: np.ndarray  # sorted codes of det(C_GL2(psi_A))
-
-
-def inertia(psiA: PsiA) -> InertiaData:
-    """Stabilizers of psi_A / psi_[A], each built two or three independent ways.
-
-    Routes per subgroup: a literal stabilizer scan, the residue-level
-    commutation/scalar test, and the unipotent product formula.  Any
-    disagreement raises.  D_A representatives come from explicit coset
-    enumeration and are checked against the determinant-image count.
-
-    Per table (_Layers): generator conjugates, M^ell' coset labels, residues.
-    Per orbit: the scans gather psi_A's exponents at the conjugates, the
-    product formula marks the cosets meeting C_GL2(A~), and A commutes with
-    each distinct residue once.  No route reads another's data.  Computed
-    once per PsiA, the result is held by it (PsiA.inertia_data).
+    Each is a cached property that runs its own cross-checks when first read
+    (a literal stabilizer scan against the residue-level commutation/scalar
+    test and the unipotent product formula; D_A's coset enumeration against
+    the determinant-image counts), so a caller that reads only dA_reps builds
+    no subgroup.  Any disagreement raises.
     """
-    return psiA.inertia_data
-
-
-def _inertia(psiA: PsiA) -> InertiaData:
-    """inertia's body, run by PsiA.inertia_data."""
-    L = psiA.layers
-    _require_companion(psiA.A)
-    spec, lp = L.spec, L.spec_lp
-    gl, sl = L.gl, L.sl
-
-    stab = psiA.stabilizer_mask_gl
-    cent_lift = _commute_mask(spec, gl.ms, psiA.Atilde.codes)
-    # M^ell' is normal, so C_GL2(A~) M^ell' is the union of the cosets a M^ell'
-    lab = L.Mlp_labels
-    hit = np.zeros(gl.n, dtype=bool)
-    hit[lab[cent_lift]] = True
-    if not np.array_equal(stab, hit[lab]):
-        raise AssertionError(f"C_GL2(psi_A): stabilizer scan and product formula disagree ({_where(psiA)})")
-    codes, index = L.residues
-    resid = _commute_mask(lp, mat._vunpack(lp, codes), psiA.A.codes)[index]
-    if not np.array_equal(stab, resid):
-        raise AssertionError(f"C_GL2(psi_A): stabilizer scan and residue commutation disagree ({_where(psiA)})")
-    c_gl = grp.subgroup(gl, stab, name="C_GL2(psi_A)")
-    c_sl = grp.subgroup(sl, stab[sl.pos_in(gl)], name="C_SL2(psi_A)")
-
-    bstab = _stabilizer_mask(L.conj_K, L.Kl, psiA.exps_K)
-    bres = _scalar_conj_mask_sl(L, psiA.A)
-    if not np.array_equal(bstab, bres):
-        raise AssertionError(f"C_SL2(psi_[A]): stabilizer scan and scalar test disagree ({_where(psiA)})")
-    H_ellp = H_group(psiA, L.ellp)
-    bprod = _product_mask(sl, c_sl.pos_in(sl), H_ellp.pos_in(sl))
-    if not np.array_equal(bstab, bprod):
-        raise AssertionError(f"C_SL2(psi_[A]): stabilizer scan and H-product formula disagree ({_where(psiA)})")
-    c_sl_bracket = grp.subgroup(sl, bstab, name="C_SL2(psi_[A])")
-
-    det_image = np.unique(gl.dets[stab])
-    units = ring.unit_codes(spec)
-    coset_label = ring._vmul(spec, units[:, None], det_image[None, :]).min(axis=1)
-    rep_codes = np.unique(coset_label)
-    if len(rep_codes) * len(det_image) != len(units):
-        raise AssertionError(f"determinant cosets do not partition the units evenly ({_where(psiA)})")
-    _csize, dsize = mat.centralizer_units(psiA.A)
-    if len(det_image) != dsize * spec.q**L.ell:
-        raise AssertionError(
-            f"|det C_GL2(psi_A)| = {len(det_image)} != {dsize} * q^{L.ell} ({_where(psiA)})"
-        )
-    low_units = ring.unit_count(lp)
-    if low_units % dsize or len(rep_codes) != low_units // dsize:
-        raise AssertionError(
-            f"|D_A| = {len(rep_codes)} does not match (q-1)q^(l'-1)/|det C(A)| = {low_units}/{dsize} "
-            f"({_where(psiA)})"
-        )
-    if ring.val(mat.trace(psiA.A)) == 0 and len(rep_codes) != 1:
-        raise AssertionError(f"unit trace must give |D_A| = 1, got {len(rep_codes)} ({_where(psiA)})")
-    dA_reps = [RingElem(spec, int(c)) for c in rep_codes]
-
-    return InertiaData(c_gl, c_sl, c_sl_bracket, dA_reps, det_image)
+    psiA.c_gl, psiA.c_sl, psiA.c_sl_bracket, psiA.dA_reps
+    return psiA
 
 
 # ------------------------------------------------------------------ abelian quotients
@@ -575,7 +568,7 @@ def _seed_base(Hq: _AbelianQuotient, labels: np.ndarray, exps: np.ndarray) -> np
 # ------------------------------------------------------------------ the phi layer
 
 
-def phi_set(psiA: PsiA, budget: int = grp.DEFAULT_BUDGET) -> ClassFunction:
+def phi_set(psiA: PsiA) -> ClassFunction:
     """Irr(C_GL2(psi_A) | psi_A) as one stack of class functions on C_GL2(psi_A).
 
     Even r: the linear characters of C_GL2(psi_A)/ker psi_A extending psi_A.
@@ -587,11 +580,8 @@ def phi_set(psiA: PsiA, budget: int = grp.DEFAULT_BUDGET) -> ClassFunction:
     Dimensions (1 for even r, q for odd r) and the fiber size are verified
     on the whole stack.
     """
-    I = inertia(psiA)
     L = psiA.layers
-    C = I.c_gl
-    if C.n > budget:
-        raise grp.BudgetError(f"|C_GL2(psi_A)| = {C.n} exceeds the budget {budget}")
+    C = psiA.c_gl
     q, r = L.spec.q, L.spec.r
     fiber = C.n // L.Ml.n
     if r % 2 == 0:
@@ -650,9 +640,8 @@ def mackey_restriction(psiA: PsiA, phi: ClassFunction) -> list[tuple[RingElem, C
     Res_SL2 Ind_GL2(phi) exactly, and all summand dimensions agree with
     dim(phi) |SL2| / |C_SL2(psi_A)|.
     """
-    I = inertia(psiA)
     L = psiA.layers
-    C, gl, sl = I.c_gl, L.gl, L.sl
+    C, gl, sl = psiA.c_gl, L.gl, L.sl
     if phi.group is not C:
         raise ValueError("phi must be a class function on C_GL2(psi_A)")
     rho = chartab.induce(phi, gl)
@@ -660,11 +649,11 @@ def mackey_restriction(psiA: PsiA, phi: ClassFunction) -> list[tuple[RingElem, C
         raise AssertionError(f"Ind(phi) is not irreducible; phi is outside the psi_A fiber ({_where(psiA)})")
     lhs = chartab.restrict(rho, sl)
     expected = phi.degree * sl.n
-    ind = chartab.induce(chartab.restrict(phi, I.c_sl), sl)
+    ind = chartab.induce(chartab.restrict(phi, psiA.c_sl), sl)
     out = []
     for d, perm in psiA.twists:
         summand = ClassFunction(sl, ind.n, np.take(ind.vals, perm, axis=-2))
-        if np.any(expected % I.c_sl.n) or np.any(summand.degree != expected // I.c_sl.n):
+        if np.any(expected % psiA.c_sl.n) or np.any(summand.degree != expected // psiA.c_sl.n):
             raise AssertionError(
                 f"summand dimension disagrees with dim(phi) |SL2| / |C_SL2(psi_A)| ({_where(psiA, d)})"
             )

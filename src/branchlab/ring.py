@@ -464,15 +464,12 @@ def div_pi_power(spec: RingSpec, x, k: int):
 _TABLE_BUDGET = 1 << 22
 
 
-@lru_cache(maxsize=None)
 def unit_codes(spec: RingSpec) -> np.ndarray:
-    """Codes of the unit group, ascending (read-only array), for rings small enough to enumerate."""
+    """Codes of the unit group, ascending, for rings small enough to enumerate."""
     if spec.size > _TABLE_BUDGET:
         raise ValueError(f"{spec} too large to enumerate ({spec.size} elements)")
     codes = np.arange(spec.size, dtype=np.int64)
-    out = codes[_vval(spec, codes) == 0]
-    out.setflags(write=False)
-    return out
+    return codes[_vval(spec, codes) == 0]
 
 
 def units(spec: RingSpec) -> list[RingElem]:
@@ -495,9 +492,7 @@ def sqrt1_count(spec: RingSpec) -> int:
     exhaustive enumeration is asserted in the tests for every enumerable level.
     """
     if spec.size <= _TABLE_BUDGET:
-        # uncached: unit_codes' lru_cache would keep every swept level's units alive
-        u = unit_codes.__wrapped__(spec)
-        return int(np.count_nonzero(_vsquare(spec, u) == 1))
+        return int(np.count_nonzero(_vsquare(spec, unit_codes(spec)) == 1))
     if spec.char_two:
         return spec.q ** (spec.r // 2)
     raise ValueError(f"{spec} too large to enumerate")

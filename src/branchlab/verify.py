@@ -19,7 +19,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -111,7 +111,7 @@ class RhoRecord:
 
     rho_id: int
     dim: int
-    orbit: tuple[int, int, int]  # companion triple codes over o_l'
+    orbit: list  # companion triple codes over o_l'
     orbit_text: str
     trace_class: str
     trace_square: bool | None
@@ -129,30 +129,12 @@ class RhoRecord:
     notes: list = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {
-            "rho_id": self.rho_id,
-            "dim": self.dim,
-            "orbit": list(self.orbit),
-            "orbit_text": self.orbit_text,
-            "trace_class": self.trace_class,
-            "trace_square": self.trace_square,
-            "dA": self.dA,
-            "delta": self.delta,
-            "constituent_dims": list(self.constituent_dims),
-            "multiplicities": list(self.multiplicities),
-            "multiplicity_free": self.multiplicity_free,
-            "delta_min": self.delta_min,
-            "delta_max": self.delta_max,
-            "predicted_dim": self.predicted_dim,
-            "rules": list(self.rules),
-            "mackey_checked": self.mackey_checked,
-            "passed": self.passed,
-            "notes": list(self.notes),
-        }
+        return asdict(self)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class BranchReport:
+    schema: int = SCHEMA
     kind: str
     q: int
     r: int
@@ -163,22 +145,9 @@ class BranchReport:
     summary: dict
     timing: dict
     passed: bool
-    schema: int = SCHEMA
 
     def to_json(self) -> dict:
-        return {
-            "schema": self.schema,
-            "kind": self.kind,
-            "q": self.q,
-            "r": self.r,
-            "gl_order": self.gl_order,
-            "sl_order": self.sl_order,
-            "num_irreducibles": self.num_irreducibles,
-            "records": [rec.to_json() for rec in self.records],
-            "summary": self.summary,
-            "timing": self.timing,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
     def __repr__(self):
         return (
@@ -250,12 +219,11 @@ def verify_branching(
         comp, orbit_text = form.companion, form.text
         psiA = clifford.make_psiA(gl, comp)
         where = clifford._where(psiA)
-        I = clifford.inertia(psiA)
-        dA = len(I.dA_reps)
+        dA = len(psiA.dA_reps)
 
         if mackey_on:
             t = time.perf_counter()
-            phis = clifford.phi_set(psiA, budget=budget)
+            phis = clifford.phi_set(psiA)
             if len(phis) != len(members):
                 raise AssertionError(f"{len(phis)} fiber members vs {len(members)} regular irreducibles ({where})")
             # one induce of the fiber; each regular must be Ind phi for exactly one phi
@@ -310,7 +278,7 @@ def verify_branching(
                 RhoRecord(
                     rho_id=i,
                     dim=dim,
-                    orbit=triple,
+                    orbit=list(triple),
                     orbit_text=orbit_text,
                     trace_class=pred.trace_class,
                     trace_square=pred.trace_square,
@@ -334,7 +302,7 @@ def verify_branching(
         if spec.char_two and spec.r == 3 and pred.trace_class == "nonunit":
             bound = predict.min_dim_bound(spec, comp)
             prof = predict.centralizer_profile(spec, comp)
-            if prof["c_sl_psi"] != I.c_sl.n or prof["c_gl_psi"] != I.c_gl.n:
+            if prof["c_sl_psi"] != psiA.c_sl.n or prof["c_gl_psi"] != psiA.c_gl.n:
                 raise AssertionError(f"ring-level centralizer sizes disagree with the stabilizer scan ({where})")
             # the SL2 irreducibles over psi_[A] are the constituents of Ind_{K^l}^{SL2} psi_[A]
             fiber = chartab.decompose(chartab.induce(psiA.psi_K, sl), sl_tab)

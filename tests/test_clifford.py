@@ -28,12 +28,17 @@ def _psi(G, rows):
 
 
 def test_layer_sizes(groups):
+    # M^l' is the kernel of reduction mod pi^l', so its cosets are the residue classes
     L = clifford._layers(groups("z2", 2))
     K1 = grp.congruence_subgroup(L.sl, 1)
-    assert (L.Ml.n, L.Kl.n, L.Mlp.n, K1.n) == (16, 8, 16, 8)
+    Mlp = grp.congruence_subgroup(L.gl, L.ellp)
+    assert (L.Ml.n, L.Kl.n, Mlp.n, K1.n) == (16, 8, 16, 8)
+    assert len(L.residues[0]) == grp.gl2_order(L.spec_lp) == L.gl.n // Mlp.n
     L3 = clifford._layers(groups("z2", 3))
     K1 = grp.congruence_subgroup(L3.sl, 1)
-    assert (L3.Ml.n, L3.Kl.n, L3.Mlp.n, K1.n) == (16, 8, 256, 64)
+    Mlp = grp.congruence_subgroup(L3.gl, L3.ellp)
+    assert (L3.Ml.n, L3.Kl.n, Mlp.n, K1.n) == (16, 8, 256, 64)
+    assert len(L3.residues[0]) == grp.gl2_order(L3.spec_lp) == L3.gl.n // Mlp.n
     assert L3.ell == 2 and L3.ellp == 1
 
 
@@ -243,6 +248,24 @@ def test_inertia_failures_name_kind_level_and_orbit(monkeypatch, groups):
         clifford.inertia(clifford.make_psiA(G, A))
 
 
+def test_bracket_stabilizer_failure_names_kind_level_and_orbit(monkeypatch, groups):
+    G = groups("z2", 4)
+    A = mat.mat(ring.truncate(G.spec, G.spec.ell_prime), [[0, 3], [1, 2]])
+    real = clifford._scalar_conj_mask_sl
+
+    def flip_first(L, A):
+        out = real(L, A)
+        out[0] = ~out[0]
+        return out
+
+    monkeypatch.setattr(clifford, "_scalar_conj_mask_sl", flip_first)
+    with pytest.raises(
+        AssertionError,
+        match=r"^C_SL2\(psi_\[A\]\): stabilizer scan and scalar test disagree \(z2, r=4, orbit \(1;3;2\)\)$",
+    ):
+        clifford.inertia(clifford.make_psiA(G, A))
+
+
 def test_frozen_inertia_sizes(groups):
     pa = _psi(groups("f2t", 3), [[0, 0], [1, 0]])
     I = clifford.inertia(pa)
@@ -300,24 +323,31 @@ def test_orbit_sweep_leaves_no_per_orbit_cache_keys(groups):
 
 
 def test_inertia_runs_once_per_psiA(monkeypatch, groups):
-    runs = []
-    real = clifford._inertia
+    built = []
+    subgroup = grp.subgroup
 
-    def counting(pa):
-        runs.append(pa)
-        return real(pa)
+    def spy(table, members, name="subgroup"):
+        built.append(name)
+        return subgroup(table, members, name=name)
 
-    monkeypatch.setattr(clifford, "_inertia", counting)
     G = groups("z2", 3)
+    clifford._layers(G)  # the per-table layers are built before the spy
+    monkeypatch.setattr(grp, "subgroup", spy)
     pa = _psi(G, [[0, 0], [1, 0]])
-    assert clifford.inertia(pa) is clifford.inertia(pa)
+    assert clifford.inertia(pa) is pa
+    first = list(built)
+    assert {"C_GL2(psi_A)", "C_SL2(psi_A)", "C_SL2(psi_[A])"} <= set(first)
+    assert clifford.inertia(pa) is pa and built == first
+    # a second PsiA of the same A builds its own subgroups
+    pb = _psi(G, [[0, 0], [1, 0]])
+    clifford.inertia(pb)
+    assert built == first + first
+    assert pb.c_gl is not pa.c_gl and pb.c_sl_bracket is not pa.c_sl_bracket
+    # the fiber and the Mackey route read the stabilizers already built
+    del built[:]
     for phi in clifford.phi_set(pa):
         clifford.mackey_restriction(pa, phi)
-    assert runs == [pa]
-    # a second PsiA of the same A owns its own result
-    pb = _psi(G, [[0, 0], [1, 0]])
-    assert clifford.inertia(pb) is not clifford.inertia(pa)
-    assert len(runs) == 2
+    assert not set(first) & set(built)
 
 
 # ----------------------------------------------- per-table inertia data
@@ -349,7 +379,8 @@ def test_per_table_routes_match_per_orbit_recomputation(kind, r, groups):
     lp = L.spec_lp
     glp_entries = tuple(ring._vproj(L.spec, lp, t) for t in G.ms)
     codes, index = L.residues
-    lab = L.Mlp_labels
+    Mlp = grp.congruence_subgroup(G, L.ellp)
+    assert len(codes) == grp.gl2_order(lp) == G.n // Mlp.n
     assert L.conj_M.dtype == np.min_scalar_type(L.Ml.n - 1) and index.dtype == np.int32
     orbits = 0
     for A in _companions(lp):
@@ -358,12 +389,12 @@ def test_per_table_routes_match_per_orbit_recomputation(kind, r, groups):
         assert np.array_equal(pa.stabilizer_mask_gl, stab)
         bstab = clifford._stabilizer_mask(L.conj_K, L.Kl, pa.exps_K)
         assert np.array_equal(bstab, _literal_scan(L.sl, L.Kl, pa.exps_K))
-        # C_GL2(A~) M^l': the cosets met by C_GL2(A~), against the literal products
+        # C_GL2(A~) M^l': the residue classes met by C_GL2(A~), against the literal products
         cent_lift = clifford._commute_mask(L.spec, G.ms, pa.Atilde.codes)
-        hit = np.zeros(G.n, dtype=bool)
-        hit[lab[cent_lift]] = True
-        prod = clifford._product_mask(G, np.flatnonzero(cent_lift), L.Mlp.pos_in(G))
-        assert np.array_equal(hit[lab], prod)
+        hit = np.zeros(len(codes), dtype=bool)
+        hit[index[cent_lift]] = True
+        prod = clifford._product_mask(G, np.flatnonzero(cent_lift), Mlp.pos_in(G))
+        assert np.array_equal(hit[index], prod)
         resid = clifford._commute_mask(lp, mat._vunpack(lp, codes), A.codes)[index]
         assert np.array_equal(resid, clifford._commute_mask(lp, glp_entries, A.codes))
         I = clifford.inertia(pa)
@@ -510,12 +541,6 @@ def test_phi_set_odd_level_redraws_a_short_block_then_names_the_orbit(groups, mo
     with pytest.raises(AssertionError, match=r"block has dim 1 after 24 rounds .*\(z2, r=3, orbit \(1;0;0\)\)"):
         clifford.phi_set(pa)
     assert len(passes) == 8
-
-
-def test_phi_set_budget(groups):
-    pa = _psi(groups("z2", 2), [[0, 0], [1, 0]])
-    with pytest.raises(grp.BudgetError):
-        clifford.phi_set(pa, budget=1)
 
 
 def test_mackey_pieces_sum_to_the_restriction(groups, chartabs):

@@ -3,8 +3,9 @@
 perfbench/spans.py patches the functions named in its TARGETS table and
 takes counts from their results; an API move that drops a target or changes
 a counted result would break a traced benchmark run, so the table is read
-here, without editing it, against the current modules.  The worker's smoke
-and mackey-r3 jobs run here too, against their expected records.
+here, without editing it, against the current modules.  The worker's jobs
+for smoke and every benchmark workload run here too, against their expected
+records.
 """
 
 import importlib.util
@@ -62,3 +63,14 @@ def test_mackey_r3_workload_matches_its_expected_records(monkeypatch):
     # verify at r = 3 with the Mackey route on, for z2, f2t and eis2 (the one
     # run of eis2 r = 3 through Mackey in the suite)
     _run_workload(monkeypatch, "mackey-r3", 3)
+
+
+def test_table_z2r4_workload_matches_its_expected_records(monkeypatch):
+    # verify at z2 r = 4 without the Mackey route
+    _run_workload(monkeypatch, "table-z2r4", 1)
+
+
+def test_tablefree_workload_matches_its_expected_records(monkeypatch):
+    # the sqrt1 sweep, the predictor, and psi_A with its inertia for every
+    # orbit at f4t r = 2 and z2 r = 5 (the one reader of inertia's results)
+    _run_workload(monkeypatch, "tablefree", 4)

@@ -489,12 +489,11 @@ def test_unit_codes_need_no_inverses(kind, r, monkeypatch):
         raise AssertionError("unit_codes computed inverses")
 
     monkeypatch.setattr(ring, "_vinv", no_inverses)
-    ring.unit_codes.cache_clear()
     spec = ring.make_ring(kind, r=r)
     codes = np.arange(spec.size, dtype=np.int64)
     units = ring.unit_codes(spec)
     assert np.array_equal(units, codes[ring._vval(spec, codes) == 0])
-    assert len(units) == ring.unit_count(spec) and not units.flags.writeable
+    assert len(units) == ring.unit_count(spec)
 
 
 def test_table_budget_guard():

@@ -78,6 +78,23 @@ def test_verify_caches_only_per_table_results_on_gl(monkeypatch):
     assert set(built[0].cache) == {"classes", "clifford_layers"}
 
 
+def test_verify_without_mackey_builds_no_per_orbit_subgroup(monkeypatch):
+    # |D_A| needs only the C_GL2(psi_A) mask: no stabilizer or H^i table is built
+    built = []
+    subgroup = grp.subgroup
+
+    def spy(table, members, name="subgroup"):
+        built.append(name)
+        return subgroup(table, members, name=name)
+
+    monkeypatch.setattr(grp, "subgroup", spy)
+    rep = verify.verify_branching(ring.make_ring("z2", r=4), mackey=False)
+    assert rep.passed and rep.summary["num_orbits"] > 1
+    per_orbit = {"C_GL2(psi_A)", "C_SL2(psi_A)", "C_SL2(psi_[A])"}
+    assert not [n for n in built if n in per_orbit or n.startswith("H^")], built
+    assert sorted(built) == ["K^2", "M^2", "SL2"]
+
+
 def test_find_regular_needs_gl():
     sl = grp.build_sl2(ring.make_ring("z2", r=2))
     with pytest.raises(ValueError):
