@@ -333,11 +333,13 @@ def inner(f: ClassFunction, g: ClassFunction) -> "int | np.ndarray":
     functions, an int64 array otherwise.
     """
     f, g = _align(f, g)
-    S = cyclo.product_tensor(f.n)
-    gc = g.vals @ cyclo.conj_matrix(g.n)
-    W = np.einsum("...ja,...jb->...ab", f.classes.sizes[:, None] * f.vals, gc)
-    tot = np.einsum("...ab,abt->...t", W, S)
-    order = f.group.n
+    return _weighted_inner(f.vals, g.vals, f.classes.sizes, f.n, f.group.n)
+
+
+def _weighted_inner(fv: np.ndarray, gv: np.ndarray, weights: np.ndarray, n: int, order: int) -> "int | np.ndarray":
+    """order^-1 sum_j weights[j] fv[..., j, :] conj(gv[..., j, :]) over Q(zeta_n); NotRational unless integral."""
+    W = np.einsum("...ja,...jb->...ab", weights[:, None] * fv, gv @ cyclo.conj_matrix(n))
+    tot = np.einsum("...ab,abt->...t", W, cyclo.product_tensor(n))
     if np.any(tot % order):
         raise cyclo.NotRational(f"inner product not integral: {tot} / {order}")
     return cyclo.to_integer(tot // order)
@@ -353,6 +355,8 @@ _COMBO_CHUNK = 1 << 12
 _ROUNDS_PER_PASS = 3
 # splitting rounds (theta rows) drawn before a split or a Krylov block gives up
 _MAX_ROUNDS = 24
+# table entries gathered per exact inner product batch of decompose; bounds its working set
+_PAIR_CHUNK = 1 << 17
 
 
 def _class_matrix_combos(G: GroupTable, cc: ConjClasses, thetas: np.ndarray, p: int) -> np.ndarray:
@@ -710,8 +714,8 @@ def decompose(f: ClassFunction, irr: ClassFunction) -> np.ndarray:
 
     A float Gram row proposes every m_i; the exact reconstruction sum m_i chi_i
     == f fixes them (the rows are linearly independent), and one exact
-    inner(f, chi_i) per nonzero (member, irreducible) pair, all in one call,
-    computes each a second way.
+    inner(f, chi_i) per nonzero (member, irreducible) pair, in batches of at
+    most _PAIR_CHUNK gathered table entries, computes each a second way.
     """
     if f.group is not irr.group:
         raise ValueError("class function and table live on different groups")
@@ -727,7 +731,11 @@ def decompose(f: ClassFunction, irr: ClassFunction) -> np.ndarray:
     if recon != f:
         raise AssertionError("decomposition does not reconstruct the class function")
     nz = np.nonzero(mults)
-    exact = inner(f[nz[:-1]], irr[nz[-1]])
+    exact = np.empty(len(nz[-1]), dtype=np.int64)
+    step = max(1, _PAIR_CHUNK // irr.vals[0].size)
+    for s in range(0, len(exact), step):
+        at = tuple(ix[s : s + step] for ix in nz)
+        exact[s : s + step] = inner(f[at[:-1]], irr[at[-1]])
     bad = np.flatnonzero(exact != mults[nz])
     if len(bad):
         i, m = nz[-1][bad[0]], mults[nz][bad[0]]

@@ -61,7 +61,8 @@ class _Layers:
     between them with GroupTable.pos_in.  The cached properties are the
     A-independent halves of inertia's routes.  M^ell' is the kernel of
     reduction mod pi^ell', so its left cosets are the residue classes that
-    residues indexes; it needs no table of its own.
+    residues indexes; it needs no table of its own.  Nor is there a table of
+    every psi_A: each is built per orbit by make_psiA.
     """
 
     spec: RingSpec
@@ -90,19 +91,6 @@ class _Layers:
         packed = mat._vpack(lp, tuple(ring._vproj(self.spec, lp, t) for t in self.gl.ms))
         codes, index = np.unique(packed, return_inverse=True)
         return codes, index.astype(np.int32)
-
-    @cached_property
-    def psi_table(self) -> np.ndarray:
-        """T[A_code, m] = zeta-exponent of psi_A at the m-th member of M^ell.
-
-        Rows range over all of M_2(o_l'), exactly the character group of the
-        abelian M^ell; columns over member positions of M^ell.  Row A is
-        make_psiA(A).exps_M, from the same trace-pairing kernel.
-        """
-        lp = self.spec_lp
-        acodes = np.arange(lp.size**4, dtype=np.int64)
-        At = tuple(ring._vlift(self.spec, lp, t)[:, None] for t in mat._vunpack(lp, acodes))
-        return _psi_exps(self, At, tuple(t[None, :] for t in self.B_M))
 
 
 def _b_arrays(spec: RingSpec, table: GroupTable, ell: int) -> tuple:

@@ -2,12 +2,13 @@
 
 The pipeline enumerates GL2(o_r) and SL2(o_r), computes both character
 tables exactly, locates the regular irreducibles (those whose restriction
-to the level-ell congruence block is supported on cyclic matrices), and
-decomposes each restriction to SL2.  Observed constituent counts and
-dimensions are checked against the closed-form predictions, against the
-Mackey-decomposition route at small levels, and against the dimension
-lower bound for odd levels in characteristic two.  The outcome is a
-versioned BranchReport (schema 1).
+to the level-ell congruence block is supported on cyclic matrices) orbit by
+orbit, from one exact decomposition of Ind psi_A over the companion matrix
+of every cyclic orbit, and decomposes each restriction to SL2.  Observed
+constituent counts and dimensions are checked against the closed-form
+predictions, against the Mackey-decomposition route at small levels, and
+against the dimension lower bound for odd levels in characteristic two.
+The outcome is a versioned BranchReport (schema 1).
 """
 
 from __future__ import annotations
@@ -37,69 +38,68 @@ KINDS = ("z2", "f2t", "f4t", "eis2")
 # ----------------------------------------------------- regular irreducibles
 
 
-def find_regular(G: GroupTable, table: ClassFunction):
-    """[(irreducible index, supporting A list)] over the regular irreducibles of G.
+def find_regular(G: GroupTable, table: ClassFunction) -> list[tuple[mat.CompanionForm, list[int]]]:
+    """[(companion form, regular irreducible indices)] per cyclic orbit, sorted by triple.
 
-    table is G's character table (chartab.dixon_table).  The support of rho
-    is {A over o_l' : <Res_{M^ell} rho, psi_A> != 0}; rho is regular iff
-    every supporting A is cyclic.  A float transform only proposes the
-    support; acceptance is the exact identity
-    sum_A m_A psi_A = Res_{M^ell} rho, which pins the m_A uniquely because
-    distinct characters of the abelian M^ell are linearly independent.  For
-    regular rho the support is verified to be a single conjugation orbit
-    (every member has the same companion form, reached by an explicit
-    conjugator) carrying one common multiplicity.  Companion forms are
-    memoized per call, by A.
+    table is G's character table (chartab.dixon_table).  rho is regular iff
+    Res_{M^ell} rho is supported on cyclic A over o_l'.  The cyclic orbits
+    are the companion matrices [[0, alpha], [1, beta]], one per (alpha, beta),
+    and by Frobenius reciprocity <Res_{M^ell} rho, psi_A> = <rho, Ind psi_A>,
+    so one exact decomposition of the stack of Ind psi_A gives P[O, rho] for
+    every orbit O at once.  Checks, each raising with the kind and r, and
+    the orbit and irreducible where there is one:
+    - decompose's own: the exact reconstruction of every Ind psi_A and one
+      exact inner product per constituent;
+    - the orbit size |O| = |GL2(o_l')| / |C(A)| (mat.centralizer_units) is the
+      number of cyclic matrices with A's trace and determinant, so the |O|
+      add up to the cyclic matrices;
+    - regularity two ways: by Parseval, <Res rho, Res rho> = sum_O |O| P[O, rho]^2,
+      and by Fourier inversion at 1, sum_O |O| P[O, rho] = rho(1);
+    - rho pairs with at most one cyclic orbit (Clifford), so a regular with one.
+    Only orbits that carry regulars are listed; the members ascend.
     """
     L = clifford._layers(G)
-    lp = L.spec_lp
-    Ml = L.Ml
-    T = L.psi_table
-    n = ring.psi_order(L.spec)
-    num_A = lp.size**4
+    spec, lp = L.spec, L.spec_lp
+    where = f"{spec.short_name}, r={spec.r}"
+    size = lp.size
+    alpha, beta = np.divmod(np.arange(size**2), size)  # orbit o = alpha * size + beta, the triple order
+    reps = [Mat2(lp, 0, int(a), 1, int(b)) for a, b in zip(alpha, beta)]
 
-    # rho is constant on each GL2 class meeting M^ell, so psi_A is summed per
-    # class first; plain einsum loops, as BLAS threads would cost CPU for no wall time
-    cls, cls_m = np.unique(table.classes.class_id[Ml.pos_in(G)], return_inverse=True)
-    V = table.float_values()[:, cls]  # [k, c] float values of rho
-    W = np.zeros((num_A, len(cls)), dtype=complex)  # [A, c] class sums of conjugated psi
-    np.add.at(W, (slice(None), cls_m), np.exp(-2j * np.pi * T / n))
-    coef = np.einsum("ic,ac->ia", V, W) / Ml.n
-    mult = np.rint(coef.real).astype(np.int64)
-    if np.max(np.abs(coef - mult)) > 0.25:
-        raise AssertionError("float support proposal is ambiguous")
+    X = mat._vunpack(lp, np.arange(size**4, dtype=np.int64))
+    label = ring._vneg(lp, mat._vdet(lp, X)) * size + mat._vtrace(lp, X)
+    orbit_size = np.bincount(label[mat.cyclic_mask(lp, X)], minlength=size**2)
+    gl_lp = grp.gl2_order(lp)
+    for o, A in enumerate(reps):
+        cent, _ = mat.centralizer_units(A)
+        if orbit_size[o] * cent != gl_lp:
+            raise AssertionError(
+                f"{orbit_size[o]} cyclic matrices share the trace and determinant of orbit "
+                f"{mat.companion_form(A).text}, but |GL2(o_l')| / |C(A)| = {gl_lp}/{cent} ({where})"
+            )
 
-    entries = mat._vunpack(lp, np.arange(num_A, dtype=np.int64))
-    cyc = mat.cyclic_mask(lp, entries)
-    ccM = grp.conjugacy_classes(Ml)
-    red_n = cyclo.reduction_matrix(n)
-    exps_at_reps = T[:, ccM.reps] % n
+    psi = [clifford.make_psiA(G, A).psi_M for A in reps]
+    ind = chartab.induce(ClassFunction(L.Ml, psi[0].n, np.stack([f.vals for f in psi])), G)
+    try:
+        P = chartab.decompose(ind, table)  # [orbit, irreducible]
+    except AssertionError as exc:
+        raise AssertionError(f"{exc} (Ind psi_A over the cyclic orbits, {where})") from exc
 
-    res = chartab.restrict(table, Ml)
-    forms: dict = {}  # A codes -> companion form, which validates an explicit conjugator
-
-    out = []
-    for i in range(len(table)):
-        supp = np.flatnonzero(mult[i] > 0)
-        vals = np.einsum("s,sja->ja", mult[i, supp], red_n[exps_at_reps[supp]])
-        if ClassFunction(Ml, n, vals) != res[i]:
-            raise AssertionError(f"support reconstruction failed for irreducible {i}")
-        if not np.all(cyc[supp]):
-            continue  # not regular
-        if len(set(mult[i, supp].tolist())) != 1:
-            raise AssertionError(f"orbit multiplicities differ for irreducible {i}")
-        support = []
-        labels = set()
-        for code in supp:
-            A = Mat2(lp, *(int(t[code]) for t in entries))
-            if A.codes not in forms:
-                forms[A.codes] = mat.companion_form(A)
-            labels.add(forms[A.codes].triple)
-            support.append(A)
-        if len(labels) != 1:
-            raise AssertionError(f"support of irreducible {i} spans several orbits: {labels}")
-        out.append((i, support))
-    return out
+    # M^ell is normal, so <Res rho, Res rho> sums over the GL2 classes inside it
+    inside = np.unique(table.classes.class_id[L.Ml.pos_in(G)])
+    v = table.vals[:, inside]
+    norm = chartab._weighted_inner(v, v, table.classes.sizes[inside], table.n, L.Ml.n)
+    regular = norm == orbit_size @ P**2
+    by_fourier = orbit_size @ P == table.degree
+    hits = np.count_nonzero(P, axis=0)
+    for i in np.flatnonzero((regular != by_fourier) | (hits > 1)):
+        over = ", ".join(mat.companion_form(reps[o]).text for o in np.flatnonzero(P[:, i]))
+        raise AssertionError(
+            f"irreducible {i} pairs with cyclic orbits [{over}]: <Res rho, Res rho> = {norm[i]} vs "
+            f"sum |O| P^2 = {orbit_size @ P[:, i] ** 2}, sum |O| P = {orbit_size @ P[:, i]} vs "
+            f"rho(1) = {table.degree[i]} ({where})"
+        )
+    R = (P != 0) & regular
+    return [(mat.companion_form(reps[o]), np.flatnonzero(R[o]).tolist()) for o in np.flatnonzero(R.any(axis=1))]
 
 
 # ------------------------------------------------------------------ reports
@@ -194,19 +194,11 @@ def verify_branching(
     timing["find_regular"] = time.perf_counter() - t
 
     t = time.perf_counter()
-    reg_ids = [i for i, _ in regs]
+    reg_ids = [i for _, members in regs for i in members]
     decomps = dict(zip(reg_ids, chartab.decompose(chartab.restrict(gl_tab[reg_ids], sl), sl_tab)))
     timing["decompose"] = time.perf_counter() - t
 
     gl_deg, sl_deg = gl_tab.degree, sl_tab.degree
-    forms: dict = {}  # supp[0] codes -> companion form: a regular's support is one full orbit
-    by_orbit: dict = {}  # triple -> (companion form, regular irreducibles)
-    for i, supp in regs:
-        if supp[0].codes not in forms:
-            forms[supp[0].codes] = mat.companion_form(supp[0])
-        form = forms[supp[0].codes]
-        by_orbit.setdefault(form.triple, (form, []))[1].append(i)
-
     lp = L.spec_lp
     records = []
     min_dim_checks = []
@@ -214,9 +206,8 @@ def verify_branching(
     mackey_orbits = 0
     timing["mackey"] = 0.0
 
-    for triple in sorted(by_orbit):
-        form, members = by_orbit[triple]
-        comp, orbit_text = form.companion, form.text
+    for form, members in regs:
+        triple, comp, orbit_text = form.triple, form.companion, form.text
         psiA = clifford.make_psiA(gl, comp)
         where = clifford._where(psiA)
         dA = len(psiA.dA_reps)
@@ -338,7 +329,7 @@ def verify_branching(
     max_delta = max((rec.delta for rec in records), default=0)
     summary = {
         "num_regular": len(records),
-        "num_orbits": len(by_orbit),
+        "num_orbits": len(regs),
         "max_delta": max_delta,
         "all_multiplicity_free": all(rec.multiplicity_free for rec in records),
         "witness": witness,
@@ -565,10 +556,10 @@ def _cmd_selftest(args) -> int:
         t = time.perf_counter()
         try:
             fn()
-            print(f"ok   {label} ({time.perf_counter() - t:.2f}s)")
+            sys.stdout.write(f"ok   {label} ({time.perf_counter() - t:.2f}s)\n")
         except Exception as exc:  # noqa: BLE001 - report and keep going
             failures += 1
-            print(f"FAIL {label}: {exc}")
+            sys.stdout.write(f"FAIL {label}: {exc}\n")
 
     def _orders():
         for kind, want in (("z2", (96, 1536, 24576)), ("f2t", (96, 1536, 24576))):
@@ -644,10 +635,10 @@ def cli_main(argv=None) -> int:
     try:
         return args.func(args)
     except (AssertionError, cyclo.NotRational) as exc:  # NotRational is a ValueError: catch it first
-        print(f"internal consistency failure: {exc}", file=sys.stderr)
+        sys.stderr.write(f"internal consistency failure: {exc}\n")
         return 1
     except (grp.BudgetError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        sys.stderr.write(f"error: {exc}\n")
         return 2
 
 

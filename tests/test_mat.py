@@ -1,7 +1,11 @@
 """2x2 matrix helpers: reference formulas, cyclicity, companion forms, centralizers."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from branchlab import mat, ring
 from branchlab.mat import Mat2
@@ -191,3 +195,88 @@ def test_encode_parse_round_trip(name):
     spec = _spec(name)
     for A in _all(spec)[:: max(1, spec.size // 3)]:
         assert mat.parse_mat(spec, mat.encode_mat(A)) == A
+
+
+# ------------------------------------------------- properties of the kernels
+
+# widest level per kind whose codes fit int64 (ring._check_width)
+_WIDEST = {"z2": 63, "f2t": 63, "f4t": 31, "eis2": 63}
+
+
+def _levels(kind, table, packed):
+    """Levels whose ring._vmul takes the product-table (or the formula) branch;
+    packed keeps those whose four entry codes _vpack into one int64."""
+    out = []
+    for r in range(1, _WIDEST[kind] + 1):
+        size = ring.make_ring(kind, r=r).size
+        if (kind != "z2" and size <= ring._MUL_TABLE_MAX) == table and (not packed or size**4 <= 1 << 63):
+            out.append(r)
+    return out
+
+
+_LEVELS = {(k, t, p): _levels(k, t, p) for k in _WIDEST for t in (True, False) for p in (True, False)}
+
+
+@st.composite
+def _ring_and_mats(draw, table, packed=False):
+    """(spec, three matrices as entry tuples of length-1 code arrays) on one branch of ring._vmul."""
+    kind = draw(st.sampled_from([k for k in sorted(_WIDEST) if _LEVELS[k, table, packed]]))
+    spec = ring.make_ring(kind, r=draw(st.sampled_from(_LEVELS[kind, table, packed])))
+    codes = draw(st.lists(st.integers(0, spec.size - 1), min_size=12, max_size=12))
+    return spec, [tuple(np.array([c], dtype=np.int64) for c in codes[i : i + 4]) for i in (0, 4, 8)]
+
+
+def _same(X, Y):
+    return all(np.array_equal(x, y) for x, y in zip(X, Y, strict=True))
+
+
+def _unit(spec, x):
+    """x where it is a unit, 1 + x elsewhere (1 + a non-unit is a unit)."""
+    return np.where(ring._vval(spec, x) == 0, x, ring._vadd(spec, x, np.int64(ring.one(spec).code)))
+
+
+def _check_matrix_kernels(spec, mats):
+    X, Y, Z = mats
+    mul = lambda A, B: mat._vmat_mul(spec, A, B)
+    one, zero = np.array([ring.one(spec).code]), np.zeros(1, dtype=np.int64)
+    I = (one, zero, zero, one)
+    assert _same(mul(mul(X, Y), Z), mul(X, mul(Y, Z)))
+    assert _same(mul(I, X), X) and _same(mul(X, I), X)
+    assert np.array_equal(mat._vdet(spec, mul(X, Y)), ring._vmul(spec, mat._vdet(spec, X), mat._vdet(spec, Y)))
+    # every invertible matrix is w^e [[1,0],[c,1]] diag(u, v) [[1,b],[0,1]] with w the row swap
+    a, b, c, d = Y
+    U = mul(mul((one, zero, c, one), (_unit(spec, a), zero, zero, _unit(spec, d))), (one, b, zero, one))
+    if Z[0][0] % 2:
+        U = mul((zero, one, one, zero), U)
+    Ui = mat._vmat_inv(spec, U)
+    assert _same(mul(U, Ui), I) and _same(mul(Ui, U), I)
+    dc = _unit(spec, Z[1])
+    D = (dc, zero, zero, one)
+    assert _same(mat._vconj_diag(spec, X, dc), mul(mul(D, X), mat._vmat_inv(spec, D)))
+
+
+def _matrix_kernels(spec, mats):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an int64 overflow warning is a defect
+        _check_matrix_kernels(spec, mats)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_ring_and_mats(table=True))
+def test_matrix_kernels_on_the_product_table_branch(case):
+    _matrix_kernels(*case)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)  # a wide f4t example takes up to 0.6 s
+@given(_ring_and_mats(table=False))
+def test_matrix_kernels_on_the_formula_branch(case):
+    _matrix_kernels(*case)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.booleans().flatmap(lambda table: _ring_and_mats(table, packed=True)), st.data())
+def test_pack_and_unpack_round_trip_on_both_branches(case, data):
+    spec, (X, _, _) = case
+    assert _same(mat._vunpack(spec, mat._vpack(spec, X)), X)
+    code = data.draw(st.integers(0, spec.size**4 - 1))
+    assert int(mat._vpack(spec, mat._vunpack(spec, np.int64(code)))) == code

@@ -17,10 +17,11 @@ GOLDEN = Path(__file__).parent / "golden"
 # -------------------------------------------------------------- find_regular
 
 
-def test_find_regular_matches_brute_support(groups, chartabs):
+@pytest.mark.parametrize("kind,r", [("z2", 2), ("f2t", 3), ("eis2", 2)])
+def test_find_regular_matches_brute_support(groups, chartabs, kind, r):
     # independent route: <Res_{M^ell} rho, psi_A> for every A over o_l',
     # then "regular" = all supporting A cyclic
-    G = groups("z2", 2)
+    G = groups(kind, r)
     table = chartabs(G)
     L = clifford._layers(G)
     lp, Ml = L.spec_lp, L.Ml
@@ -31,18 +32,27 @@ def test_find_regular_matches_brute_support(groups, chartabs):
         for c in range(lp.size)
         for d in range(lp.size)
     ]
+    res = chartab.restrict(table, Ml)
+    m = np.stack([chartab.inner(res, clifford.make_psiA(G, A).psi_M) for A in all_A], axis=1)  # [rho, A]
     brute = {}
     for i in range(len(table)):
-        res = chartab.restrict(table[i], Ml)
-        supp = [A for A in all_A if chartab.inner(res, clifford.make_psiA(G, A).psi_M) != 0]
+        supp = [A for A, mA in zip(all_A, m[i]) if mA != 0]
         if all(mat.is_cyclic(A) for A in supp):
             brute[i] = sorted(A.codes for A in supp)
 
     regs = verify.find_regular(G, table)
-    assert {i for i, _ in regs} == set(brute)
-    for i, supp in regs:
-        assert sorted(A.codes for A in supp) == brute[i]
-    assert len(regs) == 8
+    assert [form.triple for form, _ in regs] == sorted(form.triple for form, _ in regs)
+    assert sorted(i for _, members in regs for i in members) == sorted(brute)
+    for form, members in regs:
+        # the orbit is every cyclic matrix with the companion's trace and determinant
+        orbit = sorted(
+            A.codes
+            for A in all_A
+            if mat.is_cyclic(A) and mat.trace(A) == form.beta and mat.det(A) == -form.alpha
+        )
+        assert members == sorted(i for i in brute if brute[i] == orbit)
+    if (kind, r) == ("z2", 2):
+        assert len(brute) == 8
 
     # the trivial character is supported on A = 0 only, which is not cyclic
     triv = [
@@ -51,25 +61,39 @@ def test_find_regular_matches_brute_support(groups, chartabs):
         if table.degree[i] == 1
         and np.all(table.vals[i] == table.vals[i, 0])
     ]
-    assert len(triv) == 1 and triv[0] not in {i for i, _ in regs}
+    assert len(triv) == 1 and triv[0] not in brute
 
 
-@pytest.mark.parametrize("kind,r", [("z2", 2), ("f2t", 3)])
-def test_psi_table_rows_are_psiA(groups, kind, r):
-    # row A of find_regular's table and make_psiA(A) share one trace-pairing kernel
-    G = groups(kind, r)
-    L = clifford._layers(G)
-    lp = L.spec_lp
-    T = L.psi_table
-    assert T.shape == (lp.size**4, L.Ml.n)
-    for code in range(lp.size**4):
-        A = mat.Mat2(lp, *map(int, mat._vunpack(lp, np.int64(code))))
-        assert np.array_equal(T[code], clifford.make_psiA(G, A).exps_M)
+def test_find_regular_orbit_size_check_names_the_orbit(groups, chartabs, monkeypatch):
+    # a centralizer twice too large halves |GL2(o_l')| / |C(A)|, which then
+    # disagrees with the count of cyclic matrices of that trace and determinant
+    G = groups("z2", 3)
+    real = mat.centralizer_units
+    monkeypatch.setattr(mat, "centralizer_units", lambda A: (2 * real(A)[0], real(A)[1]))
+    with pytest.raises(AssertionError, match=r"orbit \(1;0;0\).*\(z2, r=3\)"):
+        verify.find_regular(G, chartabs(G))
+
+
+def test_find_regular_rejects_a_regular_over_two_orbits(groups, chartabs, monkeypatch):
+    G = groups("z2", 3)
+    table = chartabs(G)
+    i = verify.find_regular(G, table)[0][1][0]
+    real = chartab.decompose
+
+    def second_orbit(f, irr):
+        P = real(f, irr).copy()
+        o = np.flatnonzero(P[:, i])[0]
+        P[(o + 1) % len(P), i] = P[o, i]
+        return P
+
+    monkeypatch.setattr(chartab, "decompose", second_orbit)
+    with pytest.raises(AssertionError, match=rf"irreducible {i} pairs with cyclic orbits \[\(1;.*\), \(1;.*\(z2, r=3\)"):
+        verify.find_regular(G, table)
 
 
 def test_verify_caches_only_per_table_results_on_gl(monkeypatch):
-    # per-orbit data (companion forms) and A-independent layer data (the psi
-    # table) live elsewhere: the GL2 table's cache holds per-table results only
+    # per-orbit data (each PsiA, companion forms) lives with its caller and
+    # A-independent layer data on _Layers: the GL2 table's cache holds per-table results only
     built = []
     real = grp.build_gl2
     monkeypatch.setattr(grp, "build_gl2", lambda *a, **kw: built.append(real(*a, **kw)) or built[-1])
