@@ -4,7 +4,7 @@ Modules, bottom to top:
 
 - ring: arithmetic in the level-r quotients o_r of three 2-adic chain rings
   (integers mod 2^r, F_q[t]/t^r, and a ramified quadratic extension of Z_2).
-- mat: 2x2 matrices over those rings; cyclicity and companion forms.
+- mat: 2x2 matrices over those rings; cyclicity, companion forms, centralizers.
 - cyclo: exact cyclotomic integers in the power basis (values of characters).
 - grp: enumerated GL2/SL2 tables, subgroups, conjugacy classes.
 - chartab: exact class functions and character tables (eigenspace splitting

@@ -709,6 +709,14 @@ def induce(f: ClassFunction, G: GroupTable) -> ClassFunction:
     return ClassFunction(G, f.n, num // den)
 
 
+class DecomposeError(AssertionError):
+    """A failed decompose check; member indexes the stack's leading axes (() for one function)."""
+
+    def __init__(self, text: str, member: tuple):
+        self.member = tuple(int(i) for i in member)
+        super().__init__(f"{text} at stack member {', '.join(map(str, self.member))}" if self.member else text)
+
+
 def decompose(f: ClassFunction, irr: ClassFunction) -> np.ndarray:
     """Multiplicities m[..., i] of every irreducible irr[i] in f, int64, one row per member.
 
@@ -716,20 +724,24 @@ def decompose(f: ClassFunction, irr: ClassFunction) -> np.ndarray:
     == f fixes them (the rows are linearly independent), and one exact
     inner(f, chi_i) per nonzero (member, irreducible) pair, in batches of at
     most _PAIR_CHUNK gathered table entries, computes each a second way.
+    Every failed check raises DecomposeError naming the member.
     """
     if f.group is not irr.group:
         raise ValueError("class function and table live on different groups")
     approx = np.einsum("ij,...j->...i", irr.gram_weights, f.float_values())
     mults = np.rint(approx.real).astype(np.int64)
-    err = np.abs(approx - mults).max(initial=0.0)
-    if err > 0.25:
-        raise AssertionError(f"float multiplicities lie {err:.3g} from the nearest integers")
+    dist = np.abs(approx - mults)
+    if dist.max(initial=0.0) > 0.25:
+        at = np.unravel_index(np.argmax(dist), dist.shape)
+        raise DecomposeError(f"float multiplicities lie {dist[at]:.3g} from the nearest integers", at[:-1])
     if np.any(mults < 0):
         at = np.unravel_index(np.argmin(mults), mults.shape)
-        raise AssertionError(f"negative multiplicity {mults[at]} against irreducible {at[-1]}")
-    recon = ClassFunction(irr.group, irr.n, np.einsum("...i,ija->...ja", mults, irr.vals))
-    if recon != f:
-        raise AssertionError("decomposition does not reconstruct the class function")
+        raise DecomposeError(f"negative multiplicity {mults[at]} against irreducible {at[-1]}", at[:-1])
+    recon, g = _align(ClassFunction(irr.group, irr.n, np.einsum("...i,ija->...ja", mults, irr.vals)), f)
+    wrong = np.any(recon.vals != g.vals, axis=(-2, -1))
+    if np.any(wrong):
+        at = np.unravel_index(np.argmax(wrong), wrong.shape)
+        raise DecomposeError("decomposition does not reconstruct the class function", at)
     nz = np.nonzero(mults)
     exact = np.empty(len(nz[-1]), dtype=np.int64)
     step = max(1, _PAIR_CHUNK // irr.vals[0].size)
@@ -739,5 +751,5 @@ def decompose(f: ClassFunction, irr: ClassFunction) -> np.ndarray:
     bad = np.flatnonzero(exact != mults[nz])
     if len(bad):
         i, m = nz[-1][bad[0]], mults[nz][bad[0]]
-        raise AssertionError(f"exact <f, chi_{i}> disagrees with the multiplicity {m}")
+        raise DecomposeError(f"exact <f, chi_{i}> disagrees with the multiplicity {m}", [ix[bad[0]] for ix in nz[:-1]])
     return mults

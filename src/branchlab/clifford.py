@@ -23,6 +23,8 @@ Every identity with two independent computation paths (stabilizer scan vs
 product formula, coset counts vs centralizer determinant images, the
 stabilizer of psi_{A_d} vs the t_d-conjugate of C_GL2(psi_A)) is computed
 both ways; the cross-check failures raise, and are part of the contract.
+The product formula is C_GL2(psi_A) = C_GL2(A~) M^ell', and C_GL2(A~) is the
+unit group of o_r[A~] from mat.centralizer, not a search over GL2.
 
 What lives where.  Work that does not depend on A (the layers, generator
 conjugates, residues mod pi^ell', whose classes are the cosets of M^ell') is
@@ -164,18 +166,20 @@ class PsiA:
     @cached_property
     def c_gl_mask(self) -> np.ndarray:
         """C_GL2(psi_A) as a mask on gl: the stabilizer scan, checked against
-        the product formula C_GL2(A~) M^ell' and the residue commutation."""
+        the product formula C_GL2(A~) M^ell' and the residue commutation.
+
+        C_GL2(A~), the units of o_r[A~] (mat.centralizer), is looked up in gl.
+        C_GL2(A~) M^ell' is the union of the residue classes it meets, of order
+        |C_GL2(A~)| q^(2 ell): C_GL2(A~) cap M^ell' is x = 1, y = 0 mod pi^ell'."""
         _require_companion(self.A)
         L = self.layers
         spec, lp, gl = L.spec, L.spec_lp, L.gl
         stab = self.stabilizer_mask_gl
-        cent_lift = _commute_mask(spec, gl.ms, self.Atilde.codes)
-        # the cosets a M^ell' are the residue classes mod pi^ell', so
-        # C_GL2(A~) M^ell' is the union of the classes C_GL2(A~) meets
+        cent_lift = gl.pos_of_codes(mat._vpack(spec, mat.centralizer(self.Atilde)))
         codes, index = L.residues
         hit = np.zeros(len(codes), dtype=bool)
         hit[index[cent_lift]] = True
-        if not np.array_equal(stab, hit[index]):
+        if not np.array_equal(stab, hit[index]) or np.count_nonzero(stab) != len(cent_lift) * spec.q ** (2 * L.ell):
             raise AssertionError(f"C_GL2(psi_A): stabilizer scan and product formula disagree ({_where(self)})")
         resid = _commute_mask(lp, mat._vunpack(lp, codes), self.A.codes)[index]
         if not np.array_equal(stab, resid):

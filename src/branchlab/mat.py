@@ -1,9 +1,11 @@
 """2x2 matrix algebra over the chain rings.
 
-Cyclic matrices, companion forms and their conjugators, centralizer unit
-groups, and diagonal twists.  Scalar API works on Mat2 values; the _v* kernels
-act on tuples of four parallel numpy code arrays (m11, m12, m21, m22) and back
-the group layer.
+Cyclic matrices (a non-scalar residue image, from which cyclic_vector reads
+a cyclic vector), companion forms and their conjugators, centralizers (C(A)
+is the unit group of o[A] = {x I + y A}, built only by centralizer), and
+diagonal twists.  Scalar API works on Mat2 values; the _v* kernels act on
+tuples of four parallel numpy code arrays (m11, m12, m21, m22) and back the
+group layer.
 """
 
 from __future__ import annotations
@@ -136,6 +138,7 @@ def _from_vec(spec, X) -> Mat2:
 
 
 # ---------------------------------------------------------------- scalar ops
+# like ring's scalar ops, these wrap int64 scalars silently (ring._wrapping)
 
 
 def _check(X: Mat2, Y: Mat2):
@@ -143,19 +146,23 @@ def _check(X: Mat2, Y: Mat2):
         raise ValueError("ring mismatch")
 
 
+@ring._wrapping
 def mat_mul(X: Mat2, Y: Mat2) -> Mat2:
     _check(X, Y)
     return _from_vec(X.spec, _vmat_mul(X.spec, _as_vec(X), _as_vec(Y)))
 
 
+@ring._wrapping
 def det(X: Mat2) -> RingElem:
     return RingElem(X.spec, int(_vdet(X.spec, _as_vec(X))))
 
 
+@ring._wrapping
 def trace(X: Mat2) -> RingElem:
     return RingElem(X.spec, int(_vtrace(X.spec, _as_vec(X))))
 
 
+@ring._wrapping
 def mat_inv(X: Mat2) -> Mat2:
     if ring.val(det(X)) != 0:
         raise ValueError(f"matrix {encode_mat(X)} is not invertible")
@@ -176,114 +183,94 @@ def mat_lift(spec_to: RingSpec, X: Mat2) -> Mat2:
 
 
 def is_cyclic(A: Mat2) -> bool:
-    """True iff some vector v makes [v | Av] invertible.
-
-    Equivalent to the residue image of A being non-scalar: a scalar image
-    forces det[v|Av] into the maximal ideal for every v, while a non-scalar
-    image admits a residue vector v with v, Av independent, and any coordinate
-    lift of it works.  The exhaustive-search equivalence is asserted in tests.
-    """
-    spec1 = ring.truncate(A.spec, 1)
-    a, b, c, d = mat_proj(A, spec1).codes
-    return not (b == 0 and c == 0 and a == d)
+    """True iff some vector v makes [v | Av] invertible: cyclic_mask on one matrix."""
+    return bool(cyclic_mask(A.spec, _as_vec(A)))
 
 
 def cyclic_vector(A: Mat2) -> tuple[RingElem, RingElem] | None:
-    """Lexicographically first v (by entry codes) with [v | Av] invertible."""
-    spec = A.spec
-    n = spec.size
-    v1 = np.repeat(np.arange(n, dtype=np.int64), n)
-    v2 = np.tile(np.arange(n, dtype=np.int64), n)
-    a, b, c, d = (np.int64(c_) for c_ in A.codes)
-    w1 = ring._vadd(spec, ring._vmul(spec, a, v1), ring._vmul(spec, b, v2))
-    w2 = ring._vadd(spec, ring._vmul(spec, c, v1), ring._vmul(spec, d, v2))
-    dets = _vdet(spec, (v1, w1, v2, w2))
-    ok = np.flatnonzero(ring._vval(spec, dets) == 0)
-    if len(ok) == 0:
-        return None
-    i = int(ok[0])
-    return RingElem(spec, int(v1[i])), RingElem(spec, int(v2[i]))
+    """A v with [v | Av] invertible, read off the residue image of A = [[a, b], [c, d]].
+
+    det[v | Av] is c for v = e1, -b for v = e2 and c + d - a - b for
+    v = e1 + e2.  A non-scalar residue image makes c, b or a - d a unit; the
+    first of these in that order picks v (with b, c in the maximal ideal, a
+    unit a - d makes c + d - a - b one).  A scalar image has none: None.
+    """
+    a, b, c, d = (RingElem(A.spec, x) for x in A.codes)
+    for v, x in (((1, 0), c), ((0, 1), b), ((1, 1), ring.add(a, ring.neg(d)))):
+        if ring.is_unit(x):
+            return RingElem(A.spec, v[0]), RingElem(A.spec, v[1])
+    return None
 
 
 @dataclass(frozen=True)
 class CompanionForm:
-    """conjugator . A . conjugator^-1 = [[0, a^-1 alpha], [a, beta]]."""
+    """conjugator . A . conjugator^-1 = [[0, alpha], [1, beta]]."""
 
-    a: RingElem
     alpha: RingElem
     beta: RingElem
     conjugator: Mat2
 
     @property
     def companion(self) -> Mat2:
-        spec = self.a.spec
-        top = ring.mul(ring.inv(self.a), self.alpha)
-        return Mat2(spec, 0, top.code, self.a.code, self.beta.code)
+        return Mat2(self.alpha.spec, 0, self.alpha.code, 1, self.beta.code)
 
     @property
     def triple(self) -> tuple[int, int, int]:
-        return (self.a.code, self.alpha.code, self.beta.code)
+        return (1, self.alpha.code, self.beta.code)
 
     @property
     def text(self) -> str:
-        """The orbit label (a;alpha;beta) of reports and failure messages."""
-        return f"({';'.join(ring.encode_elem(x) for x in (self.a, self.alpha, self.beta))})"
+        """The orbit label (1;alpha;beta) of reports and failure messages."""
+        return f"({';'.join(ring.encode_elem(x) for x in (ring.one(self.alpha.spec), self.alpha, self.beta))})"
 
 
 def companion_form(A: Mat2) -> CompanionForm:
-    """Witness conjugator sending A to companion shape; a = 1, det = -alpha."""
+    """Witness conjugator sending A to companion shape; det = -alpha, trace = beta."""
     v = cyclic_vector(A)
     if v is None:
         raise ValueError(f"{encode_mat(A)} is not cyclic")
-    spec = A.spec
-    w1 = ring.add(ring.mul(A.entry(0, 0), v[0]), ring.mul(A.entry(0, 1), v[1]))
-    w2 = ring.add(ring.mul(A.entry(1, 0), v[0]), ring.mul(A.entry(1, 1), v[1]))
-    basis = Mat2(spec, v[0].code, w1.code, v[1].code, w2.code)  # columns v, Av
+    Av = mat_mul(A, Mat2(A.spec, v[0].code, 0, v[1].code, 0))
+    basis = Mat2(A.spec, v[0].code, Av.m11, v[1].code, Av.m21)  # columns v, Av
     conj = mat_inv(basis)
-    alpha = ring.neg(det(A))
-    form = CompanionForm(ring.one(spec), alpha, trace(A), conj)
+    form = CompanionForm(ring.neg(det(A)), trace(A), conj)
     assert mat_mul(mat_mul(conj, A), basis) == form.companion
     return form
 
 
 # ---------------------------------------------------------------- centralizers
 
+_PAIR_BUDGET = 1 << 24  # pairs (x, y) that centralizer may enumerate
 
-def pencil_units(A: Mat2):
-    """(entries of x I + y A over all pairs x, y in the ring, mask of the invertible ones).
 
-    For cyclic A these matrices are exactly those commuting with A, so the
-    mask selects C(A) in GL_2.
+def centralizer(A: Mat2) -> tuple:
+    """Entry arrays of C(A) in GL_2 for a cyclic A: the units of o[A] = {x I + y A}.
+
+    A cyclic A has a cyclic vector v, so X commuting with A is fixed by
+    Xv = x v + y Av, that is X = x I + y A; C(A) is the |o|^2 pairs (x, y)
+    filtered by a unit determinant.  ValueError for a non-cyclic A and when
+    |o|^2 exceeds _PAIR_BUDGET.
     """
     spec = A.spec
-    n = spec.size
-    x = np.repeat(np.arange(n, dtype=np.int64), n)
-    y = np.tile(np.arange(n, dtype=np.int64), n)
-    a, b, c, d = _as_vec(A)
-    X = (
-        ring._vadd(spec, x, ring._vmul(spec, y, a)),
-        ring._vmul(spec, y, b),
-        ring._vmul(spec, y, c),
-        ring._vadd(spec, x, ring._vmul(spec, y, d)),
-    )
-    return X, ring._vval(spec, _vdet(spec, X)) == 0
-
-
-def centralizer_unit_matrices(A: Mat2) -> list[Mat2]:
-    """All X in GL_2 with AX = XA, for cyclic A: the units among {xI + yA}."""
     if not is_cyclic(A):
         raise ValueError(f"{encode_mat(A)} is not cyclic")
-    X, keep = pencil_units(A)
-    return [_from_vec(A.spec, tuple(t[i] for t in X)) for i in np.flatnonzero(keep)]
+    n = spec.size
+    if n**2 > _PAIR_BUDGET:
+        raise ValueError(f"pair scan over {spec} exceeds the enumeration budget")
+    x = np.repeat(np.arange(n, dtype=np.int64), n)
+    y = np.tile(np.arange(n, dtype=np.int64), n)
+    yA = [ring._vmul(spec, y, t) for t in _as_vec(A)]
+    X = (ring._vadd(spec, x, yA[0]), yA[1], yA[2], ring._vadd(spec, x, yA[3]))
+    keep = ring._vval(spec, _vdet(spec, X)) == 0
+    return tuple(t[keep] for t in X)
 
 
 def centralizer_units(A: Mat2) -> tuple[int, int]:
     """(|C(A) in GL_2|, |det C(A)|) over A's own ring."""
-    cent = centralizer_unit_matrices(A)
-    dets = {det(X).code for X in cent}
-    return len(cent), len(dets)
+    C = centralizer(A)
+    return len(C[0]), len(np.unique(_vdet(A.spec, C)))
 
 
+@ring._wrapping
 def conjugate_by_diag(A: Mat2, d: RingElem) -> Mat2:
     """A_d = diag(gamma(d), 1) A diag(gamma(d), 1)^-1 for a unit d upstairs."""
     if ring.val(d) != 0:
@@ -334,7 +321,7 @@ def all_matrices(spec: RingSpec) -> list[Mat2]:
 
 
 def cyclic_mask(spec: RingSpec, X) -> np.ndarray:
-    """Vectorized is_cyclic over parallel entry-code arrays."""
+    """Cyclicity over parallel entry-code arrays: a non-scalar residue image (see cyclic_vector)."""
     s1 = ring.truncate(spec, 1)
     a, b, c, d = (ring._vproj(spec, s1, t) for t in X)
     return ~((b == 0) & (c == 0) & (a == d))

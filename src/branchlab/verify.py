@@ -49,7 +49,7 @@ def find_regular(G: GroupTable, table: ClassFunction) -> list[tuple[mat.Companio
     every orbit O at once.  Checks, each raising with the kind and r, and
     the orbit and irreducible where there is one:
     - decompose's own: the exact reconstruction of every Ind psi_A and one
-      exact inner product per constituent;
+      exact inner product per constituent, a failure named by its orbit;
     - the orbit size |O| = |GL2(o_l')| / |C(A)| (mat.centralizer_units) is the
       number of cyclic matrices with A's trace and determinant, so the |O|
       add up to the cyclic matrices;
@@ -81,8 +81,9 @@ def find_regular(G: GroupTable, table: ClassFunction) -> list[tuple[mat.Companio
     ind = chartab.induce(ClassFunction(L.Ml, psi[0].n, np.stack([f.vals for f in psi])), G)
     try:
         P = chartab.decompose(ind, table)  # [orbit, irreducible]
-    except AssertionError as exc:
-        raise AssertionError(f"{exc} (Ind psi_A over the cyclic orbits, {where})") from exc
+    except chartab.DecomposeError as exc:
+        orbit = mat.companion_form(reps[exc.member[0]]).text
+        raise AssertionError(f"{exc}: Ind psi_A of orbit {orbit} ({where})") from exc
 
     # M^ell is normal, so <Res rho, Res rho> sums over the GL2 classes inside it
     inside = np.unique(table.classes.class_id[L.Ml.pos_in(G)])
@@ -195,7 +196,11 @@ def verify_branching(
 
     t = time.perf_counter()
     reg_ids = [i for _, members in regs for i in members]
-    decomps = dict(zip(reg_ids, chartab.decompose(chartab.restrict(gl_tab[reg_ids], sl), sl_tab)))
+    try:
+        decomps = dict(zip(reg_ids, chartab.decompose(chartab.restrict(gl_tab[reg_ids], sl), sl_tab)))
+    except chartab.DecomposeError as exc:
+        where = f"{spec.short_name}, r={spec.r}"
+        raise AssertionError(f"{exc}: Res_SL2 of irreducible {reg_ids[exc.member[0]]} ({where})") from exc
     timing["decompose"] = time.perf_counter() - t
 
     gl_deg, sl_deg = gl_tab.degree, sl_tab.degree

@@ -516,8 +516,15 @@ def test_decompose_checks_every_member_of_a_stack(groups, chartabs):
     T = chartabs(groups("z2", 2))
     assert np.array_equal(chartab.decompose(T[[0, 1]], T), np.eye(len(T), dtype=np.int64)[:2])
     bad = chartab.ClassFunction(T.group, T.n, np.stack([T.vals[0], T.vals[0] - T.vals[1]]))
-    with pytest.raises(AssertionError, match="negative multiplicity -1 against irreducible 1"):
+    with pytest.raises(chartab.DecomposeError, match="negative multiplicity -1 against irreducible 1 at stack member 1$"):
         chartab.decompose(bad, T)
+    # every check names the member that failed: here the reconstruction of member 2
+    delta = np.zeros_like(T.vals[0])
+    delta[int(T.classes.class_id[T.group.identity]), 0] = 1
+    off = chartab.ClassFunction(T.group, T.n, np.stack([T.vals[0], T.vals[1], T.vals[1] + delta]))
+    with pytest.raises(chartab.DecomposeError, match="reconstruct the class function at stack member 2$") as err:
+        chartab.decompose(off, T)
+    assert err.value.member == (2,)
 
 
 # --------------------------------------------------------- induce / restrict

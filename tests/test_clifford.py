@@ -233,9 +233,7 @@ def test_inertia_failures_name_kind_level_and_orbit(monkeypatch, groups):
     G = groups("z2", 4)  # a fresh PsiA runs inertia afresh, so a shared table will do
     lp = ring.truncate(G.spec, G.spec.ell_prime)
     A = mat.mat(lp, [[0, 3], [1, 2]])
-    form = mat.companion_form(A)
-    triple = ";".join(ring.encode_elem(x) for x in (form.a, form.alpha, form.beta))
-    assert triple == "1;3;2"
+    assert mat.companion_form(A).text == "(1;3;2)"
     real = clifford._commute_mask
 
     def flip_first(spec, X, codes4):
@@ -246,6 +244,19 @@ def test_inertia_failures_name_kind_level_and_orbit(monkeypatch, groups):
     monkeypatch.setattr(clifford, "_commute_mask", flip_first)
     with pytest.raises(AssertionError, match=r"C_GL2\(psi_A\).*\(z2, r=4, orbit \(1;3;2\)\)$"):
         clifford.inertia(clifford.make_psiA(G, A))
+
+
+def test_product_route_failure_names_kind_level_and_orbit(monkeypatch, groups):
+    # one unit of o_r[A~] short, C_GL2(A~) M^l' has the wrong order
+    G = groups("z2", 4)
+    A = mat.mat(ring.truncate(G.spec, G.spec.ell_prime), [[0, 3], [1, 2]])
+    real = mat.centralizer
+    monkeypatch.setattr(mat, "centralizer", lambda X: tuple(t[1:] for t in real(X)))
+    with pytest.raises(
+        AssertionError,
+        match=r"C_GL2\(psi_A\): stabilizer scan and product formula disagree \(z2, r=4, orbit \(1;3;2\)\)$",
+    ):
+        clifford.make_psiA(G, A).c_gl_mask
 
 
 def test_bracket_stabilizer_failure_names_kind_level_and_orbit(monkeypatch, groups):
@@ -402,6 +413,28 @@ def test_per_table_routes_match_per_orbit_recomputation(kind, r, groups):
         assert np.array_equal(I.c_sl_bracket.pos_in(L.sl), np.flatnonzero(bstab))
         orbits += 1
     assert orbits > 1
+
+
+def _commuting(spec, X, A):
+    # X A == A X entrywise, for every matrix of the entry arrays X
+    Av = tuple(np.int64(c) for c in A.codes)
+    XA, AX = mat._vmat_mul(spec, X, Av), mat._vmat_mul(spec, Av, X)
+    return np.all([x == y for x, y in zip(XA, AX)], axis=0)
+
+
+@pytest.mark.parametrize("kind,r", [("z2", 4), ("f2t", 4), ("eis2", 4), ("f4t", 2), ("z2", 5)])
+def test_centralizer_of_the_lift_is_the_commutation_scan(kind, r, groups):
+    # c_gl_mask looks C_GL2(A~) up as the units of o_r[A~]; here every element
+    # of GL2 is tested for commuting with A~ instead, on every companion orbit
+    G = groups(kind, r)
+    lp = ring.truncate(G.spec, G.spec.ell_prime)
+    orbits = 0
+    for A in _companions(lp):
+        At = mat.mat_lift(G.spec, A)
+        pos = G.pos_of_codes(mat._vpack(G.spec, mat.centralizer(At)))
+        assert np.array_equal(np.sort(pos), np.flatnonzero(_commuting(G.spec, G.ms, At)))
+        orbits += 1
+    assert orbits == lp.size**2
 
 
 # -------------------------------------------------------------- extensions

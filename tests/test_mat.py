@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from branchlab import mat, ring
@@ -128,7 +128,6 @@ def test_companion_form(name):
         form = mat.companion_form(A)
         g = form.conjugator
         assert mat.mat_mul(mat.mat_mul(g, A), mat.mat_inv(g)) == form.companion
-        assert form.a == ring.one(spec)
         assert form.alpha == ring.neg(mat.det(A))
         assert form.beta == mat.trace(A)
         C = form.companion
@@ -148,14 +147,22 @@ def test_centralizer_units_against_full_scan(name):
         size, det_size = mat.centralizer_units(A)
         assert size == len(comm)
         assert det_size == len({mat.det(X).code for X in comm})
-        got = {tuple(X.codes) for X in mat.centralizer_unit_matrices(A)}
-        assert got == {tuple(X.codes) for X in comm}
+        C = mat.centralizer(A)
+        assert {tuple(map(int, X)) for X in zip(*C)} == {tuple(X.codes) for X in comm}
+        assert np.all(ring._vval(spec, mat._vdet(spec, C)) == 0)
 
 
 def test_centralizer_units_non_cyclic_scalar():
     spec = ring.make_ring("z2", r=2)
     with pytest.raises(ValueError, match="not cyclic"):
         mat.centralizer_units(mat.scalar_mat(ring.one(spec)))
+
+
+def test_centralizer_pair_budget():
+    # |o|^2 = 2^26 pairs at z2 r = 13: refused before anything is allocated
+    spec = ring.make_ring("z2", r=13)
+    with pytest.raises(ValueError, match="budget"):
+        mat.centralizer(mat.mat(spec, [[0, 0], [1, 0]]))
 
 
 def test_conjugate_by_diag():
@@ -280,3 +287,34 @@ def test_pack_and_unpack_round_trip_on_both_branches(case, data):
     assert _same(mat._vunpack(spec, mat._vpack(spec, X)), X)
     code = data.draw(st.integers(0, spec.size**4 - 1))
     assert int(mat._vpack(spec, mat._vunpack(spec, np.int64(code)))) == code
+
+
+def _widest_example(kind, entries):
+    spec = ring.make_ring(kind, r=_WIDEST[kind])
+    return (spec, [tuple(np.array([c], dtype=np.int64) for c in entries)] * 3)
+
+
+# one example per kind at its widest level, on each branch of cyclic_vector:
+# c a unit, then b a unit, then only a - d a unit, then a scalar residue image
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(_ring_and_mats(table=False))
+@example(_widest_example("z2", [2, 6, 1, 4]))
+@example(_widest_example("f2t", [2, 1, 6, 4]))
+@example(_widest_example("eis2", [1, 2, 6, 4]))
+@example(_widest_example("f4t", [8, 4, 12, 0]))
+def test_cyclic_vector_and_companion_witness_on_the_formula_branch(case):
+    # the residue-image cyclic vector reaches levels an |o|^2 vector search cannot
+    spec, (X, _, _) = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the scalar Mat2 ops wrap int64 silently, as ring's do
+        A = Mat2(spec, *(int(t[0]) for t in X))
+        assert (mat.cyclic_vector(A) is None) == (not mat.is_cyclic(A))
+        if not mat.is_cyclic(A):  # a scalar residue image; a + 1 makes a - d a unit
+            A = Mat2(spec, ring.add(A.entry(0, 0), ring.one(spec)).code, A.m12, A.m21, A.m22)
+        v = mat.cyclic_vector(A)
+        Av = mat.mat_mul(A, Mat2(spec, v[0].code, 0, v[1].code, 0))
+        assert ring.is_unit(mat.det(Mat2(spec, v[0].code, Av.m11, v[1].code, Av.m21)))
+        form = mat.companion_form(A)  # asserts conjugator . A = companion . conjugator itself
+        g = form.conjugator
+        assert mat.mat_mul(mat.mat_mul(g, A), mat.mat_inv(g)) == form.companion
+        assert form.alpha == ring.neg(mat.det(A)) and form.beta == mat.trace(A)

@@ -91,6 +91,39 @@ def test_find_regular_rejects_a_regular_over_two_orbits(groups, chartabs, monkey
         verify.find_regular(G, table)
 
 
+def _corrupt_member(monkeypatch, member, on):
+    # decompose sees the stack with 1 added to one member's value at the
+    # identity: the multiplicities still round, so the reconstruction fails there
+    real = chartab.decompose
+
+    def corrupted(f, irr):
+        if not on(f):
+            return real(f, irr)
+        vals = f.vals.copy()
+        vals[member, int(f.classes.class_id[f.group.identity]), 0] += 1
+        return real(chartab.ClassFunction(f.group, f.n, vals), irr)
+
+    monkeypatch.setattr(chartab, "decompose", corrupted)
+
+
+def test_find_regular_decompose_failure_names_the_orbit(groups, chartabs, monkeypatch):
+    # member 3 of the Ind psi_A stack is orbit 3 = (alpha, beta) = (1, 1) over o_1
+    G = groups("z2", 2)
+    table = chartabs(G)
+    _corrupt_member(monkeypatch, 3, lambda f: True)
+    with pytest.raises(AssertionError, match=r"reconstruct .* at stack member 3: Ind psi_A of orbit \(1;1;1\) \(z2, r=2\)$"):
+        verify.find_regular(G, table)
+
+
+def test_direct_route_decompose_failure_names_the_irreducible(groups, chartabs, monkeypatch):
+    # the restricted regulars are decomposed as one stack in find_regular's order
+    G = groups("z2", 2)
+    rho = [i for _, members in verify.find_regular(G, chartabs(G)) for i in members][1]
+    _corrupt_member(monkeypatch, 1, lambda f: f.group.n == grp.sl2_order(G.spec))
+    with pytest.raises(AssertionError, match=rf"at stack member 1: Res_SL2 of irreducible {rho} \(z2, r=2\)$"):
+        verify.verify_branching(G.spec, mackey=False)
+
+
 def test_verify_caches_only_per_table_results_on_gl(monkeypatch):
     # per-orbit data (each PsiA, companion forms) lives with its caller and
     # A-independent layer data on _Layers: the GL2 table's cache holds per-table results only
