@@ -308,8 +308,7 @@ def _align(f: ClassFunction, g: ClassFunction):
 def class_function_from_exponents(G: GroupTable, n: int, exps) -> ClassFunction:
     """Linear character from per-class exponents: class j maps to zeta_n^exps[j]."""
     red = cyclo.reduction_matrix(n)
-    vals = red[np.asarray(exps, dtype=np.int64) % n]
-    return ClassFunction(G, n, vals.astype(np.int64))
+    return ClassFunction(G, n, red[np.asarray(exps, dtype=np.int64) % n])
 
 
 def trivial_character(G: GroupTable) -> ClassFunction:

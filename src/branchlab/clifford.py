@@ -10,8 +10,8 @@ builds psi_A and its restriction psi_[A] to K^ell = M^ell cap SL2, the
 unipotent h/H layers, and the inertia data of psi_A: C_GL2(psi_A),
 C_SL2(psi_A), C_SL2(psi_[A]), the coset space D_A = o_r^x / det C_GL2(psi_A)
 and that determinant image.  It also gives the fiber Irr(C_GL2(psi_A) | psi_A)
-(at even r, the linear characters of C_GL2(psi_A)/ker psi_A extending psi_A)
-and the coset-twisted decomposition
+(at even r, the linear characters of C_GL2(psi_A) extending psi_A, read off
+its residue classes mod pi^ell') and the coset-twisted decomposition
 
     Res_SL2 Ind(phi) = sum over d in D_A of Ind_{C_SL2(psi_{A_d})}(phi^d).
 
@@ -41,9 +41,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import gcd
 
 import numpy as np
+import sympy
 
 from . import chartab, grp, mat, ring
 from .chartab import ClassFunction
@@ -358,24 +358,10 @@ def H_group(psiA: PsiA, i: int) -> GroupTable:
 
 
 def _commute_mask(spec: RingSpec, X: tuple, codes4: tuple) -> np.ndarray:
-    """Positions whose entries (4 parallel arrays) commute with the fixed matrix."""
-    a, b, c, d = (np.int64(t) for t in codes4)
-    x11, x12, x21, x22 = X
-    m, ad, ng = ring._vmul, ring._vadd, ring._vneg
-    # entries of X*A - A*X (the diagonal x11*a-style terms cancel)
-    e11 = ad(spec, m(spec, x12, c), ng(spec, m(spec, b, x21)))
-    e12 = ad(
-        spec,
-        ad(spec, m(spec, x11, b), m(spec, x12, d)),
-        ng(spec, ad(spec, m(spec, a, x12), m(spec, b, x22))),
-    )
-    e21 = ad(
-        spec,
-        ad(spec, m(spec, x21, a), m(spec, x22, c)),
-        ng(spec, ad(spec, m(spec, c, x11), m(spec, d, x21))),
-    )
-    e22 = ad(spec, m(spec, x21, b), ng(spec, m(spec, c, x12)))
-    return (e11 == 0) & (e12 == 0) & (e21 == 0) & (e22 == 0)
+    """Positions whose entries (4 parallel arrays) commute with the fixed matrix: X A == A X."""
+    A = tuple(np.int64(t) for t in codes4)
+    XA, AX = mat._vmat_mul(spec, X, A), mat._vmat_mul(spec, A, X)
+    return np.logical_and.reduce([x == y for x, y in zip(XA, AX)])
 
 
 # products per GroupTable.mul call in _product_mask; bounds its working set
@@ -424,18 +410,19 @@ def _stabilizer_mask(conj: np.ndarray, N: GroupTable, exps: np.ndarray) -> np.nd
 
 
 def _scalar_conj_mask_sl(L: _Layers, A: Mat2) -> np.ndarray:
-    """g in SL2 with gamma(g)^-1 A gamma(g) - A scalar (the psi_[A] stabilizer test)."""
+    """g in SL2 with gamma(g)^-1 A gamma(g) - A scalar (the psi_[A] stabilizer test).
+
+    The test reads only the residue gamma(g) mod pi^ell', so it runs once per
+    residue code and is gathered to SL2 through the residue index."""
     lp = L.spec_lp
-    sl = L.sl
     codes, index = L.residues
-    up = sl.pos_in(L.gl)
-    P = mat._vunpack(lp, codes[index[up]])
-    Pi = mat._vunpack(lp, codes[index[up[sl.inv]]])
+    P = mat._vunpack(lp, codes)
     Av = tuple(np.int64(c) for c in A.codes)
-    D = mat._vmat_mul(lp, Pi, mat._vmat_mul(lp, Av, P))
+    D = mat._vmat_mul(lp, mat._vmat_inv(lp, P), mat._vmat_mul(lp, Av, P))
     d11 = ring._vadd(lp, D[0], ring._vneg(lp, np.int64(A.m11)))
     d22 = ring._vadd(lp, D[3], ring._vneg(lp, np.int64(A.m22)))
-    return (D[1] == A.m12) & (D[2] == A.m21) & (d11 == d22)
+    scalar = (D[1] == A.m12) & (D[2] == A.m21) & (d11 == d22)
+    return scalar[index[L.sl.pos_in(L.gl)]]
 
 
 # ------------------------------------------------------------------ inertia
@@ -455,147 +442,96 @@ def inertia(psiA: PsiA) -> PsiA:
     return psiA
 
 
-# ------------------------------------------------------------------ abelian quotients
-
-
-@dataclass(eq=False)
-class _AbelianQuotient:
-    """Abelian H/N: labels, coset representatives, a multiple of its exponent."""
-
-    H: GroupTable
-    lab: np.ndarray  # H position -> quotient label
-    reps: np.ndarray  # representative H position per label
-    size: int
-    exponent: int
-    id_label: int
-
-    def mul_label(self, i: int, j) -> np.ndarray:
-        return self.lab[self.H.mul(int(self.reps[i]), self.reps[np.asarray(j, dtype=np.int64)])]
-
-
-def _abelian_quotient(H: GroupTable, N: GroupTable) -> _AbelianQuotient:
-    """H/N for a normal N, by the coset labels of N; nothing is cached on H.
-
-    Raises unless every commutator of two generators of H lies in N, that is,
-    unless H/N is abelian.  The exponent is H's own, a multiple of H/N's.
-    """
-    raw = grp.coset_labels(H, N)
-    reps = np.unique(raw)
-    lab = np.searchsorted(reps, raw).astype(np.int64)
-    size = len(reps)
-    assert size * N.n == H.n
-    idl = int(lab[H.identity])
-    g = np.array(H.gens, dtype=np.int64)
-    comm = H.mul(H.mul(g[:, None], g[None, :]), H.mul(H.inv[g][:, None], H.inv[g][None, :]))
-    if np.any(lab[comm] != idl):
-        raise AssertionError(f"{H.name}/{N.name} is not abelian")
-    return _AbelianQuotient(H, lab, reps, size, grp.conjugacy_classes(H).exponent, idl)
-
-
-def _extend_all(Hq: _AbelianQuotient, base: np.ndarray) -> list[np.ndarray]:
-    """All exponent labelings of the quotient extending a seeded partial character.
-
-    base holds a mod-exponent value on the labels of a subgroup (and -1
-    elsewhere).  Finite-abelian character theory makes every branch solvable;
-    the count of leaves is the index of the seeded subgroup.
-    """
-    E = Hq.exponent
-    out: list[np.ndarray] = []
-    stack = [base]
-    while stack:
-        cur = stack.pop()
-        missing = np.flatnonzero(cur < 0)
-        if missing.size == 0:
-            out.append(cur)
-            continue
-        q = int(missing[0])
-        n, x = 1, q
-        while cur[x] < 0:
-            x = int(Hq.mul_label(x, q))
-            n += 1
-        t = int(cur[x])  # exponent already assigned to q^n
-        g = gcd(n, E)
-        if t % g:
-            raise AssertionError("partial character admits no extension; seed is inconsistent")
-        y0 = (t // g) * pow(n // g, -1, E // g) % (E // g)
-        assigned = np.flatnonzero(cur >= 0)
-        for j in range(g):
-            y = (y0 + j * (E // g)) % E
-            nxt = cur.copy()
-            plab = q
-            # assign the cosets q^s S for s = 1..n-1; q itself sits in q*S
-            for s in range(1, n):
-                rows = Hq.mul_label(plab, assigned)
-                nxt[rows] = (s * y + cur[assigned]) % E
-                plab = int(Hq.mul_label(plab, q))
-            stack.append(nxt)
-    return out
-
-
-def _rescale_exponents(t: np.ndarray, N: int, E: int) -> np.ndarray:
-    num = t * E
-    if np.any(num % N):
-        raise AssertionError("character values do not embed in the quotient exponent")
-    return (num // N) % E
-
-
-def _roots_agree(xe: np.ndarray, E: int, te: np.ndarray, N: int) -> bool:
-    return bool(np.all((xe * N - te * E) % (N * E) == 0))
-
-
-def _seed_base(Hq: _AbelianQuotient, labels: np.ndarray, exps: np.ndarray) -> np.ndarray:
-    ulab, first_idx = np.unique(labels, return_index=True)
-    per_label = exps[first_idx]
-    spread = per_label[np.searchsorted(ulab, labels)]
-    if np.any(spread != exps):
-        raise AssertionError("character is not constant on the quotient's fibers")
-    base = np.full(Hq.size, -1, dtype=np.int64)
-    base[ulab] = per_label
-    if base[Hq.id_label] not in (-1, 0):
-        raise AssertionError("identity must map to 1")
-    base[Hq.id_label] = 0
-    return base
-
-
 # ------------------------------------------------------------------ the phi layer
 
 
-def phi_set(psiA: PsiA) -> ClassFunction:
-    """Irr(C_GL2(psi_A) | psi_A) as one stack of class functions on C_GL2(psi_A).
+def _linear_fiber(psiA: PsiA) -> ClassFunction:
+    """Irr(C | psi_A) at even r: the linear characters of C = C_GL2(psi_A) extending psi_A.
 
-    Even r: the linear characters of C_GL2(psi_A)/ker psi_A extending psi_A.
+    At even r, ell = ell', so M^ell is the kernel of reduction mod pi^ell' and
+    its cosets in C are the residue classes that _Layers.residues indexes.
+    With one representative t_s per class (the identity for M^ell itself),
+    t_s t_t = t_K m_st with K = K[s, t] and m_st in M^ell.  A member phi is
+    fixed by w = (phi(t_t))_t, and phi(t_s) phi(t_t) = psi_A(m_st) phi(t_K):
+    w is a common eigenvector, of eigenvalue phi(t_s), of the f x f matrices
+    N_s[t, K[s, t]] = psi_A(m_st).  Random combinations of the N_s are split
+    mod p by Dixon's _split_round, with zeta_e sent to g^((p-1)/e) for e the
+    exponent of C, and phi(c) = phi(t) psi_A(t^-1 c) at the class reps.
+    Checked exactly: f |M^ell| = |C|; psi_A's values and every eigenvector
+    entry are e-th roots of unity; the relation on all f^2 pairs, which makes
+    phi a homomorphism extending psi_A, since C stabilizes psi_A; and the f
+    members pairwise distinct, so they are all of Irr(C | psi_A).
+    """
+    L, C = psiA.layers, psiA.c_gl
+    where = _where(psiA)
+    cc = grp.conjugacy_classes(C)
+    e = cc.exponent
+    _, t, label = np.unique(L.residues[1][C.pos_in(L.gl)], return_index=True, return_inverse=True)
+    f = len(t)
+    if f * L.Ml.n != C.n:
+        raise AssertionError(f"{f} residue classes of |M^l| = {L.Ml.n} do not fill |C| = {C.n} ({where})")
+    j0 = label[C.identity]
+    t[j0] = C.identity
+    num = psiA.exps_M * e
+    if np.any(num % psiA.n):
+        raise AssertionError(f"psi_A's values are not e-th roots of unity, e = {e} ({where})")
+    psi = np.zeros(C.n, dtype=np.int64)  # psi_A as zeta_e exponents, at the C positions of M^l
+    psi[L.Ml.pos_in(C)] = num // psiA.n % e
+    prod = C.mul(t[:, None], t[None, :])
+    K = label[prod]
+    a = psi[C.mul(C.inv[t[K]], prod)]  # psi_A(m_st), m_st = t_K^-1 t_s t_t
+    p = chartab.dixon_prime(f * f, e)
+    z = pow(sympy.primitive_root(p), (p - 1) // e, p)
+    zpow = np.array([pow(z, k, p) for k in range(e)], dtype=np.int64)
+    rng = np.random.default_rng(0)
+    subspaces, rounds = [None], 0
+    while any(S is None or S.shape[1] > 1 for S in subspaces):
+        if rounds == chartab._MAX_ROUNDS:
+            raise AssertionError(f"residue-class split did not reach dimension 1 after {rounds} rounds ({where})")
+        N = np.zeros((f, f), dtype=np.int64)
+        theta = rng.integers(1, p, size=f, dtype=np.int64)
+        np.add.at(N, (np.arange(f)[None, :], K), theta[:, None] * zpow[a] % p)
+        subspaces = chartab._split_round(subspaces, N % p, p, f"{where}, f={f}, p={p}, round {rounds}")
+        rounds += 1
+    V = np.hstack(subspaces)
+    if np.any(V[j0] == 0):
+        raise AssertionError(f"an eigenvector vanishes at the class of M^l ({where})")
+    V = V * np.array([pow(int(x), p - 2, p) for x in V[j0]], dtype=np.int64) % p
+    log = np.full(p, -1, dtype=np.int64)
+    log[zpow] = np.arange(e)
+    X = log[V.T]  # [member, s] -> exponent of phi(t_s)
+    if np.any(X < 0):
+        raise AssertionError(f"an eigenvector entry is not an e-th root of unity mod p, e = {e}, p = {p} ({where})")
+    bad = np.any((X[:, :, None] + X[:, None, :] - a - X[:, K]) % e, axis=(1, 2))
+    if np.any(bad):
+        raise AssertionError(f"phi(t_s) phi(t_t) != psi_A(m_st) phi(t_K) for member {np.argmax(bad)} ({where})")
+    if len(np.unique(X, axis=0)) != f:
+        raise AssertionError(f"two of the {f} extensions of psi_A are equal ({where})")
+    s = label[cc.reps]
+    out = chartab.class_function_from_exponents(C, e, X[:, s] + psi[C.mul(C.inv[t[s]], cc.reps)])
+    # dixon_table's canonical row order: every member has degree 1, so rows sort by their bytes
+    rows = out.vals.reshape(f, -1)
+    return out[np.argsort(rows.view(np.dtype((np.void, rows.strides[0])))[:, 0], kind="stable")]
+
+
+def phi_set(psiA: PsiA) -> ClassFunction:
+    """Irr(C_GL2(psi_A) | psi_A) as one stack of class functions on C_GL2(psi_A),
+    in dixon_table's canonical row order.
+
+    Even r: the [C_GL2(psi_A) : M^ell] linear characters extending psi_A,
+    read off the residue classes by _linear_fiber.
     Odd r: every member has degree q and Ind_{M^ell}^{C_GL2(psi_A)} psi_A =
     q sum phi, so chartab.fiber splits Ind psi_A as a Krylov block of the
     class-matrix space of C_GL2(psi_A), without its full character table;
-    each member pairs with psi_A on M^ell exactly q times, and the stack is in
-    the table's canonical row order.
-    Dimensions (1 for even r, q for odd r) and the fiber size are verified
-    on the whole stack.
+    each member pairs with psi_A on M^ell exactly q times, and the degrees
+    and the fiber size are verified on the whole stack.
     """
     L = psiA.layers
+    if L.spec.r % 2 == 0:
+        return _linear_fiber(psiA)
     C = psiA.c_gl
-    q, r = L.spec.q, L.spec.r
+    q = L.spec.q
     fiber = C.n // L.Ml.n
-    if r % 2 == 0:
-        # C/M^l is abelian, so [C, C] lies in M^l, and psi_A, which extends
-        # to C, is trivial there: the members are characters of C/ker psi_A
-        # (_abelian_quotient checks that this quotient is abelian)
-        ml_in_C = L.Ml.pos_in(C)
-        kernel = grp.subgroup(L.Ml, psiA.exps_M % psiA.n == 0, name="ker psi_A")
-        try:
-            Hq = _abelian_quotient(C, kernel)
-            base = _seed_base(Hq, Hq.lab[ml_in_C], _rescale_exponents(psiA.exps_M, psiA.n, Hq.exponent))
-            exts = np.array(_extend_all(Hq, base))
-        except AssertionError as exc:
-            raise AssertionError(f"{exc} ({_where(psiA)})") from exc
-        if len(exts) != fiber:
-            raise AssertionError(
-                f"found {len(exts)} extensions of psi_A, expected [C:M^l] = {fiber} ({_where(psiA)})"
-            )
-        if not _roots_agree(exts[:, Hq.lab[ml_in_C]], Hq.exponent, psiA.exps_M, psiA.n):
-            raise AssertionError(f"extension does not restrict to psi_A ({_where(psiA)})")
-        reps = grp.conjugacy_classes(C).reps
-        return chartab.class_function_from_exponents(C, Hq.exponent, exts[:, Hq.lab[reps]])
     # odd r: Ind psi_A = q sum phi, split as a Krylov block of C's class-matrix space
     try:
         out = chartab.fiber(chartab.induce(psiA.psi_M, C), q, q)

@@ -8,9 +8,9 @@ from it holds its sorted positions in the root and their inverse map, so a
 lookup is root index -> local position, and K.pos_in(H) moves positions
 between any two tables of one root.
 
-Orbit computations (conjugacy classes, coset labels) run as min-label
-propagation over generator permutation arrays.  Every table finds its own
-generating set greedily, by breadth-first closure.
+Conjugacy classes are orbits, found by min-label propagation over generator
+permutation arrays.  Every table finds its own generating set greedily, by
+breadth-first closure.
 
 Ownership runs one way.  A subgroup holds its root, a table holds its class
 partition (cache["classes"]), and a class function holds its table; nothing a
@@ -132,9 +132,6 @@ class GroupTable:
         return gens
 
     # -------------------------------------------------------------- permutations
-
-    def right_mul_perm(self, g: int):
-        return self._lookup(mat._vmat_mul(self.spec, self.ms, self.entries(g)))
 
     def conj_perm(self, g: int):
         """x -> g x g^-1 as a position permutation."""
@@ -336,8 +333,3 @@ def conjugacy_classes(G: GroupTable) -> ConjClasses:
     if "classes" not in G.cache:
         G.cache["classes"] = ConjClasses(G)
     return G.cache["classes"]
-
-
-def coset_labels(G: GroupTable, H: GroupTable) -> np.ndarray:
-    """Per position of G, the least position of its left coset gH."""
-    return _orbit_labels(G.n, [G.right_mul_perm(g) for g in H.pos_in(G)[H.gens]])

@@ -243,20 +243,24 @@ def verify_branching(
             mackey_orbits += 1
             timing["mackey"] += time.perf_counter() - t
 
+        # every member is Ind phi from C_GL2(psi_A), of dimension [GL2 : C] phi(1)
+        orbit_dims = sorted({int(gl_deg[i]) for i in members})
+        if len(orbit_dims) != 1:
+            raise AssertionError(f"regular irreducibles of one orbit have dimensions {orbit_dims} ({where})")
+        dim = orbit_dims[0]
+        pred = predict.predict_branching(spec, None, A=comp, dim_rho=dim)
+        if pred.dA is not None and pred.dA != dA:
+            raise AssertionError(f"predicted |D_A| {pred.dA} != enumerated {dA} ({where})")
         orbit_max_delta = 0
         for i in members:
-            dim = int(gl_deg[i])
             js = np.flatnonzero(decomps[i])
             dims = sl_deg[js].tolist()
             mults = decomps[i][js].tolist()
             delta = len(js)
             orbit_max_delta = max(orbit_max_delta, delta)
             mfree = all(m == 1 for m in mults)
-            pred = predict.predict_branching(spec, None, A=comp, dim_rho=dim)
             notes = []
             ok = mfree
-            if pred.dA is not None and pred.dA != dA:
-                raise AssertionError(f"predicted |D_A| {pred.dA} != enumerated {dA} at irreducible {i} ({where})")
             if delta < pred.delta_min:
                 ok = False
                 notes.append(f"delta {delta} below predicted minimum {pred.delta_min}")
@@ -293,8 +297,7 @@ def verify_branching(
                 )
             )
 
-        # dimension lower bound for constituents over psi_[A] (char 2, odd r > 2);
-        # the trace class is the orbit's, so the last member's prediction holds it
+        # dimension lower bound for constituents over psi_[A] (char 2, odd r > 2)
         if spec.char_two and spec.r == 3 and pred.trace_class == "nonunit":
             bound = predict.min_dim_bound(spec, comp)
             prof = predict.centralizer_profile(spec, comp)
@@ -450,13 +453,21 @@ def chartab_csv(G: GroupTable, table: ClassFunction) -> str:
 # ----------------------------------------------------------------------- CLI
 
 
-def _add_common(p: argparse.ArgumentParser, need_ring=True):
-    p.add_argument("--kind", choices=KINDS, required=need_ring, help="ring family")
-    p.add_argument("--r", type=int, required=need_ring, help="quotient level")
-    p.add_argument("--budget", type=int, default=None, help="max group order to enumerate")
-    p.add_argument("--seed", type=int, default=0, help="seed for the character-table splitting order")
-    p.add_argument("--out", default=None, help="write output to this path instead of stdout")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+# the common flags, --NAME -> add_argument keywords
+_FLAGS = {
+    "kind": dict(choices=KINDS, required=True, help="ring family"),
+    "r": dict(type=int, required=True, help="quotient level"),
+    "budget": dict(type=int, default=None, help="max group order to enumerate"),
+    "seed": dict(type=int, default=0, help="seed for the character-table splitting order"),
+    "out": dict(default=None, help="write output to this path instead of stdout"),
+    "format": dict(choices=("json", "csv"), default="json"),
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, *names: str):
+    """Give a subcommand exactly the common flags it reads."""
+    for name in names:
+        p.add_argument(f"--{name}", **_FLAGS[name])
 
 
 def _budget_of(args) -> int:
@@ -605,26 +616,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ring", help="ring-level information")
     p.add_argument("action", choices=("info",))
-    _add_common(p)
+    _add_flags(p, "kind", "r", "out")
     p.set_defaults(func=_cmd_ring)
 
     p = sub.add_parser("predict", help="closed-form branching prediction")
-    _add_common(p)
+    _add_flags(p, "kind", "r", "out")
     p.add_argument("--trace-class", choices=("unit", "nonunit"), default=None)
     p.add_argument("--det-cent", type=int, default=None, help="|det C(A)| over the level-l' ring")
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("verify", help="brute-force branching verification")
-    _add_common(p)
+    _add_flags(p, *_FLAGS)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("chartab", help="exact character table")
-    _add_common(p)
+    _add_flags(p, *_FLAGS)
     p.add_argument("--group", choices=("gl2", "sl2"), default="gl2")
     p.set_defaults(func=_cmd_chartab)
 
     p = sub.add_parser("selftest", help="small end-to-end battery")
-    _add_common(p, need_ring=False)
+    _add_flags(p, "budget")
     p.set_defaults(func=_cmd_selftest)
 
     return parser

@@ -303,7 +303,7 @@ def test_inertia_is_freed_with_its_psiA(groups):
         clifford.mackey_restriction(pa, phis)
         return [weakref.ref(H) for H in (I.c_gl, I.c_sl, I.c_sl_bracket, phis.group)]
 
-    # odd r builds a Dixon table of C_GL2(psi_A), even r its abelianization;
+    # odd r splits a Krylov block of C_GL2(psi_A), even r its residue classes;
     # this orbit has |D_A| = 1 at z2 r=3 and 2 at f2t r=4.  Reference counting
     # alone frees every subgroup: the cyclic collector is off
     gc.disable()
@@ -513,15 +513,17 @@ def test_phi_set_odd_level_matches_the_restriction_filter(kind, groups):
 
 @pytest.mark.parametrize(
     "kind,r,rows",
-    [pytest.param(k, 2, None, id=f"{k}-2-all") for k in ("z2", "f2t", "eis2")]
+    [pytest.param(k, 2, None, id=f"{k}-2-all") for k in ("z2", "f2t", "eis2", "f4t")]
     + [
         pytest.param("z2", 4, [[0, 0], [1, 0]], id="z2-4-(1;0;0)"),
         pytest.param("z2", 4, [[0, 3], [1, 2]], id="z2-4-(1;3;2)"),
+        pytest.param("f2t", 4, [[0, 1], [1, 1]], id="f2t-4-(1;1;1)"),
+        pytest.param("eis2", 4, [[0, 3], [1, 2]], id="eis2-4-(1;3;2)"),
     ],
 )
 def test_phi_set_even_level_matches_the_restriction_filter(kind, r, rows, groups):
-    # the even stack comes out of C/ker psi_A in search order, so compare row
-    # sets; rows=None runs every A, a given companion matrix one orbit
+    # the even stack is split from the residue classes of C_GL2(psi_A), without
+    # its table; rows=None runs every A, a given companion matrix one orbit
     G = groups(kind, r)
     lp = clifford._layers(G).spec_lp
     if rows is None:
@@ -531,15 +533,38 @@ def test_phi_set_even_level_matches_the_restriction_filter(kind, r, rows, groups
     for A in As:
         got, ref = _restriction_filter(clifford.make_psiA(G, A))
         assert np.all(got.degree == 1)
-        f, g = chartab._align(got, ref)
-        assert {v.tobytes() for v in f.vals} == {v.tobytes() for v in g.vals}
+        assert got == ref
 
 
-def test_abelian_quotient_rejects_a_nonabelian_quotient(groups):
-    G = groups("z2", 2)
-    one = grp.subgroup(G, np.array([G.identity]), name="1")
-    with pytest.raises(AssertionError, match="not abelian"):
-        clifford._abelian_quotient(G, one)
+def test_phi_set_even_level_relation_check_names_the_orbit(groups, monkeypatch):
+    # one eigenvector replaced by the product of two: phi_1 phi_2 extends
+    # psi_A^2, not psi_A, though its entries are still roots of unity
+    real = chartab._split_round
+
+    def corrupt(subspaces, M, p, where):
+        out = real(subspaces, M, p, where)
+        if all(S.shape[1] == 1 for S in out):
+            out[1] = out[1] * out[2] % p
+        return out
+
+    monkeypatch.setattr(chartab, "_split_round", corrupt)
+    pa = _psi(groups("z2", 4), [[0, 3], [1, 2]])
+    with pytest.raises(AssertionError, match=r"phi\(t_s\) phi\(t_t\) != psi_A\(m_st\) phi\(t_K\) .*\(z2, r=4, orbit \(1;3;2\)\)$"):
+        clifford.phi_set(pa)
+
+
+def test_phi_set_even_level_gives_up_after_max_rounds(groups, monkeypatch):
+    calls = []
+
+    def stuck(subspaces, M, p, where):
+        calls.append(where)
+        return subspaces
+
+    monkeypatch.setattr(chartab, "_split_round", stuck)
+    pa = _psi(groups("z2", 4), [[0, 0], [1, 0]])
+    with pytest.raises(AssertionError, match=r"dimension 1 after 24 rounds \(z2, r=4, orbit \(1;0;0\)\)$"):
+        clifford.phi_set(pa)
+    assert len(calls) == chartab._MAX_ROUNDS == 24
 
 
 def test_phi_set_odd_level_at_r5():

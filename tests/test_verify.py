@@ -221,7 +221,23 @@ def test_orbit_failures_name_kind_level_and_orbit(monkeypatch):
         predict, "predict_branching", lambda *a, **kw: dataclasses.replace(real(*a, **kw), dA=10**6)
     )
     with pytest.raises(
-        AssertionError, match=r"predicted \|D_A\| 1000000 != enumerated 1 at irreducible \d+ \(z2, r=2, orbit \(1;0;0\)\)$"
+        AssertionError, match=r"predicted \|D_A\| 1000000 != enumerated 1 \(z2, r=2, orbit \(1;0;0\)\)$"
+    ):
+        verify.verify_branching(ring.make_ring("z2", r=2), mackey=False)
+
+
+def test_orbit_members_of_unequal_dimension_name_the_orbit(monkeypatch):
+    # one prediction serves the whole orbit, so its members must share dim(rho)
+    real = verify.find_regular
+
+    def merged(G, table):
+        (form, members), *rest = real(G, table)
+        other = next(i for _, ms in rest for i in ms if table.degree[i] != table.degree[members[0]])
+        return [(form, members + [other])] + rest
+
+    monkeypatch.setattr(verify, "find_regular", merged)
+    with pytest.raises(
+        AssertionError, match=r"regular irreducibles of one orbit have dimensions \[\d+, \d+\] \(z2, r=2, orbit \(1;0;0\)\)$"
     ):
         verify.verify_branching(ring.make_ring("z2", r=2), mackey=False)
 
@@ -349,6 +365,26 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     fake = dataclasses.replace(real, passed=False)
     monkeypatch.setattr(verify, "verify_branching", lambda *a, **kw: fake)
     assert verify.cli_main(["verify", "--kind", "z2", "--r", "2", "--out", str(tmp_path / "f.json")]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["predict", "--kind", "z2", "--r", "4", "--format", "csv"],
+        ["predict", "--kind", "z2", "--r", "4", "--seed", "7"],
+        ["predict", "--kind", "z2", "--r", "4", "--budget", "5"],
+        ["ring", "info", "--kind", "z2", "--r", "4", "--format", "csv"],
+        ["selftest", "--kind", "f4t"],
+        ["selftest", "--r", "9"],
+        ["selftest", "--seed", "3"],
+        ["selftest", "--format", "csv"],
+        ["selftest", "--out", "report.txt"],
+    ],
+    ids=lambda argv: f"{argv[0]}-{argv[-2].lstrip('-')}",
+)
+def test_cli_rejects_a_flag_its_subcommand_does_not_read(argv, capsys):
+    assert verify.cli_main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_non_rational_inner_product_is_an_internal_failure(monkeypatch, capsys):
