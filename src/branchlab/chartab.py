@@ -15,19 +15,23 @@ gives every eigenspace; only a small system per root, one row per unreduced
 Hessenberg block, is row-reduced.  Each eigenspace is checked against
 T v = lam v and the dimensions must add up to the subspace's.  Only the
 random weights change between rounds, so one pass over the products
-x^-1 g_col serves three rounds, one independent weight row each.  The
-kernels work in int64 mod p and sum class-matrix weights in float64, so
-dixon_table refuses groups where k p^2 >= 2^63 or |G| p >= 2^53; a pass
-bins each column's |G| products apart from the others', so every float64
-sum stays below |G| p however many columns a batch holds.
+x^-1 g_col serves three rounds, one independent weight row each.  The pass
+forms products only for one class per orbit of the center Z acting on the
+classes: for central z, x^-1 (z g) = z (x^-1 g), so every other column is a
+row permutation of its orbit's product column, and the center is known
+already as the classes of size 1.  The kernels work in int64 mod p and sum
+class-matrix weights in float64, so dixon_table refuses groups where
+k p^2 >= 2^63 or |G| p >= 2^53; a pass bins each column's |G| products apart
+from the others', so every float64 sum stays below |G| p however many
+columns a batch holds.
 
 When only the constituents of one character f = m * (sum of distinct
 irreducibles of one degree) are wanted, fiber finds them without the full
 table.  The vector v0(c) = |c| f(c) is a sum of their central characters, so
 the smallest space holding v0 and closed under the three combinations of
-one pass (a Krylov block) is spanned by them whenever the combinations
-separate them, which its dimension, f(1) / (m * degree), shows; a block that
-falls short redraws.  The block splits by the same step and lifts by the
+one pass over the products (a Krylov block) is spanned by them whenever the
+combinations separate them, which its dimension, f(1) / (m * degree), shows;
+a block that falls short redraws.  The block splits by the same step and lifts by the
 same power-map transform as the full table, at the cost of one product pass
 and block-sized eigenproblems in place of k-dimensional ones.
 
@@ -69,6 +73,11 @@ def dixon_prime(order: int, exponent: int) -> int:
     while p <= bound or not sympy.isprime(p):
         p += exponent
     return p
+
+
+def _zeta_mod(n: int, p: int) -> int:
+    """The image of zeta_n mod a prime p = 1 (mod n): g^((p-1)/n), g the least primitive root mod p."""
+    return pow(sympy.primitive_root(p), (p - 1) // n, p)
 
 
 def _rref_mod(A: np.ndarray, p: int):
@@ -358,28 +367,68 @@ _MAX_ROUNDS = 24
 _PAIR_CHUNK = 1 << 17
 
 
-def _class_matrix_combos(G: GroupTable, cc: ConjClasses, thetas: np.ndarray, p: int) -> np.ndarray:
-    """M[t] with M[t][j, col] = sum_i thetas[t, i] #{x in c_i : x^-1 g_col in c_j}, mod p.
+def _central_shifts(G: GroupTable, cc: ConjClasses) -> np.ndarray:
+    """P[z, j] = class of z rep_j, one row per central element z.
 
-    One pass over the products x^-1 g_col serves every row of thetas.  A batch
-    of columns is one [cols, n] product array (columns outer, elements inner);
-    a k*col offset on the class ids gives each column its own bincount range,
-    so a bin still sums at most |G| weights below p.
+    The center is the union of the classes of size 1.  For central z, z c_j is
+    a class of the size of c_j, so every row must permute the classes and keep
+    their sizes; a row that does not shows a wrong product, and raises.
+    """
+    k = cc.k
+    zs = cc.reps[cc.sizes == 1]
+    step = max(1, _COMBO_CHUNK // k)
+    P = np.vstack([cc.class_id[G.mul(zs[s : s + step, None], cc.reps[None, :])] for s in range(0, len(zs), step)])
+    if not (np.all(np.sort(P, axis=1) == np.arange(k)) and np.all(cc.sizes[P] == cc.sizes)):
+        raise AssertionError(f"a central shift is not a size-preserving permutation of the classes ({G.name}, k={k})")
+    return P
+
+
+def _class_matrix_columns(G: GroupTable, cc: ConjClasses, cols: np.ndarray, thetas: np.ndarray, p: int) -> np.ndarray:
+    """Columns cols of every _class_matrix_combos matrix, [rows, k, len(cols)], from the products x^-1 g_col.
+
+    A batch of columns is one [cols, n] product array (columns outer, elements
+    inner); a k*col offset on the class ids gives each column its own bincount
+    range, so a bin still sums at most |G| weights below p.
     """
     k, n = cc.k, G.n
     step = max(1, _COMBO_CHUNK // n)
     xinv = tuple(t[None, :] for t in G.entries(G.inv))
     weights = np.tile(thetas[:, cc.class_id].astype(np.float64), (1, step))  # [rows, step*n]
     offset = k * np.arange(step, dtype=np.int64)[:, None]
-    M = np.empty((len(thetas), k, k), dtype=np.int64)
-    for c0 in range(0, k, step):
-        g = tuple(t[:, None] for t in G.entries(cc.reps[c0 : c0 + step]))
+    out = np.empty((len(thetas), k, len(cols)), dtype=np.int64)
+    for c0 in range(0, len(cols), step):
+        g = tuple(t[:, None] for t in G.entries(cc.reps[cols[c0 : c0 + step]]))
         y = G._lookup(mat._vmat_mul(G.spec, xinv, g))  # [cols, n]
         c = len(y)
         ids = (cc.class_id[y] + offset[:c]).ravel()
         for t, w in enumerate(weights):
             sums = np.bincount(ids, weights=w[: c * n], minlength=k * c)
-            M[t, :, c0 : c0 + c] = sums.reshape(c, k).T.astype(np.int64) % p
+            out[t, :, c0 : c0 + c] = sums.reshape(c, k).T.astype(np.int64) % p
+    return out
+
+
+def _class_matrix_combos(G: GroupTable, cc: ConjClasses, thetas: np.ndarray, p: int) -> np.ndarray:
+    """M[t] with M[t][j, col] = sum_i thetas[t, i] #{x in c_i : x^-1 g_col in c_j}, mod p.
+
+    Products are formed for one base class per orbit of the center Z acting
+    on the classes, and one pass over them serves every row of thetas.  For
+    central z, x^-1 (z g) = z (x^-1 g), so with P = _central_shifts the column
+    of class P_z[b] is column b with its row j moved to row P_z[j]; each
+    other column is filled that way, one central element at a time.  Every
+    entry is the same exact count as from its own products.
+    """
+    k = cc.k
+    P = _central_shifts(G, cc)
+    bases = np.flatnonzero(P.min(axis=0) == np.arange(k))  # each orbit's least class
+    base_cols = _class_matrix_columns(G, cc, bases, thetas, p)
+    M = np.empty((len(thetas), k, k), dtype=np.int64)
+    filled = np.zeros(k, dtype=bool)
+    for Pz in P:
+        new = np.flatnonzero(~filled[Pz[bases]])
+        if len(new):
+            cols = Pz[bases[new]]
+            filled[cols] = True
+            M[:, :, cols] = base_cols[:, np.argsort(Pz)[:, None], new]
     return M
 
 
@@ -424,9 +473,10 @@ def _central_characters(G: GroupTable, cc: ConjClasses, p: int, seed: int) -> np
 
     Each round splits every subspace by a random combination of class
     matrices.  Only the weights theta change between rounds, so one
-    _class_matrix_combos pass over the products x^-1 g_col yields the
-    matrices of _ROUNDS_PER_PASS rounds from independent theta rows (each
-    distributed as a fresh draw); a new pass runs once they are all used.
+    _class_matrix_combos pass over the products x^-1 g_col, g_col one class
+    per central orbit, yields the matrices of _ROUNDS_PER_PASS rounds from
+    independent theta rows (each distributed as a fresh draw); a new pass
+    runs once they are all used.
     The pass sums each column over its own |G| products, so _check_headroom's
     |G| p < 2^53 still bounds every float64 sum.
     """
@@ -483,17 +533,16 @@ def _check_headroom(name: str, order: int, k: int, p: int):
 def _lift(G: GroupTable, cc: ConjClasses, omega: np.ndarray, degs: np.ndarray, p: int) -> np.ndarray:
     """Exact characters [rows, k, phi(e)] from central characters mod p, in canonical row order.
 
-    chi(c) = deg omega(c) / |c| mod p, with zeta_e sent to g^((p-1)/e) for
-    the least primitive root g mod p.  Per class j of element order n_j, a
-    discrete Fourier transform over the power classes rep_j^s gives the
-    multiplicity of every n_j-th root of unity as an eigenvalue, checked to
-    lie in [0, deg] and to sum to deg.  Rows sort by degree, then by
-    coefficients.
+    chi(c) = deg omega(c) / |c| mod p, with zeta_e sent to _zeta_mod(e, p).
+    Per class j of element order n_j, a discrete Fourier transform over the
+    power classes rep_j^s gives the multiplicity of every n_j-th root of
+    unity as an eigenvalue, checked to lie in [0, deg] and to sum to deg.
+    Rows sort by degree, then by coefficients.
     """
     e = cc.exponent
     inv_sizes = np.array([pow(int(s), p - 2, p) for s in cc.sizes], dtype=np.int64)
     chi_p = (degs[:, None] * omega % p) * inv_sizes[None, :] % p
-    z = pow(sympy.primitive_root(p), (p - 1) // e, p)
+    z = _zeta_mod(e, p)
     orders, P = cc.orders, cc.power_classes
     red = cyclo.reduction_matrix(e)
     phi_e = red.shape[1]
@@ -565,7 +614,8 @@ def fiber(f: ClassFunction, degree: int, mult: int) -> ClassFunction:
     class-matrix space.  Each member phi has central character omega_phi(c)
     = |c| phi(c) / degree, so v0(c) = |c| f(c) = mult degree sum omega_phi,
     and v0 lies in the span W of the omega_phi, which every class matrix
-    maps into itself.  One _class_matrix_combos pass gives three random
+    maps into itself.  One _class_matrix_combos pass over the products
+    x^-1 g_col, g_col one class per central orbit, gives three random
     combinations; closing v0 under all three (_krylov_block) spans W exactly
     when the three rows separate every member, which the dimension
     f(1) / (mult degree) tells.  A block that falls short draws a fresh pass,
@@ -582,8 +632,8 @@ def fiber(f: ClassFunction, degree: int, mult: int) -> ClassFunction:
         raise ValueError(f"f(1) = {f.degree} is not a positive multiple of mult * degree = {mult * degree}")
     p = dixon_prime(G.n, lcm(e, f.n))
     _check_headroom(G.name, G.n, k, p)
-    # f mod p with zeta_n sent to g^((p-1)/n), the embedding _lift reads zeta_e through
-    zn = pow(sympy.primitive_root(p), (p - 1) // f.n, p)
+    # f mod p, with zeta_n read through the same _zeta_mod embedding as _lift's zeta_e
+    zn = _zeta_mod(f.n, p)
     pw = np.array([pow(zn, t, p) for t in range(f.vals.shape[-1])], dtype=np.int64)
     v0 = (f.vals % p) @ pw % p * (cc.sizes % p) % p
     rng = np.random.default_rng(0)
@@ -648,7 +698,7 @@ def orthogonality_certificate(table: ClassFunction) -> dict:
     row_target = order * np.eye(len(table), dtype=np.int64)
     col_target = np.diag(order // cc.sizes)
     for p in primes:
-        z = pow(sympy.primitive_root(p), (p - 1) // n, p)
+        z = _zeta_mod(n, p)
         for m in prim_exps:
             zm = pow(int(z), m, p)
             pw = np.array([pow(zm, t, p) for t in range(phi_n)], dtype=np.int64)

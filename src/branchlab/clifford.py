@@ -43,7 +43,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import sympy
 
 from . import chartab, grp, mat, ring
 from .chartab import ClassFunction
@@ -455,8 +454,8 @@ def _linear_fiber(psiA: PsiA) -> ClassFunction:
     fixed by w = (phi(t_t))_t, and phi(t_s) phi(t_t) = psi_A(m_st) phi(t_K):
     w is a common eigenvector, of eigenvalue phi(t_s), of the f x f matrices
     N_s[t, K[s, t]] = psi_A(m_st).  Random combinations of the N_s are split
-    mod p by Dixon's _split_round, with zeta_e sent to g^((p-1)/e) for e the
-    exponent of C, and phi(c) = phi(t) psi_A(t^-1 c) at the class reps.
+    mod p by Dixon's _split_round, with zeta_e read as chartab._zeta_mod(e, p)
+    for e the exponent of C, and phi(c) = phi(t) psi_A(t^-1 c) at the class reps.
     Checked exactly: f |M^ell| = |C|; psi_A's values and every eigenvector
     entry are e-th roots of unity; the relation on all f^2 pairs, which makes
     phi a homomorphism extending psi_A, since C stabilizes psi_A; and the f
@@ -481,7 +480,7 @@ def _linear_fiber(psiA: PsiA) -> ClassFunction:
     K = label[prod]
     a = psi[C.mul(C.inv[t[K]], prod)]  # psi_A(m_st), m_st = t_K^-1 t_s t_t
     p = chartab.dixon_prime(f * f, e)
-    z = pow(sympy.primitive_root(p), (p - 1) // e, p)
+    z = chartab._zeta_mod(e, p)
     zpow = np.array([pow(z, k, p) for k in range(e)], dtype=np.int64)
     rng = np.random.default_rng(0)
     subspaces, rounds = [None], 0

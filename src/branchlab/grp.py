@@ -96,8 +96,13 @@ class GroupTable:
         return tuple(t[i] for t in self.ms)
 
     def pos_of_codes(self, codes):
-        """Positions of packed matrix codes; -1 marks non-members."""
-        return self.local[self.root._index[np.asarray(codes, dtype=np.int64)]].astype(np.int64)
+        """Positions of packed matrix codes; -1 marks non-members.
+
+        A root's index already holds its positions (-1 outside it), so only a
+        subgroup maps them through local.
+        """
+        pos = self.root._index[np.asarray(codes, dtype=np.int64)]
+        return (pos if self._root is None else self.local[pos]).astype(np.int64)
 
     def _lookup(self, ms):
         p = self.pos_of_codes(mat._vpack(self.spec, ms))

@@ -151,14 +151,24 @@ def _class_matrix_combo_reference(G, cc, theta, p):
     return M
 
 
+# C_GL2(psi_A) for the companions [[0, 1], [1, 1]] and [[0, 0], [1, 0]]
+CGL_COMPANIONS = {"cgl": (0, 1, 1, 1), "cgl-nil": (0, 0, 1, 0)}
+
+
 def _combo_group(groups, kind, r, group):
     G = groups(kind, r)
     if group == "sl":
         return grp.sl2_subgroup(G)
-    if group == "cgl":  # C_GL2(psi_A) for the companion [[0, 1], [1, 1]]
+    if group in CGL_COMPANIONS:
         lp = clifford._layers(G).spec_lp
-        return clifford.inertia(clifford.make_psiA(G, mat.mat_from_codes(lp, 0, 1, 1, 1))).c_gl
+        return clifford.inertia(clifford.make_psiA(G, mat.mat_from_codes(lp, *CGL_COMPANIONS[group]))).c_gl
     return G
+
+
+def _product_columns(G, cc):
+    """The classes whose columns _class_matrix_combos forms from products: one per central orbit."""
+    P = chartab._central_shifts(G, cc)
+    return np.flatnonzero(P.min(axis=0) == np.arange(cc.k))
 
 
 def _combo_case(groups, kind, r, group):
@@ -170,16 +180,18 @@ def _combo_case(groups, kind, r, group):
     return G, cc, p, thetas, want
 
 
-# batches: "whole" when the columns split into full batches, "partial" when the
-# last batch is short, "single" when |G| exceeds _COMBO_CHUNK (one column each)
+# batches of product columns: "whole" when they split into full batches,
+# "partial" when the last batch is short, "single" when |G| exceeds
+# _COMBO_CHUNK (one column each)
 COMBO_CASES = [
     ("z2", 3, "gl", "whole"),
     ("z2", 3, "sl", "whole"),
     ("f2t", 3, "gl", "whole"),
-    ("f2t", 3, "sl", "partial"),
+    ("f2t", 3, "sl", "whole"),
     ("eis2", 3, "gl", "whole"),
-    ("eis2", 3, "sl", "partial"),
-    ("z2", 3, "cgl", "partial"),
+    ("eis2", 3, "sl", "whole"),
+    ("z2", 3, "cgl", "whole"),
+    ("z2", 3, "cgl-nil", "partial"),
     ("z2", 4, "gl", "single"),
 ]
 
@@ -188,7 +200,8 @@ COMBO_CASES = [
 def test_class_matrix_combos_match_the_per_column_reference(kind, r, group, batches, groups):
     G, cc, p, thetas, want = _combo_case(groups, kind, r, group)
     step = chartab._COMBO_CHUNK // G.n
-    assert batches == ("single" if step == 0 else "partial" if cc.k % step else "whole")
+    cols = len(_product_columns(G, cc))
+    assert batches == ("single" if step == 0 else "partial" if cols % step else "whole")
     got = chartab._class_matrix_combos(G, cc, thetas, p)
     assert got.shape == (3, cc.k, cc.k)
     for t in range(3):
@@ -203,6 +216,51 @@ def test_class_matrix_combos_do_not_depend_on_the_batch_size(kind, r, group, gro
         got = chartab._class_matrix_combos(G, cc, thetas, p)
         for t in range(3):
             assert np.array_equal(got[t], want[t])
+
+
+@pytest.mark.parametrize(
+    "kind,r,group,cols,k",
+    [("z2", 4, "gl", 52, 248), ("z2", 4, "sl", 34, 76), ("z2", 3, "cgl", 10, 72), ("z2", 3, "cgl-nil", 28, 68)],
+)
+def test_class_matrix_combos_form_products_for_one_class_per_central_orbit(kind, r, group, cols, k, groups, monkeypatch):
+    G = _combo_group(groups, kind, r, group)
+    cc = grp.conjugacy_classes(G)
+    p = chartab.dixon_prime(G.n, cc.exponent)
+    real = chartab._class_matrix_columns
+    seen = []
+
+    def logged(G, cc, cols, thetas, p):
+        seen.append(cols)
+        return real(G, cc, cols, thetas, p)
+
+    monkeypatch.setattr(chartab, "_class_matrix_columns", logged)
+    chartab._class_matrix_combos(G, cc, np.ones((1, cc.k), dtype=np.int64), p)
+    (got,) = seen
+    assert (len(got), cc.k) == (cols, k)
+    # every class is a central shift of a product column
+    assert np.array_equal(np.unique(chartab._central_shifts(G, cc)[:, got]), np.arange(cc.k))
+
+
+@pytest.mark.parametrize("wrong", ["duplicate", "swap"])
+def test_central_shifts_reject_a_wrong_central_product(wrong, groups, monkeypatch):
+    G = groups("z2", 3)
+    cc = grp.conjugacy_classes(G)
+    real = grp.GroupTable.mul
+    small, big = int(np.argmin(cc.sizes)), int(np.argmax(cc.sizes))
+
+    def wrong_mul(self, i, j):
+        out = real(self, i, j)
+        if self is G and np.ndim(out) == 2:  # the [central element, class rep] products
+            out = out.copy()
+            if wrong == "duplicate":  # two classes shift onto one
+                out[-1, big] = out[-1, small]
+            else:  # a permutation that moves a class of size 1 onto a larger one
+                out[-1, [small, big]] = out[-1, [big, small]]
+        return out
+
+    monkeypatch.setattr(grp.GroupTable, "mul", wrong_mul)
+    with pytest.raises(AssertionError, match=r"central shift is not a size-preserving permutation .*\(GL2, k=60\)"):
+        chartab._class_matrix_combos(G, cc, np.ones((1, cc.k), dtype=np.int64), 1009)
 
 
 class _RoundLog:
