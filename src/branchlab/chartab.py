@@ -8,32 +8,41 @@ expected and handled, not assumed away), recover the degrees from the
 orthogonality relations, and lift every value to an exact integer combination
 of roots of unity through a discrete Fourier transform over the power map.
 
-Each splitting step restricts the combination to a subspace (matrix T) and
+The center Z splits the problem first.  For central z, a central character
+omega satisfies omega(z c) = psi(z) omega(c), psi a character of Z, so the
+class space is a direct sum of one piece per psi, with one basis vector per
+orbit of Z on the classes whose stabilizer lies in ker psi.  The psi come
+from Z's Cayley table, which the central shifts c -> z c already hold, by the
+same splitting step on Z's regular representation, and are checked exactly.
+Every class-matrix combination maps each piece into itself.  Its block
+there, of dimension about k/|Z|, is read from the columns of one class per
+central orbit, since x^-1 (z g) = z (x^-1 g), so no k x k matrix is formed
+and every eigenproblem is block-sized.
+
+Each splitting step restricts a block to a subspace (matrix T) and
 reduces T once to Hessenberg form H = Q^-1 T Q.  H gives the characteristic
 polynomial, and one back-substitution through H, vectorized over all roots,
 gives every eigenspace; only a small system per root, one row per unreduced
 Hessenberg block, is row-reduced.  Each eigenspace is checked against
 T v = lam v and the dimensions must add up to the subspace's.  Only the
 random weights change between rounds, so one pass over the products
-x^-1 g_col serves three rounds, one independent weight row each.  The pass
-forms products only for one class per orbit of the center Z acting on the
-classes: for central z, x^-1 (z g) = z (x^-1 g), so every other column is a
-row permutation of its orbit's product column, and the center is known
-already as the classes of size 1.  The kernels work in int64 mod p and sum
-class-matrix weights in float64, so dixon_table refuses groups where
-k p^2 >= 2^63 or |G| p >= 2^53; a pass bins each column's |G| products apart
-from the others', so every float64 sum stays below |G| p however many
-columns a batch holds.
+x^-1 g_col serves three rounds, one independent weight row each.  The
+kernels work in int64 mod p and sum class-matrix weights in float64, so
+dixon_table refuses groups where k p^2 >= 2^63 or |G| p >= 2^53; a pass
+bins each column's |G| products apart from the others', so every float64
+sum stays below |G| p however many columns a batch holds.
 
 When only the constituents of one character f = m * (sum of distinct
 irreducibles of one degree) are wanted, fiber finds them without the full
-table.  The vector v0(c) = |c| f(c) is a sum of their central characters, so
-the smallest space holding v0 and closed under the three combinations of
-one pass over the products (a Krylov block) is spanned by them whenever the
-combinations separate them, which its dimension, f(1) / (m * degree), shows;
-a block that falls short redraws.  The block splits by the same step and lifts by the
-same power-map transform as the full table, at the cost of one product pass
-and block-sized eigenproblems in place of k-dimensional ones.
+table.  The vector v0(c) = |c| f(c) is a sum of their central characters,
+and so is its component in each piece of the center's characters.  The
+smallest space holding a component and closed under the piece's blocks of
+the three combinations of one pass (a Krylov block) is spanned by the
+central characters there whenever the combinations separate them, which the
+blocks' total dimension, f(1) / (m * degree), shows; a short total redraws.
+Each block splits by the same step and lifts by the same power-map
+transform as the full table, at the cost of one product pass and
+block-sized eigenproblems.
 
 A class function is an integer coefficient row per conjugacy class in the
 canonical power basis of Q(zeta_n) (cyclo), and a ClassFunction holds a
@@ -53,7 +62,7 @@ constituent computes each a second way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from math import isqrt, lcm
 
@@ -356,9 +365,10 @@ def _weighted_inner(fv: np.ndarray, gv: np.ndarray, weights: np.ndarray, n: int,
 # ------------------------------------------------------------- character tables
 
 
-# element-column products per batch of _class_matrix_combos; bounds its working set
+# products per batch of _class_matrix_columns and _central_shifts, and pairs of
+# central elements times |Z| per batch of _center_split's check; bounds their working sets
 _COMBO_CHUNK = 1 << 12
-# splitting rounds served by one _class_matrix_combos pass: over 100 tables
+# splitting rounds served by one _class_matrix_blocks pass: over 100 tables
 # (seeds 1-5 of the benchmark's z2 r=4 and r=3 jobs) every table split in 2 or 3
 _ROUNDS_PER_PASS = 3
 # splitting rounds (theta rows) drawn before a split or a Krylov block gives up
@@ -384,11 +394,12 @@ def _central_shifts(G: GroupTable, cc: ConjClasses) -> np.ndarray:
 
 
 def _class_matrix_columns(G: GroupTable, cc: ConjClasses, cols: np.ndarray, thetas: np.ndarray, p: int) -> np.ndarray:
-    """Columns cols of every _class_matrix_combos matrix, [rows, k, len(cols)], from the products x^-1 g_col.
+    """Columns cols of every class-matrix combination, [rows, k, len(cols)], from the products x^-1 g_col.
 
-    A batch of columns is one [cols, n] product array (columns outer, elements
-    inner); a k*col offset on the class ids gives each column its own bincount
-    range, so a bin still sums at most |G| weights below p.
+    Row t's matrix is M_t[j, col] = sum_i thetas[t, i] #{x in c_i : x^-1 g_col in c_j}
+    mod p.  A batch of columns is one [cols, n] product array (columns outer,
+    elements inner); a k*col offset on the class ids gives each column its
+    own bincount range, so a bin still sums at most |G| weights below p.
     """
     k, n = cc.k, G.n
     step = max(1, _COMBO_CHUNK // n)
@@ -407,29 +418,113 @@ def _class_matrix_columns(G: GroupTable, cc: ConjClasses, cols: np.ndarray, thet
     return out
 
 
-def _class_matrix_combos(G: GroupTable, cc: ConjClasses, thetas: np.ndarray, p: int) -> np.ndarray:
-    """M[t] with M[t][j, col] = sum_i thetas[t, i] #{x in c_i : x^-1 g_col in c_j}, mod p.
+@dataclass(frozen=True, eq=False)
+class _CenterSplit:
+    """The class space mod p as a direct sum of pieces, one per character psi of the center Z.
 
-    Products are formed for one base class per orbit of the center Z acting
-    on the classes, and one pass over them serves every row of thetas.  For
-    central z, x^-1 (z g) = z (x^-1 g), so with P = _central_shifts the column
-    of class P_z[b] is column b with its row j moved to row P_z[j]; each
-    other column is filled that way, one central element at a time.  Every
-    entry is the same exact count as from its own products.
+    P = _central_shifts, row z for the z-th central class; bases holds each
+    orbit's least class under Z acting on the classes; psi[i, z] = psi_i(z).
+    Piece i has one basis vector u_b per base b whose stabilizer Z_b lies in
+    ker psi_i, with u_b(P_z[b]) = psi_i(z) and 0 off b's orbit; pieces[i]
+    indexes those bases.  Every central character of G lies in the piece of
+    its restriction to Z, and every class-matrix combination maps each piece
+    into itself.
     """
-    k = cc.k
+
+    P: np.ndarray  # [|Z|, k]
+    bases: np.ndarray  # [orbits]
+    psi: np.ndarray  # [pieces, |Z|] mod p
+    pieces: list  # one index array into bases per character
+    p: int
+
+    @cached_property
+    def Pinv(self) -> np.ndarray:
+        """Pinv[z] = P[z^-1], the inverse permutation of P[z]."""
+        return np.argsort(self.P, axis=1)
+
+    def project(self, v: np.ndarray) -> list:
+        """Coordinates in every piece of v's component there: |Z|^-1 sum_z psi(z) v[P_z^-1[b]]."""
+        p = self.p
+        w = self.psi @ v[self.Pinv[:, self.bases]] % p * pow(len(self.P), p - 2, p) % p
+        return [w[i, m] for i, m in enumerate(self.pieces)]
+
+    def expand(self, i: int, W: np.ndarray) -> np.ndarray:
+        """Class vectors [k, cols] of the piece-i coordinate columns W [d, cols]."""
+        V = np.zeros((self.P.shape[1], W.shape[1]), dtype=np.int64)
+        V[self.P[:, self.bases[self.pieces[i]]]] = self.psi[i][:, None, None] * W % self.p
+        return V
+
+
+def _center_split(G: GroupTable, cc: ConjClasses, p: int, rng: np.random.Generator) -> _CenterSplit:
+    """The characters of the center Z mod p and the pieces of the class space they cut out.
+
+    Z's Cayley table is P restricted to the central classes, so no product
+    is formed beyond _central_shifts'.  The characters are the common
+    eigenvectors of Z's regular representation, split by _split_round under
+    random combinations, up to _MAX_ROUNDS rounds.  They are checked exactly
+    on their exponents a, psi = zeta_e^a: psi^e = 1, |Z| distinct
+    characters, and psi(z z') = psi(z) psi(z') on every pair; the piece
+    dimensions must sum to k.  Every failure raises naming the group and k.
+    """
+    k, e = cc.k, cc.exponent
     P = _central_shifts(G, cc)
-    bases = np.flatnonzero(P.min(axis=0) == np.arange(k))  # each orbit's least class
-    base_cols = _class_matrix_columns(G, cc, bases, thetas, p)
-    M = np.empty((len(thetas), k, k), dtype=np.int64)
-    filled = np.zeros(k, dtype=bool)
-    for Pz in P:
-        new = np.flatnonzero(~filled[Pz[bases]])
-        if len(new):
-            cols = Pz[bases[new]]
-            filled[cols] = True
-            M[:, :, cols] = base_cols[:, np.argsort(Pz)[:, None], new]
-    return M
+    zc = np.flatnonzero(cc.sizes == 1)  # P's rows, in this order
+    nz = len(zc)
+    at = np.zeros(k, dtype=np.int64)
+    at[zc] = np.arange(nz)
+    table = at[P[:, zc]]  # table[i, j]: z_i z_j
+    where = f"{G.name}, k={k}, p={p}, center of order {nz}"
+    subspaces = [None]
+    rounds = 0
+    while any(S is None or S.shape[1] > 1 for S in subspaces):
+        if rounds == _MAX_ROUNDS:
+            raise AssertionError(f"characters of the center failed to split in {rounds} rounds ({where})")
+        M = np.zeros((nz, nz), dtype=np.int64)  # M[j, z_i z_j] += theta_i
+        np.add.at(M, (np.broadcast_to(np.arange(nz), (nz, nz)), table), rng.integers(1, p, size=(nz, 1)))
+        subspaces = _split_round(subspaces, M % p, p, f"{where}, round {rounds}")
+        rounds += 1
+    psi = _normalized(np.hstack(subspaces), int(at[cc.class_id[G.identity]]), p, where)
+    z_e = _zeta_mod(e, p)
+    log = np.full(p, -1, dtype=np.int32)
+    log[[pow(z_e, t, p) for t in range(e)]] = np.arange(e)
+    a = log[psi]
+    if np.any(a < 0):
+        raise AssertionError(f"a character of the center takes a value with psi^e != 1 ({where})")
+    distinct = len({row.tobytes() for row in a})
+    if distinct != nz:
+        raise AssertionError(f"the center has {distinct} distinct characters, not {nz} ({where})")
+    step = max(1, _COMBO_CHUNK // nz)
+    for s in range(0, nz, step):
+        if np.any((a[:, s : s + step, None] + a[:, None] - a[:, table[s : s + step]]) % e):
+            raise AssertionError(f"a character of the center is not multiplicative ({where})")
+    bases = np.flatnonzero(P.min(axis=0) == np.arange(k))
+    fixes = P[:, bases] == bases  # [z, b]: z lies in the stabilizer Z_b
+    outside = (a != 0).astype(np.int64) @ fixes  # [psi, b]: elements of Z_b outside ker psi
+    pieces = [np.flatnonzero(row == 0) for row in outside]
+    dims = sum(len(m) for m in pieces)
+    if dims != k:
+        raise AssertionError(f"block dimensions sum to {dims}, not k ({where})")
+    return _CenterSplit(P, bases, psi, pieces, p)
+
+
+def _class_matrix_blocks(G: GroupTable, cc: ConjClasses, split: _CenterSplit, thetas: np.ndarray, p: int) -> list:
+    """blocks[t][i]: the matrix of class-matrix combination t on piece i, mod p.
+
+    For central z, x^-1 (z g) = z (x^-1 g), so M_t[P_z[j], P_z[b]] = M_t[j, b],
+    and on piece i, M_t u_b = sum_b' T[b', b] u_b' with
+    T[b', b] = |Z_b|^-1 sum_z psi_i(z) M_t[P_z^-1[b'], b].  Only the columns
+    of the bases in some piece of split are formed, in one pass over their
+    products for every row of thetas.
+    """
+    used = np.unique(np.concatenate(split.pieces))
+    cols = _class_matrix_columns(G, cc, split.bases[used], thetas, p)  # [rows, k, used]
+    stab = np.sum(split.P[:, split.bases] == split.bases, axis=0)
+    inv_stab = np.array([pow(int(s), p - 2, p) for s in stab], dtype=np.int64)
+    blocks = []
+    for psi, m in zip(split.psi, split.pieces):
+        shifted = cols[:, split.Pinv[:, split.bases[m], None], np.searchsorted(used, m)]  # [rows, z, b', b]
+        blocks.append(np.tensordot(psi, shifted, axes=(0, 1)) % p * inv_stab[m] % p)
+    return [[B[t] for B in blocks] for t in range(len(thetas))]
 
 
 def _split_round(subspaces: list, M: np.ndarray, p: int, where: str) -> list:
@@ -457,9 +552,8 @@ def _split_round(subspaces: list, M: np.ndarray, p: int, where: str) -> list:
     return out
 
 
-def _normalized(G: GroupTable, cc: ConjClasses, vecs: np.ndarray, p: int, where: str) -> np.ndarray:
-    """Rows of central characters from eigenvector columns, scaled to 1 at the identity class."""
-    j0 = int(cc.class_id[G.identity])
+def _normalized(vecs: np.ndarray, j0: int, p: int, where: str) -> np.ndarray:
+    """Rows of central characters from eigenvector columns, scaled to 1 at the identity class j0."""
     omega = np.empty(vecs.shape[::-1], dtype=np.int64)
     for i, v in enumerate(vecs.T):
         if v[j0] == 0:
@@ -471,33 +565,37 @@ def _normalized(G: GroupTable, cc: ConjClasses, vecs: np.ndarray, p: int, where:
 def _central_characters(G: GroupTable, cc: ConjClasses, p: int, seed: int) -> np.ndarray:
     """All k central-character vectors mod p, rows normalized at the identity.
 
-    Each round splits every subspace by a random combination of class
-    matrices.  Only the weights theta change between rounds, so one
-    _class_matrix_combos pass over the products x^-1 g_col, g_col one class
-    per central orbit, yields the matrices of _ROUNDS_PER_PASS rounds from
-    independent theta rows (each distributed as a fresh draw); a new pass
-    runs once they are all used.
+    The class space is first cut into the pieces of _center_split, one per
+    character of the center; each round then splits every subspace of every
+    piece by that piece's block of a random combination of class matrices.
+    Only the weights theta change between rounds, so one _class_matrix_blocks
+    pass over the products x^-1 g_col, g_col one class per central orbit,
+    yields the blocks of _ROUNDS_PER_PASS rounds from independent theta rows
+    (each distributed as a fresh draw); a new pass runs once they are all used.
     The pass sums each column over its own |G| products, so _check_headroom's
     |G| p < 2^53 still bounds every float64 sum.
     """
     k = cc.k
     rng = np.random.default_rng(seed)
-    subspaces = [None]
+    split = _center_split(G, cc, p, rng)
+    subspaces = [[None] for _ in split.pieces]
     rounds = 0
-    while any(S is None or S.shape[1] > 1 for S in subspaces):
+    while any(S is None or S.shape[1] > 1 for piece in subspaces for S in piece):
         if rounds >= _MAX_ROUNDS:
-            dmax = max(S.shape[1] for S in subspaces)
+            dmax = max(S.shape[1] for piece in subspaces for S in piece)
             raise AssertionError(
                 f"eigenspace splitting failed to converge ({G.name}, k={k}, p={p}, "
                 f"round {rounds}, largest subspace dim {dmax})"
             )
         if rounds % _ROUNDS_PER_PASS == 0:
             thetas = rng.integers(1, p, size=(_ROUNDS_PER_PASS, k), dtype=np.int64)
-            combos = _class_matrix_combos(G, cc, thetas, p)
+            blocks = _class_matrix_blocks(G, cc, split, thetas, p)
         where = f"{G.name}, k={k}, p={p}, round {rounds}"
-        subspaces = _split_round(subspaces, combos[rounds % _ROUNDS_PER_PASS], p, where)
+        Ts = blocks[rounds % _ROUNDS_PER_PASS]
+        subspaces = [_split_round(S, T, p, f"{where}, piece {i}") for i, (S, T) in enumerate(zip(subspaces, Ts))]
         rounds += 1
-    return _normalized(G, cc, np.hstack(subspaces), p, f"{G.name}, k={k}, p={p}, after round {rounds}")
+    vecs = np.hstack([split.expand(i, np.hstack(piece)) for i, piece in enumerate(subspaces)])
+    return _normalized(vecs, int(cc.class_id[G.identity]), p, f"{G.name}, k={k}, p={p}, after round {rounds}")
 
 
 def _degrees_mod(G: GroupTable, cc: ConjClasses, omega: np.ndarray, p: int) -> np.ndarray:
@@ -610,18 +708,22 @@ def _krylov_block(Ms: np.ndarray, v0: np.ndarray, p: int) -> tuple[np.ndarray, n
 def fiber(f: ClassFunction, degree: int, mult: int) -> ClassFunction:
     """The irreducible constituents of a character f = mult * (sum of distinct irreducibles of one degree).
 
-    The members are found without the full table, as a Krylov block of the
+    The members are found without the full table, as Krylov blocks of the
     class-matrix space.  Each member phi has central character omega_phi(c)
     = |c| phi(c) / degree, so v0(c) = |c| f(c) = mult degree sum omega_phi,
     and v0 lies in the span W of the omega_phi, which every class matrix
-    maps into itself.  One _class_matrix_combos pass over the products
-    x^-1 g_col, g_col one class per central orbit, gives three random
-    combinations; closing v0 under all three (_krylov_block) spans W exactly
-    when the three rows separate every member, which the dimension
-    f(1) / (mult degree) tells.  A block that falls short draws a fresh pass,
-    up to _MAX_ROUNDS rows.  _split_round then splits W row by row, in the
-    block's own coordinates, into the omega_phi, and _lift lifts them as
-    dixon_table does.  The stack is over Q(zeta_e), e the group exponent, in
+    maps into itself.  _center_split cuts the class space into one piece per
+    character of the center, and v0's component in each piece is a sum of
+    the omega_phi there; the pieces where it is 0 are dropped.  One
+    _class_matrix_blocks pass over the products x^-1 g_col, g_col one class
+    per central orbit met by a remaining piece, gives three random
+    combinations on every remaining piece; closing each component under its
+    piece's three blocks (_krylov_block) spans W exactly when the three rows
+    separate every member, which the total dimension f(1) / (mult degree)
+    tells.  A short total draws a fresh pass, up to _MAX_ROUNDS rows.
+    _split_round then splits each Krylov block row by row, in the block's
+    own coordinates, into the omega_phi, and _lift lifts them as dixon_table
+    does.  The stack is over Q(zeta_e), e the group exponent, in
     dixon_table's canonical row order, and is checked exactly: mult sum phi
     == f, <phi, phi> = 1, members pairwise distinct.
     """
@@ -637,20 +739,30 @@ def fiber(f: ClassFunction, degree: int, mult: int) -> ClassFunction:
     pw = np.array([pow(zn, t, p) for t in range(f.vals.shape[-1])], dtype=np.int64)
     v0 = (f.vals % p) @ pw % p * (cc.sizes % p) % p
     rng = np.random.default_rng(0)
+    split = _center_split(G, cc, p, rng)
+    w = split.project(v0)
+    live = [i for i, x in enumerate(w) if x.any()]
+    w = [w[i] for i in live]
+    split = replace(split, psi=split.psi[live], pieces=[split.pieces[i] for i in live])
     for rounds in range(_ROUNDS_PER_PASS, _MAX_ROUNDS + 1, _ROUNDS_PER_PASS):
         thetas = rng.integers(1, p, size=(_ROUNDS_PER_PASS, k), dtype=np.int64)
-        X, T = _krylov_block(_class_matrix_combos(G, cc, thetas, p), v0, p)
-        if len(X) >= count:
+        blocks = _class_matrix_blocks(G, cc, split, thetas, p)
+        krylov = [_krylov_block(np.stack([Ts[i] for Ts in blocks]), x, p) for i, x in enumerate(w)]
+        dim = sum(len(X) for X, _ in krylov)
+        if dim >= count:
             break
     where = f"{G.name}, k={k}, p={p}, {count} members"
-    if len(X) != count:
-        raise AssertionError(f"Krylov block has dim {len(X)} after {rounds} rounds ({where})")
-    subspaces = [None]
-    for t, M in enumerate(T):
-        subspaces = _split_round(subspaces, M, p, f"{where}, block row {t}")
-    if len(subspaces) != count:
-        raise AssertionError(f"block split into {len(subspaces)} spaces ({where})")
-    omega = _normalized(G, cc, X.T @ np.hstack(subspaces) % p, p, f"{where}, block")
+    if dim != count:
+        raise AssertionError(f"Krylov block has dim {dim} after {rounds} rounds ({where})")
+    vecs = []
+    for i, (X, T) in enumerate(krylov):
+        subspaces = [None]
+        for t, M in enumerate(T):
+            subspaces = _split_round(subspaces, M, p, f"{where}, piece {i}, block row {t}")
+        vecs.append(split.expand(i, X.T @ np.hstack(subspaces) % p))
+    if sum(V.shape[1] for V in vecs) != count:
+        raise AssertionError(f"block split into {sum(V.shape[1] for V in vecs)} spaces ({where})")
+    omega = _normalized(np.hstack(vecs), int(cc.class_id[G.identity]), p, f"{where}, block")
     tensor = _lift(G, cc, omega, np.full(count, degree, dtype=np.int64), p)
     out = ClassFunction(G, e, tensor)
     if ClassFunction(G, e, mult * tensor.sum(axis=0)) != f:

@@ -166,7 +166,7 @@ def _combo_group(groups, kind, r, group):
 
 
 def _product_columns(G, cc):
-    """The classes whose columns _class_matrix_combos forms from products: one per central orbit."""
+    """The classes whose columns _class_matrix_blocks forms from products: one per central orbit."""
     P = chartab._central_shifts(G, cc)
     return np.flatnonzero(P.min(axis=0) == np.arange(cc.k))
 
@@ -177,7 +177,30 @@ def _combo_case(groups, kind, r, group):
     p = chartab.dixon_prime(G.n, cc.exponent)
     thetas = np.random.default_rng(5).integers(1, p, size=(3, cc.k), dtype=np.int64)
     want = [_class_matrix_combo_reference(G, cc, theta, p) for theta in thetas]
-    return G, cc, p, thetas, want
+    split = chartab._center_split(G, cc, p, np.random.default_rng(0))
+    return G, cc, p, thetas, want, split
+
+
+def _piece_basis(split, i, k):
+    """U [k, d]: column m is u_b, b the m-th base of piece i, with u_b(P_z[b]) = psi_i(z) and 0 off b's orbit."""
+    bases = split.bases[split.pieces[i]]
+    U = np.zeros((k, len(bases)), dtype=np.int64)
+    for z, psi in enumerate(split.psi[i]):
+        U[split.P[z, bases], np.arange(len(bases))] = psi
+    return U
+
+
+def _assert_blocks_restrict_the_reference(split, got, want, p):
+    """M_ref U_psi == U_psi T_psi (mod p) for every piece psi and every theta row."""
+    k = len(want[0])
+    Us = [_piece_basis(split, i, k) for i in range(len(split.pieces))]
+    assert _rank_mod(np.hstack(Us), p) == k  # the pieces span the class space
+    assert len(got) == len(want)
+    for Ts, M in zip(got, want):
+        assert len(Ts) == len(Us)
+        for U, T in zip(Us, Ts):
+            assert T.shape == (U.shape[1], U.shape[1])
+            assert np.array_equal(M @ U % p, U @ T % p)
 
 
 # batches of product columns: "whole" when they split into full batches,
@@ -198,24 +221,34 @@ COMBO_CASES = [
 
 @pytest.mark.parametrize("kind,r,group,batches", COMBO_CASES)
 def test_class_matrix_combos_match_the_per_column_reference(kind, r, group, batches, groups):
-    G, cc, p, thetas, want = _combo_case(groups, kind, r, group)
+    G, cc, p, thetas, want, split = _combo_case(groups, kind, r, group)
     step = chartab._COMBO_CHUNK // G.n
     cols = len(_product_columns(G, cc))
     assert batches == ("single" if step == 0 else "partial" if cols % step else "whole")
-    got = chartab._class_matrix_combos(G, cc, thetas, p)
-    assert got.shape == (3, cc.k, cc.k)
-    for t in range(3):
-        assert np.array_equal(got[t], want[t])
+    got = chartab._class_matrix_blocks(G, cc, split, thetas, p)
+    _assert_blocks_restrict_the_reference(split, got, want, p)
 
 
 @pytest.mark.parametrize("kind,r,group", [c[:3] for c in COMBO_CASES if c[1] == 3])
 def test_class_matrix_combos_do_not_depend_on_the_batch_size(kind, r, group, groups, monkeypatch):
-    G, cc, p, thetas, want = _combo_case(groups, kind, r, group)
+    G, cc, p, thetas, want, split = _combo_case(groups, kind, r, group)
     for chunk in (1, G.n * cc.k):  # one column per batch; every column in one batch
         monkeypatch.setattr(chartab, "_COMBO_CHUNK", chunk)
-        got = chartab._class_matrix_combos(G, cc, thetas, p)
-        for t in range(3):
-            assert np.array_equal(got[t], want[t])
+        got = chartab._class_matrix_blocks(G, cc, split, thetas, p)
+        _assert_blocks_restrict_the_reference(split, got, want, p)
+
+
+def test_trivial_center_gives_one_block_the_whole_space(groups):
+    G = groups("z2", 1)  # GL2(F_2) = S3, center {1}
+    cc = grp.conjugacy_classes(G)
+    p = chartab.dixon_prime(G.n, cc.exponent)
+    split = chartab._center_split(G, cc, p, np.random.default_rng(0))
+    assert split.psi.tolist() == [[1]]
+    assert [m.tolist() for m in split.pieces] == [list(range(cc.k))]
+    thetas = np.random.default_rng(5).integers(1, p, size=(3, cc.k), dtype=np.int64)
+    blocks = chartab._class_matrix_blocks(G, cc, split, thetas, p)
+    for (T,), theta in zip(blocks, thetas):
+        assert np.array_equal(T, _class_matrix_combo_reference(G, cc, theta, p))
 
 
 @pytest.mark.parametrize(
@@ -226,6 +259,7 @@ def test_class_matrix_combos_form_products_for_one_class_per_central_orbit(kind,
     G = _combo_group(groups, kind, r, group)
     cc = grp.conjugacy_classes(G)
     p = chartab.dixon_prime(G.n, cc.exponent)
+    split = chartab._center_split(G, cc, p, np.random.default_rng(0))
     real = chartab._class_matrix_columns
     seen = []
 
@@ -234,7 +268,7 @@ def test_class_matrix_combos_form_products_for_one_class_per_central_orbit(kind,
         return real(G, cc, cols, thetas, p)
 
     monkeypatch.setattr(chartab, "_class_matrix_columns", logged)
-    chartab._class_matrix_combos(G, cc, np.ones((1, cc.k), dtype=np.int64), p)
+    chartab._class_matrix_blocks(G, cc, split, np.ones((1, cc.k), dtype=np.int64), p)
     (got,) = seen
     assert (len(got), cc.k) == (cols, k)
     # every class is a central shift of a product column
@@ -260,34 +294,98 @@ def test_central_shifts_reject_a_wrong_central_product(wrong, groups, monkeypatc
 
     monkeypatch.setattr(grp.GroupTable, "mul", wrong_mul)
     with pytest.raises(AssertionError, match=r"central shift is not a size-preserving permutation .*\(GL2, k=60\)"):
-        chartab._class_matrix_combos(G, cc, np.ones((1, cc.k), dtype=np.int64), 1009)
+        chartab._center_split(G, cc, 1009, np.random.default_rng(0))
+
+
+def _wrong_shifts(monkeypatch, wrong):
+    """_central_shifts with one entry changed by wrong(P, cc), which must keep every row a permutation."""
+    real = chartab._central_shifts
+
+    def shifted(G, cc):
+        P = real(G, cc).copy()
+        wrong(P, cc)
+        return P
+
+    monkeypatch.setattr(chartab, "_central_shifts", shifted)
+
+
+def test_center_characters_reject_a_corrupted_cayley_table(groups, monkeypatch):
+    # z_1 times two central classes trade places: each row still permutes the
+    # classes and keeps their sizes, but the center's table is no group's
+    def swap(P, cc):
+        zc = np.flatnonzero(cc.sizes == 1)
+        P[1, zc[[1, 2]]] = P[1, zc[[2, 1]]]
+
+    _wrong_shifts(monkeypatch, swap)
+    with pytest.raises(AssertionError, match=r"\(GL2, k=60, p=\d+, center of order 4"):
+        chartab.dixon_table(groups("z2", 3))
+
+
+@pytest.mark.parametrize(
+    "wrong,message",
+    [("flip", "not multiplicative"), ("product", "3 distinct characters, not 4"), ("zero", r"psi\^e != 1")],
+)
+def test_center_characters_are_checked_exactly(wrong, message, groups, monkeypatch):
+    real = chartab._split_round
+    G = groups("z2", 3)  # GL2(Z/8): the center is (Z/8)^x = C2 x C2, of order 4
+    cc = grp.conjugacy_classes(G)
+    z = (list(np.flatnonzero(cc.sizes == 1)).index(cc.class_id[G.identity]) + 1) % 4  # not the identity
+
+    def corrupt(subspaces, M, p, where):
+        out = real(subspaces, M, p, where)
+        if "center" in where and all(S.shape[1] == 1 for S in out):
+            if wrong == "flip":  # +-1 valued, but -1 on an odd number of elements
+                out[1] = out[1].copy()
+                out[1][z] = -out[1][z] % p
+            elif wrong == "product":  # psi_1 psi_2 is another character of C2 x C2
+                out[1] = out[1] * out[2] % p
+            else:  # 0 is no root of unity
+                out[1] = out[1].copy()
+                out[1][z] = 0
+        return out
+
+    monkeypatch.setattr(chartab, "_split_round", corrupt)
+    with pytest.raises(AssertionError, match=rf"{message} \(GL2, k=60, p=\d+, center of order 4\)"):
+        chartab.dixon_table(G)
+
+
+def test_block_dimensions_must_sum_to_k(groups, monkeypatch):
+    # a wrong shift that fixes a base class it moves puts z in that class's
+    # stabilizer, which drops the class from every piece where psi(z) != 1
+    def fix_a_base(P, cc):
+        moved = np.flatnonzero((P[1] != np.arange(cc.k)) & (P.min(axis=0) == np.arange(cc.k)))
+        P[1, moved[0]] = moved[0]
+
+    _wrong_shifts(monkeypatch, fix_a_base)
+    with pytest.raises(AssertionError, match=r"block dimensions sum to \d+, not k \(GL2, k=60, p=\d+, center"):
+        chartab.dixon_table(groups("z2", 3))
 
 
 class _RoundLog:
-    """A pass's matrices; records the index each splitting round reads."""
+    """A pass's blocks; records the index each splitting round reads."""
 
-    def __init__(self, combos, rounds):
-        self.combos, self.rounds = combos, rounds
+    def __init__(self, blocks, rounds):
+        self.blocks, self.rounds = blocks, rounds
 
     def __getitem__(self, t):
         self.rounds.append(t)
-        return self.combos[t]
+        return self.blocks[t]
 
 
 def _count_passes(monkeypatch, G, seed, repeat_row0=False):
     """(passes, rounds) of one _central_characters run; round t reads row t mod 3."""
-    real = chartab._class_matrix_combos
+    real = chartab._class_matrix_blocks
     passes, rounds = [], []
 
     def logged(*args):
-        combos = real(*args)
+        blocks = real(*args)
         if repeat_row0:  # a pass's second and third rounds split nothing further
-            combos[1:] = combos[0]
+            blocks[1:] = [blocks[0]] * 2
         passes.append(1)
-        return _RoundLog(combos, rounds)
+        return _RoundLog(blocks, rounds)
 
     with monkeypatch.context() as m:
-        m.setattr(chartab, "_class_matrix_combos", logged)
+        m.setattr(chartab, "_class_matrix_blocks", logged)
         cc = grp.conjugacy_classes(G)
         chartab._central_characters(G, cc, chartab.dixon_prime(G.n, cc.exponent), seed)
     assert rounds == [t % 3 for t in range(len(rounds))]
@@ -311,15 +409,15 @@ def test_one_product_pass_serves_three_splitting_rounds(groups, monkeypatch):
 
 def test_splitting_that_never_progresses_stops_at_24_rounds(groups, monkeypatch):
     G = groups("z2", 3)
-    real = chartab._class_matrix_combos
+    real = chartab._class_matrix_blocks
     first = []
 
     def same_every_round(*args):
         if not first:
             first.append(real(*args)[0])
-        return np.stack([first[0]] * 3)
+        return [first[0]] * 3
 
-    monkeypatch.setattr(chartab, "_class_matrix_combos", same_every_round)
+    monkeypatch.setattr(chartab, "_class_matrix_blocks", same_every_round)
     with pytest.raises(AssertionError, match=r"failed to converge \(GL2, k=60, p=\d+, round 24, "):
         chartab.dixon_table(G, seed=0)
 

@@ -586,17 +586,18 @@ def test_phi_set_odd_level_at_r5():
 
 def test_phi_set_odd_level_redraws_a_short_block_then_names_the_orbit(groups, monkeypatch):
     # every row the sum of all class matrices: it acts as 0 on each nontrivial
-    # central character, so the Krylov block of Ind psi_A stays at dim 1
-    real = chartab._class_matrix_combos
+    # central character, so the Krylov block of Ind psi_A stays at dim 1 in
+    # each piece of the class space that v0 meets: two here
+    real = chartab._class_matrix_blocks
     passes = []
 
-    def degenerate(G, cc, thetas, p):
+    def degenerate(G, cc, split, thetas, p):
         passes.append(1)
-        return real(G, cc, np.ones_like(thetas), p)
+        return real(G, cc, split, np.ones_like(thetas), p)
 
-    monkeypatch.setattr(chartab, "_class_matrix_combos", degenerate)
+    monkeypatch.setattr(chartab, "_class_matrix_blocks", degenerate)
     pa = _psi(groups("z2", 3), [[0, 0], [1, 0]])
-    with pytest.raises(AssertionError, match=r"block has dim 1 after 24 rounds .*\(z2, r=3, orbit \(1;0;0\)\)"):
+    with pytest.raises(AssertionError, match=r"block has dim 2 after 24 rounds .*\(z2, r=3, orbit \(1;0;0\)\)"):
         clifford.phi_set(pa)
     assert len(passes) == 8
 

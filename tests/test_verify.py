@@ -161,7 +161,10 @@ def test_find_regular_needs_gl():
 # ------------------------------------------------------------ golden reports
 
 
-@pytest.mark.parametrize("kind,r", [("z2", 2), ("z2", 3), ("f2t", 2), ("f2t", 3), ("eis2", 2)])
+@pytest.mark.parametrize(
+    "kind,r",
+    [("z2", 2), ("z2", 3), ("f2t", 2), ("f2t", 3), ("eis2", 2), ("z2", 4), ("f2t", 4), ("eis2", 4), ("z2", 5)],
+)
 def test_reports_match_golden(reports, kind, r):
     got = reports(kind, r).to_json()
     got.pop("timing")
