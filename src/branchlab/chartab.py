@@ -10,14 +10,12 @@ of roots of unity through a discrete Fourier transform over the power map.
 
 The center Z splits the problem first.  For central z, a central character
 omega satisfies omega(z c) = psi(z) omega(c), psi a character of Z, so the
-class space is a direct sum of one piece per psi, with one basis vector per
-orbit of Z on the classes whose stabilizer lies in ker psi.  The psi come
-from Z's Cayley table, which the central shifts c -> z c already hold, by the
-same splitting step on Z's regular representation, and are checked exactly.
-Every class-matrix combination maps each piece into itself.  Its block
-there, of dimension about k/|Z|, is read from the columns of one class per
-central orbit, since x^-1 (z g) = z (x^-1 g), so no k x k matrix is formed
-and every eigenproblem is block-sized.
+class space is a direct sum of one piece per psi (_CenterSplit), and
+_cocycle_characters finds the psi from Z's Cayley table, the central shifts
+c -> z c.  Every class-matrix combination maps each piece into itself; its
+block there, of dimension about k/|Z|, is read from the columns of one class
+per central orbit, since x^-1 (z g) = z (x^-1 g), so no k x k matrix is
+formed and every eigenproblem is block-sized.
 
 Each splitting step restricts a block to a subspace (matrix T) and
 reduces T once to Hessenberg form H = Q^-1 T Q.  H gives the characteristic
@@ -84,9 +82,10 @@ def dixon_prime(order: int, exponent: int) -> int:
     return p
 
 
-def _zeta_mod(n: int, p: int) -> int:
-    """The image of zeta_n mod a prime p = 1 (mod n): g^((p-1)/n), g the least primitive root mod p."""
-    return pow(sympy.primitive_root(p), (p - 1) // n, p)
+def _zeta_powers(n: int, p: int) -> np.ndarray:
+    """zeta_n^t mod a prime p = 1 (mod n) for t < n, zeta_n = g^((p-1)/n), g the least primitive root mod p."""
+    z = pow(sympy.primitive_root(p), (p - 1) // n, p)
+    return np.array([pow(z, t, p) for t in range(n)], dtype=np.int64)
 
 
 def _rref_mod(A: np.ndarray, p: int):
@@ -365,8 +364,8 @@ def _weighted_inner(fv: np.ndarray, gv: np.ndarray, weights: np.ndarray, n: int,
 # ------------------------------------------------------------- character tables
 
 
-# products per batch of _class_matrix_columns and _central_shifts, and pairs of
-# central elements times |Z| per batch of _center_split's check; bounds their working sets
+# products per batch of _class_matrix_columns and _central_shifts, and (s, t)
+# pairs times f characters per batch of _cocycle_characters' check; bounds their working sets
 _COMBO_CHUNK = 1 << 12
 # splitting rounds served by one _class_matrix_blocks pass: over 100 tables
 # (seeds 1-5 of the benchmark's z2 r=4 and r=3 jobs) every table split in 2 or 3
@@ -458,53 +457,25 @@ class _CenterSplit:
 def _center_split(G: GroupTable, cc: ConjClasses, p: int, rng: np.random.Generator) -> _CenterSplit:
     """The characters of the center Z mod p and the pieces of the class space they cut out.
 
-    Z's Cayley table is P restricted to the central classes, so no product
-    is formed beyond _central_shifts'.  The characters are the common
-    eigenvectors of Z's regular representation, split by _split_round under
-    random combinations, up to _MAX_ROUNDS rounds.  They are checked exactly
-    on their exponents a, psi = zeta_e^a: psi^e = 1, |Z| distinct
-    characters, and psi(z z') = psi(z) psi(z') on every pair; the piece
-    dimensions must sum to k.  Every failure raises naming the group and k.
+    They are the _cocycle_characters of Z's Cayley table, P on the central
+    classes, so no product is formed beyond _central_shifts'; the piece
+    dimensions must sum to k.
     """
-    k, e = cc.k, cc.exponent
+    k = cc.k
     P = _central_shifts(G, cc)
     zc = np.flatnonzero(cc.sizes == 1)  # P's rows, in this order
-    nz = len(zc)
-    at = np.zeros(k, dtype=np.int64)
-    at[zc] = np.arange(nz)
-    table = at[P[:, zc]]  # table[i, j]: z_i z_j
-    where = f"{G.name}, k={k}, p={p}, center of order {nz}"
-    subspaces = [None]
-    rounds = 0
-    while any(S is None or S.shape[1] > 1 for S in subspaces):
-        if rounds == _MAX_ROUNDS:
-            raise AssertionError(f"characters of the center failed to split in {rounds} rounds ({where})")
-        M = np.zeros((nz, nz), dtype=np.int64)  # M[j, z_i z_j] += theta_i
-        np.add.at(M, (np.broadcast_to(np.arange(nz), (nz, nz)), table), rng.integers(1, p, size=(nz, 1)))
-        subspaces = _split_round(subspaces, M % p, p, f"{where}, round {rounds}")
-        rounds += 1
-    psi = _normalized(np.hstack(subspaces), int(at[cc.class_id[G.identity]]), p, where)
-    z_e = _zeta_mod(e, p)
-    log = np.full(p, -1, dtype=np.int32)
-    log[[pow(z_e, t, p) for t in range(e)]] = np.arange(e)
-    a = log[psi]
-    if np.any(a < 0):
-        raise AssertionError(f"a character of the center takes a value with psi^e != 1 ({where})")
-    distinct = len({row.tobytes() for row in a})
-    if distinct != nz:
-        raise AssertionError(f"the center has {distinct} distinct characters, not {nz} ({where})")
-    step = max(1, _COMBO_CHUNK // nz)
-    for s in range(0, nz, step):
-        if np.any((a[:, s : s + step, None] + a[:, None] - a[:, table[s : s + step]]) % e):
-            raise AssertionError(f"a character of the center is not multiplicative ({where})")
+    table = np.searchsorted(zc, P[:, zc])  # table[i, j]: z_i z_j
+    j0 = int(np.searchsorted(zc, cc.class_id[G.identity]))
+    where = f"{G.name}, k={k}, p={p}, center of order {len(zc)}"
+    X = _cocycle_characters(table, np.zeros_like(table, dtype=np.int32), cc.exponent, p, rng, j0, where)
     bases = np.flatnonzero(P.min(axis=0) == np.arange(k))
     fixes = P[:, bases] == bases  # [z, b]: z lies in the stabilizer Z_b
-    outside = (a != 0).astype(np.int64) @ fixes  # [psi, b]: elements of Z_b outside ker psi
+    outside = (X != 0).astype(np.int64) @ fixes  # [psi, b]: elements of Z_b outside ker psi
     pieces = [np.flatnonzero(row == 0) for row in outside]
     dims = sum(len(m) for m in pieces)
     if dims != k:
         raise AssertionError(f"block dimensions sum to {dims}, not k ({where})")
-    return _CenterSplit(P, bases, psi, pieces, p)
+    return _CenterSplit(P, bases, _zeta_powers(cc.exponent, p)[X], pieces, p)
 
 
 def _class_matrix_blocks(G: GroupTable, cc: ConjClasses, split: _CenterSplit, thetas: np.ndarray, p: int) -> list:
@@ -560,6 +531,45 @@ def _normalized(vecs: np.ndarray, j0: int, p: int, where: str) -> np.ndarray:
             raise AssertionError(f"eigenvector {i} vanishes at the identity class ({where}, subspace dim 1)")
         omega[i] = (v * pow(int(v[j0]), p - 2, p)) % p
     return omega
+
+
+def _cocycle_characters(K: np.ndarray, a: np.ndarray, e: int, p: int, rng: np.random.Generator, j0: int, where: str):
+    """X[f, f]: zeta_e exponents of the f maps chi with chi(s) chi(t) = zeta_e^a[s, t] chi(K[s, t]), chi(j0) = 1.
+
+    K is a multiplication table on f elements and a its twist (0 for a group's
+    own characters).  The chi are the common eigenvectors, of eigenvalues
+    chi(s), of the f x f matrices N_s[t, K[s, t]] = zeta_e^a[s, t] mod p,
+    split by _split_round under random combinations for up to _MAX_ROUNDS
+    rounds.  Checked exactly, each failure naming where: every value is an
+    e-th root of unity, the relation holds on all f^2 pairs, and the f rows
+    are distinct.
+    """
+    f = len(K)
+    zpow = _zeta_powers(e, p)
+    subspaces, rounds = [None], 0
+    while any(S is None or S.shape[1] > 1 for S in subspaces):
+        if rounds == _MAX_ROUNDS:
+            raise AssertionError(f"characters did not reach dimension 1 after {rounds} rounds ({where})")
+        N = np.zeros((f, f), dtype=np.int64)
+        theta = rng.integers(1, p, size=f, dtype=np.int64)
+        np.add.at(N, (np.arange(f)[None, :], K), theta[:, None] * zpow[a] % p)
+        subspaces = _split_round(subspaces, N % p, p, f"{where}, round {rounds}")
+        rounds += 1
+    log = np.full(p, -1, dtype=np.int32)  # int32 exponents, with an int32 a, halve the relation check's working set
+    log[zpow] = np.arange(e)
+    X = log[_normalized(np.hstack(subspaces), j0, p, where)]
+    if np.any(X < 0):
+        raise AssertionError(f"a value mod {p} is no e-th root of unity, e = {e}: psi^e != 1 ({where})")
+    step = max(1, _COMBO_CHUNK // f)
+    for s in range(0, f, step):
+        bad = np.any((X[:, s : s + step, None] + X[:, None] - a[s : s + step] - X[:, K[s : s + step]]) % e, axis=(1, 2))
+        if np.any(bad):
+            i = np.argmax(bad)
+            raise AssertionError(f"chi(s) chi(t) != zeta_e^a chi(st): character {i} is not multiplicative ({where})")
+    distinct = len({row.tobytes() for row in X})
+    if distinct != f:
+        raise AssertionError(f"the table has {distinct} distinct characters, not {f} ({where})")
+    return X
 
 
 def _central_characters(G: GroupTable, cc: ConjClasses, p: int, seed: int) -> np.ndarray:
@@ -628,46 +638,49 @@ def _check_headroom(name: str, order: int, k: int, p: int):
         raise ValueError(f"{name}: k * p^2 >= 2^63, so int64 mod-p sums would overflow (k={k}, p={p})")
 
 
-def _lift(G: GroupTable, cc: ConjClasses, omega: np.ndarray, degs: np.ndarray, p: int) -> np.ndarray:
-    """Exact characters [rows, k, phi(e)] from central characters mod p, in canonical row order.
+def _canonical_order(vals: np.ndarray, degs) -> list:
+    """dixon_table's row order of a stack of characters: by degree, then by the bytes of the coefficients."""
+    return sorted(range(len(vals)), key=lambda i: (int(degs[i]), vals[i].tobytes()))
 
-    chi(c) = deg omega(c) / |c| mod p, with zeta_e sent to _zeta_mod(e, p).
+
+def _lift(G: GroupTable, cc: ConjClasses, omega: np.ndarray, degs: np.ndarray, p: int) -> np.ndarray:
+    """Exact characters [rows, k, phi(e)] from central characters mod p, in _canonical_order.
+
+    chi(c) = deg omega(c) / |c| mod p, with zeta_e^t sent to _zeta_powers(e, p)[t].
     Per class j of element order n_j, a discrete Fourier transform over the
     power classes rep_j^s gives the multiplicity of every n_j-th root of
     unity as an eigenvalue, checked to lie in [0, deg] and to sum to deg.
-    Rows sort by degree, then by coefficients.
+    Every failure names the group, k, p, the class and the irreducible (its
+    row of omega, or of the table once sorted).
     """
     e = cc.exponent
+
+    def fail(text: str, j: int, bad: np.ndarray):
+        raise AssertionError(f"{text} ({G.name}, k={cc.k}, p={p}, class {j}, irreducible {np.argmax(bad)})")
+
     inv_sizes = np.array([pow(int(s), p - 2, p) for s in cc.sizes], dtype=np.int64)
     chi_p = (degs[:, None] * omega % p) * inv_sizes[None, :] % p
-    z = _zeta_mod(e, p)
+    ze = _zeta_powers(e, p)
     orders, P = cc.orders, cc.power_classes
     red = cyclo.reduction_matrix(e)
-    phi_e = red.shape[1]
-    tensor = np.zeros((len(omega), cc.k, phi_e), dtype=np.int64)
+    tensor = np.zeros((len(omega), cc.k, red.shape[1]), dtype=np.int64)
     for j in range(cc.k):
         nj = int(orders[j])
-        zn = pow(int(z), e // nj, p)
-        zpow = np.ones(nj, dtype=np.int64)
-        for t in range(1, nj):
-            zpow[t] = zpow[t - 1] * zn % p
-        # D[s, m] = zn^(-s m); columns of chi over the power classes reps^s
-        sm = np.outer(np.arange(nj), np.arange(nj))
-        D = zpow[(-sm) % nj]
-        ninv = pow(nj, p - 2, p)
+        # D[s, m] = zeta_nj^(-s m) = zeta_e^((e / nj) (-s m mod nj)); columns of chi over the power classes reps^s
+        D = ze[e // nj * (-np.outer(np.arange(nj), np.arange(nj)) % nj)]
         block = chi_p[:, P[:nj, j]]  # [rows, nj]
-        am = (block @ D) % p * ninv % p
-        if np.any(am > degs[:, None]):
-            raise AssertionError("eigenvalue multiplicities exceed the degree")
-        if not np.array_equal(am.sum(axis=1), degs):
-            raise AssertionError("eigenvalue multiplicities do not sum to the degree")
-        tensor[:, j, :] = am @ red[(np.arange(nj) * (e // nj)) % e]
-    # canonical row order: by degree, then lexicographically by coefficients
-    idx = sorted(range(len(omega)), key=lambda i: (int(degs[i]), tensor[i].tobytes()))
+        am = (block @ D) % p * pow(nj, p - 2, p) % p
+        if np.any(over := np.any(am > degs[:, None], axis=1)):
+            fail("eigenvalue multiplicities exceed the degree", j, over)
+        if np.any(short := am.sum(axis=1) != degs):
+            fail("eigenvalue multiplicities do not sum to the degree", j, short)
+        tensor[:, j, :] = am @ red[:: e // nj]
+    idx = _canonical_order(tensor, degs)
     tensor, degs = tensor[idx], degs[idx]
-    bad = np.any(tensor[:, int(cc.class_id[G.identity])] != degs[:, None] * red[0], axis=1)
+    j0 = int(cc.class_id[G.identity])
+    bad = np.any(tensor[:, j0] != degs[:, None] * red[0], axis=1)
     if np.any(bad):
-        raise AssertionError(f"identity-class value disagrees with the degree of irreducible {np.argmax(bad)}")
+        fail("identity-class value disagrees with the degree", j0, bad)
     return tensor
 
 
@@ -734,9 +747,8 @@ def fiber(f: ClassFunction, degree: int, mult: int) -> ClassFunction:
         raise ValueError(f"f(1) = {f.degree} is not a positive multiple of mult * degree = {mult * degree}")
     p = dixon_prime(G.n, lcm(e, f.n))
     _check_headroom(G.name, G.n, k, p)
-    # f mod p, with zeta_n read through the same _zeta_mod embedding as _lift's zeta_e
-    zn = _zeta_mod(f.n, p)
-    pw = np.array([pow(zn, t, p) for t in range(f.vals.shape[-1])], dtype=np.int64)
+    # f mod p, with zeta_n read through the same _zeta_powers embedding as _lift's zeta_e
+    pw = _zeta_powers(f.n, p)[: f.vals.shape[-1]]
     v0 = (f.vals % p) @ pw % p * (cc.sizes % p) % p
     rng = np.random.default_rng(0)
     split = _center_split(G, cc, p, rng)
@@ -810,10 +822,9 @@ def orthogonality_certificate(table: ClassFunction) -> dict:
     row_target = order * np.eye(len(table), dtype=np.int64)
     col_target = np.diag(order // cc.sizes)
     for p in primes:
-        z = _zeta_mod(n, p)
+        zs = _zeta_powers(n, p)
         for m in prim_exps:
-            zm = pow(int(z), m, p)
-            pw = np.array([pow(zm, t, p) for t in range(phi_n)], dtype=np.int64)
+            pw = zs[m * np.arange(phi_n) % n]
             Tz = (table.vals @ pw) % p  # [k_irr, k_class]
             Tzc = (conj_tensor @ pw) % p
             gram = (Tz * w[None, :]) @ Tzc.T % p

@@ -450,16 +450,13 @@ def _linear_fiber(psiA: PsiA) -> ClassFunction:
     At even r, ell = ell', so M^ell is the kernel of reduction mod pi^ell' and
     its cosets in C are the residue classes that _Layers.residues indexes.
     With one representative t_s per class (the identity for M^ell itself),
-    t_s t_t = t_K m_st with K = K[s, t] and m_st in M^ell.  A member phi is
-    fixed by w = (phi(t_t))_t, and phi(t_s) phi(t_t) = psi_A(m_st) phi(t_K):
-    w is a common eigenvector, of eigenvalue phi(t_s), of the f x f matrices
-    N_s[t, K[s, t]] = psi_A(m_st).  Random combinations of the N_s are split
-    mod p by Dixon's _split_round, with zeta_e read as chartab._zeta_mod(e, p)
-    for e the exponent of C, and phi(c) = phi(t) psi_A(t^-1 c) at the class reps.
-    Checked exactly: f |M^ell| = |C|; psi_A's values and every eigenvector
-    entry are e-th roots of unity; the relation on all f^2 pairs, which makes
-    phi a homomorphism extending psi_A, since C stabilizes psi_A; and the f
-    members pairwise distinct, so they are all of Irr(C | psi_A).
+    t_s t_t = t_K m_st with K = K[s, t] and m_st in M^ell.  So the phi(t_s)
+    are the characters of the table K twisted by psi_A(m_st), from
+    chartab._cocycle_characters, and phi(c) = phi(t) psi_A(t^-1 c) at the
+    class reps.  As C stabilizes psi_A, the relation makes phi a homomorphism
+    extending psi_A, and the f distinct rows are all of Irr(C | psi_A).  Also
+    checked: f |M^ell| = |C|, and psi_A's values are e-th roots of unity for
+    e the exponent of C.
     """
     L, C = psiA.layers, psiA.c_gl
     where = _where(psiA)
@@ -469,7 +466,7 @@ def _linear_fiber(psiA: PsiA) -> ClassFunction:
     f = len(t)
     if f * L.Ml.n != C.n:
         raise AssertionError(f"{f} residue classes of |M^l| = {L.Ml.n} do not fill |C| = {C.n} ({where})")
-    j0 = label[C.identity]
+    j0 = int(label[C.identity])
     t[j0] = C.identity
     num = psiA.exps_M * e
     if np.any(num % psiA.n):
@@ -479,38 +476,10 @@ def _linear_fiber(psiA: PsiA) -> ClassFunction:
     prod = C.mul(t[:, None], t[None, :])
     K = label[prod]
     a = psi[C.mul(C.inv[t[K]], prod)]  # psi_A(m_st), m_st = t_K^-1 t_s t_t
-    p = chartab.dixon_prime(f * f, e)
-    z = chartab._zeta_mod(e, p)
-    zpow = np.array([pow(z, k, p) for k in range(e)], dtype=np.int64)
-    rng = np.random.default_rng(0)
-    subspaces, rounds = [None], 0
-    while any(S is None or S.shape[1] > 1 for S in subspaces):
-        if rounds == chartab._MAX_ROUNDS:
-            raise AssertionError(f"residue-class split did not reach dimension 1 after {rounds} rounds ({where})")
-        N = np.zeros((f, f), dtype=np.int64)
-        theta = rng.integers(1, p, size=f, dtype=np.int64)
-        np.add.at(N, (np.arange(f)[None, :], K), theta[:, None] * zpow[a] % p)
-        subspaces = chartab._split_round(subspaces, N % p, p, f"{where}, f={f}, p={p}, round {rounds}")
-        rounds += 1
-    V = np.hstack(subspaces)
-    if np.any(V[j0] == 0):
-        raise AssertionError(f"an eigenvector vanishes at the class of M^l ({where})")
-    V = V * np.array([pow(int(x), p - 2, p) for x in V[j0]], dtype=np.int64) % p
-    log = np.full(p, -1, dtype=np.int64)
-    log[zpow] = np.arange(e)
-    X = log[V.T]  # [member, s] -> exponent of phi(t_s)
-    if np.any(X < 0):
-        raise AssertionError(f"an eigenvector entry is not an e-th root of unity mod p, e = {e}, p = {p} ({where})")
-    bad = np.any((X[:, :, None] + X[:, None, :] - a - X[:, K]) % e, axis=(1, 2))
-    if np.any(bad):
-        raise AssertionError(f"phi(t_s) phi(t_t) != psi_A(m_st) phi(t_K) for member {np.argmax(bad)} ({where})")
-    if len(np.unique(X, axis=0)) != f:
-        raise AssertionError(f"two of the {f} extensions of psi_A are equal ({where})")
+    X = chartab._cocycle_characters(K, a, e, chartab.dixon_prime(f * f, e), np.random.default_rng(0), j0, where)
     s = label[cc.reps]
     out = chartab.class_function_from_exponents(C, e, X[:, s] + psi[C.mul(C.inv[t[s]], cc.reps)])
-    # dixon_table's canonical row order: every member has degree 1, so rows sort by their bytes
-    rows = out.vals.reshape(f, -1)
-    return out[np.argsort(rows.view(np.dtype((np.void, rows.strides[0])))[:, 0], kind="stable")]
+    return out[chartab._canonical_order(out.vals, out.degree)]
 
 
 def phi_set(psiA: PsiA) -> ClassFunction:

@@ -323,30 +323,52 @@ def test_center_characters_reject_a_corrupted_cayley_table(groups, monkeypatch):
 
 @pytest.mark.parametrize(
     "wrong,message",
-    [("flip", "not multiplicative"), ("product", "3 distinct characters, not 4"), ("zero", r"psi\^e != 1")],
+    [
+        ("flip", "not multiplicative"),
+        ("product", "3 distinct characters, not 4"),
+        ("zero", r"psi\^e != 1"),
+        ("stuck", "after 24 rounds"),
+        ("fiber-zero", r"psi\^e != 1"),
+        ("fiber-duplicate", "7 distinct characters, not 8"),
+    ],
 )
 def test_center_characters_are_checked_exactly(wrong, message, groups, monkeypatch):
+    # the exact checks of _cocycle_characters through both of its callers: the
+    # center of GL2(Z/8), (Z/8)^x = C2 x C2 of order 4, and the even-level fiber
+    # at z2 r = 4, orbit (1;3;2), whose 8 members split from the residue classes
     real = chartab._split_round
-    G = groups("z2", 3)  # GL2(Z/8): the center is (Z/8)^x = C2 x C2, of order 4
-    cc = grp.conjugacy_classes(G)
-    z = (list(np.flatnonzero(cc.sizes == 1)).index(cc.class_id[G.identity]) + 1) % 4  # not the identity
+    if wrong.startswith("fiber"):
+        G = groups("z2", 4)
+        pa = clifford.make_psiA(G, mat.mat(clifford._layers(G).spec_lp, [[0, 3], [1, 2]]))
+        L, C = pa.layers, pa.c_gl
+        j0 = np.unique(L.residues[1][C.pos_in(L.gl)], return_inverse=True)[1][C.identity]  # the class of M^l
+        z, run, suffix = (j0 + 1) % 8, lambda: clifford.phi_set(pa), r"\(z2, r=4, orbit \(1;3;2\)\)$"
+    else:
+        G = groups("z2", 3)
+        cc = grp.conjugacy_classes(G)
+        z = (list(np.flatnonzero(cc.sizes == 1)).index(cc.class_id[G.identity]) + 1) % 4  # not the identity
+        run, suffix = lambda: chartab.dixon_table(G), r"\(GL2, k=60, p=\d+, center of order 4\)"
 
     def corrupt(subspaces, M, p, where):
+        if wrong == "stuck":  # no round splits anything
+            return subspaces
         out = real(subspaces, M, p, where)
-        if "center" in where and all(S.shape[1] == 1 for S in out):
+        if ("center" in where or "orbit" in where) and all(S.shape[1] == 1 for S in out):
             if wrong == "flip":  # +-1 valued, but -1 on an odd number of elements
                 out[1] = out[1].copy()
                 out[1][z] = -out[1][z] % p
             elif wrong == "product":  # psi_1 psi_2 is another character of C2 x C2
                 out[1] = out[1] * out[2] % p
+            elif wrong == "fiber-duplicate":  # a valid extension twice: the relation holds
+                out[1] = out[2].copy()
             else:  # 0 is no root of unity
                 out[1] = out[1].copy()
                 out[1][z] = 0
         return out
 
     monkeypatch.setattr(chartab, "_split_round", corrupt)
-    with pytest.raises(AssertionError, match=rf"{message} \(GL2, k=60, p=\d+, center of order 4\)"):
-        chartab.dixon_table(G)
+    with pytest.raises(AssertionError, match=rf"{message} {suffix}"):
+        run()
 
 
 def test_block_dimensions_must_sum_to_k(groups, monkeypatch):
@@ -447,7 +469,10 @@ def test_dixon_degree_checks_raise(groups, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(chartab, "_degrees_mod", swapped)
-        with pytest.raises(AssertionError, match="eigenvalue multiplicities exceed the degree"):
+        with pytest.raises(
+            AssertionError,
+            match=r"eigenvalue multiplicities exceed the degree \(GL2, k=14, p=37, class \d+, irreducible \d+\)$",
+        ):
             chartab.dixon_table(G)
 
     def duplicated(G, cc, p, seed):  # a linear central character is replaced by the 6-dimensional one

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -430,11 +431,15 @@ def test_cli_selftest(capsys, monkeypatch):
 
 
 def test_module_entry_point():
+    # the child finds the package where this process imported it from, as pytest's pythonpath does
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(verify.__file__).parents[1]), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "branchlab", "ring", "info", "--kind", "f4t", "--r", "2"],
         capture_output=True,
         text=True,
         timeout=120,
+        env=env,
     )
     assert proc.returncode == 0
     d = json.loads(proc.stdout)
