@@ -634,6 +634,11 @@ def _check_headroom(name: str, order: int, k: int, p: int):
         raise ValueError(
             f"{name}: |G| * p >= 2^53, so float64 class-matrix sums would round (|G|={order}, k={k}, p={p})"
         )
+    _check_int64_headroom(name, k, p)
+
+
+def _check_int64_headroom(name: str, k: int, p: int):
+    """A length-k int64 dot product of residues mod p is exact while k p^2 < 2^63."""
     if k * p * p >= 2**63:
         raise ValueError(f"{name}: k * p^2 >= 2^63, so int64 mod-p sums would overflow (k={k}, p={p})")
 
@@ -807,33 +812,41 @@ def orthogonality_certificate(table: ClassFunction) -> dict:
     S = cyclo.product_tensor(n)
     vmax = int(np.abs(table.vals).max())
     C = int(cc.sizes.sum()) * vmax * vmax * phi_n * int(np.abs(S).max()) + order
-    primes = []
-    p = n + 1
-    prod = 1
-    while prod <= 2 * C:
-        while not sympy.isprime(p):
-            p += n
-        primes.append(p)
-        prod *= p
-        p += n
+    primes = _certificate_primes(n, 2 * C)
     prim_exps = [m for m in range(1, n + 1) if np.gcd(m, n) == 1]
     conj_tensor = table.vals @ cyclo.conj_matrix(n)
     w = cc.sizes.astype(np.int64)
     row_target = order * np.eye(len(table), dtype=np.int64)
     col_target = np.diag(order // cc.sizes)
     for p in primes:
+        # both Gram products sum k terms below p^2: over the classes, then over the rows
+        _check_int64_headroom(table.group.name, max(cc.k, len(table)), p)
         zs = _zeta_powers(n, p)
         for m in prim_exps:
             pw = zs[m * np.arange(phi_n) % n]
             Tz = (table.vals @ pw) % p  # [k_irr, k_class]
             Tzc = (conj_tensor @ pw) % p
-            gram = (Tz * w[None, :]) @ Tzc.T % p
+            gram = (Tz * (w % p)[None, :] % p) @ Tzc.T % p
             if np.any((gram - row_target) % p):
                 raise AssertionError(f"row orthogonality fails mod {p} at primitive root #{m}")
             gram_c = Tz.T @ Tzc % p
             if np.any((gram_c - col_target) % p):
                 raise AssertionError(f"column orthogonality fails mod {p} at primitive root #{m}")
     return {"primes": primes, "bound": C, "primitive_roots_checked": len(prim_exps), "ok": True}
+
+
+def _certificate_primes(n: int, bound: int) -> list[int]:
+    """The smallest primes = 1 (mod n) whose product exceeds bound."""
+    primes = []
+    p = n + 1
+    prod = 1
+    while prod <= bound:
+        while not sympy.isprime(p):
+            p += n
+        primes.append(p)
+        prod *= p
+        p += n
+    return primes
 
 
 def verify_orthogonality_exact(table: ClassFunction):

@@ -26,8 +26,17 @@ both ways; the cross-check failures raise, and are part of the contract.
 The product formula is C_GL2(psi_A) = C_GL2(A~) M^ell', and C_GL2(A~) is the
 unit group of o_r[A~] from mat.centralizer, not a search over GL2.
 
-What lives where.  Work that does not depend on A (the layers, generator
-conjugates, residues mod pi^ell', whose classes are the cosets of M^ell') is
+Inertia on residues.  M^ell' = ker(GL2(o_r) -> GL2(o_ell')) fixes psi_A, which
+is checked per orbit on generators of M^ell', so C_GL2(psi_A) is a union of
+residue classes mod pi^ell'; likewise K^ell' = M^ell' cap SL2 for psi_[A].
+So every stabilizer scan reads one lift per residue class, every route is
+compared as a mask on the residue root GL2(o_ell') (|GL2(o_ell')| entries, not
+|GL2|), and each inertia group is cut from GL2 or SL2 by grp.preimage of its
+residue image, a grp.subgroup of the residue root.
+
+What lives where.  Work that does not depend on A (the layers, the residue
+root and every position's residue, the conjugates of M^ell's and K^ell's
+generators by the residue lifts) is
 done once per GL2 table on _Layers, clifford's one entry in the table's cache;
 each orbit only gathers from it, every route from its own data, so the routes
 stay independent.  What depends on A (each inertia result, the Mackey twists)
@@ -61,9 +70,15 @@ class _Layers:
     Every layer is cut from the same root table as gl/sl, so positions move
     between them with GroupTable.pos_in.  The cached properties are the
     A-independent halves of inertia's routes.  M^ell' is the kernel of
-    reduction mod pi^ell', so its left cosets are the residue classes that
-    residues indexes; it needs no table of its own.  Nor is there a table of
-    every psi_A: each is built per orbit by make_psiA.
+    reduction mod pi^ell', so its cosets are the residue classes: residues
+    sends every gl position to its class's position in res_root, the
+    enumerated GL2(o_ell'): the quotient GL2 / M^ell' has a table of its own,
+    and fibers / fibers_sl group the gl / sl positions by class, so that a
+    grp.preimage reads only the classes it keeps.
+    M^ell' fixes every psi_A, so each stabilizer is read on one lift per
+    residue class.  M^ell' itself needs no table, only generators (Mlp_gens)
+    that check that fact per orbit.  There is no table of every psi_A: each
+    is built per orbit by make_psiA.
     """
 
     spec: RingSpec
@@ -78,20 +93,74 @@ class _Layers:
     pi_ell_code: int
 
     @cached_property
-    def conj_M(self) -> np.ndarray:
-        return _conjugate_positions(self.gl, self.Ml)
+    def res_root(self) -> GroupTable:
+        """GL2(o_ell'): its positions ascend with the packed codes, as gl's do."""
+        return grp.build_gl2(self.spec_lp)
 
     @cached_property
-    def conj_K(self) -> np.ndarray:
-        return _conjugate_positions(self.sl, self.Kl)
+    def residues(self) -> np.ndarray:
+        """int32 res_root position of every gl position's residue mod pi^ell'.
+
+        Reduction is onto GL2(o_ell') with kernel M^ell', so every fiber has
+        |gl| / |res_root| members; both facts are checked."""
+        lp, res = self.spec_lp, self.res_root
+        index = res.pos_of_codes(mat._vpack(lp, tuple(ring._vproj(self.spec, lp, t) for t in self.gl.ms)))
+        if np.any(index < 0) or np.any(np.bincount(index, minlength=res.n) * res.n != self.gl.n):
+            raise AssertionError(
+                f"reduction mod pi^{self.ellp} does not map GL2 evenly onto GL2(o_l') "
+                f"({self.spec.short_name}, r={self.spec.r})"
+            )
+        return index.astype(np.int32)
 
     @cached_property
-    def residues(self) -> tuple[np.ndarray, np.ndarray]:
-        """(distinct packed gl entries mod pi^ell', int32 index of every gl position into them)."""
-        lp = self.spec_lp
-        packed = mat._vpack(lp, tuple(ring._vproj(self.spec, lp, t) for t in self.gl.ms))
-        codes, index = np.unique(packed, return_inverse=True)
-        return codes, index.astype(np.int32)
+    def fibers(self) -> tuple:
+        """gl's positions grouped by residue (grp.fibers), for grp.preimage."""
+        return grp.fibers(self.residues, self.res_root.n)
+
+    @cached_property
+    def fibers_sl(self) -> tuple:
+        """sl's positions grouped by residue: onto SL2(o_ell') = res_sl, kernel K^ell'."""
+        return grp.fibers(self.residues[self.sl.root_pos], self.res_root.n)
+
+    @cached_property
+    def res_sl(self) -> np.ndarray:
+        """Mask of SL2(o_ell') on res_root."""
+        return self.res_root.dets == 1
+
+    @cached_property
+    def conj_lifts_M(self) -> np.ndarray:
+        """_conjugate_positions of M^ell by the coordinate lift of every res_root element."""
+        lifted = tuple(ring._vlift(self.spec, self.spec_lp, t) for t in self.res_root.ms)
+        return _conjugate_positions(self.gl, self.Ml, self.gl.pos_of_codes(mat._vpack(self.spec, lifted)))
+
+    @cached_property
+    def conj_lifts_K(self) -> np.ndarray:
+        """_conjugate_positions of K^ell by one SL2 lift of every element of SL2(o_ell'),
+        in res_root order: diag(det x~^-1, 1) x~ for the coordinate lift x~, the same residue."""
+        spec = self.spec
+        x = tuple(ring._vlift(spec, self.spec_lp, t[self.res_sl]) for t in self.res_root.ms)
+        dinv = ring._vinv(spec, mat._vdet(spec, x))
+        x = (ring._vmul(spec, dinv, x[0]), ring._vmul(spec, dinv, x[1]), x[2], x[3])
+        return _conjugate_positions(self.sl, self.Kl, self.sl.pos_of_codes(mat._vpack(spec, x)))
+
+    @cached_property
+    def Mlp_gens(self) -> np.ndarray:
+        """gl positions of generators of M^ell': I + y E_12, I + y E_21,
+        diag(1 + y, 1) and diag(1, 1 + y) for y in pi^ell' o_r.  They generate,
+        since I + pi^ell' B factors as L D U with one factor of each kind
+        (1 + pi^ell' b_11 is a unit)."""
+        spec = self.spec
+        x = np.arange(spec.size, dtype=np.int64)
+        y = x[ring._vval(spec, x) >= self.ellp]
+        one, zero = np.ones_like(y), np.zeros_like(y)
+        y1 = ring._vadd(spec, one, y)
+        kinds = ((one, y, zero, one), (one, zero, y, one), (y1, zero, zero, one), (one, zero, zero, y1))
+        return self.gl.pos_of_codes(mat._vpack(spec, tuple(np.concatenate(t) for t in zip(*kinds))))
+
+    @cached_property
+    def conj_Mlp(self) -> np.ndarray:
+        """_conjugate_positions of M^ell by the generators of M^ell'."""
+        return _conjugate_positions(self.gl, self.Ml, self.Mlp_gens)
 
 
 def _b_arrays(spec: RingSpec, table: GroupTable, ell: int) -> tuple:
@@ -158,62 +227,83 @@ class PsiA:
         return chartab.class_function_from_exponents(Kl, self.n, self.exps_K[grp.conjugacy_classes(Kl).reps])
 
     @cached_property
-    def stabilizer_mask_gl(self) -> np.ndarray:
-        """g in GL2 with psi_A(g^-1 m g) = psi_A(m) on M^ell (_stabilizer_mask)."""
-        return _stabilizer_mask(self.layers.conj_M, self.layers.Ml, self.exps_M)
+    def stabilizer_residues(self) -> np.ndarray:
+        """The residues of the g in GL2 with psi_A(g^-1 m g) = psi_A(m) on M^ell,
+        as a mask on res_root (_stabilizer_mask).
+
+        M^ell' fixes psi_A (checked on its generators), so the stabilizer is a
+        union of residue classes, and one lift per class decides it."""
+        L = self.layers
+        if not _stabilizer_mask(L.conj_Mlp, L.Ml, self.exps_M).all():
+            raise AssertionError(f"M^l' does not fix psi_A ({_where(self)})")
+        return _stabilizer_mask(L.conj_lifts_M, L.Ml, self.exps_M)
 
     @cached_property
     def c_gl_mask(self) -> np.ndarray:
-        """C_GL2(psi_A) as a mask on gl: the stabilizer scan, checked against
-        the product formula C_GL2(A~) M^ell' and the residue commutation.
+        """C_GL2(psi_A) mod pi^ell' as a mask on res_root: the stabilizer scan,
+        checked against the residue commutation and the product formula
+        C_GL2(A~) M^ell'.
 
         C_GL2(A~), the units of o_r[A~] (mat.centralizer), is looked up in gl.
         C_GL2(A~) M^ell' is the union of the residue classes it meets, of order
         |C_GL2(A~)| q^(2 ell): C_GL2(A~) cap M^ell' is x = 1, y = 0 mod pi^ell'."""
         _require_companion(self.A)
         L = self.layers
-        spec, lp, gl = L.spec, L.spec_lp, L.gl
-        stab = self.stabilizer_mask_gl
-        cent_lift = gl.pos_of_codes(mat._vpack(spec, mat.centralizer(self.Atilde)))
-        codes, index = L.residues
-        hit = np.zeros(len(codes), dtype=bool)
-        hit[index[cent_lift]] = True
-        if not np.array_equal(stab, hit[index]) or np.count_nonzero(stab) != len(cent_lift) * spec.q ** (2 * L.ell):
-            raise AssertionError(f"C_GL2(psi_A): stabilizer scan and product formula disagree ({_where(self)})")
-        resid = _commute_mask(lp, mat._vunpack(lp, codes), self.A.codes)[index]
-        if not np.array_equal(stab, resid):
+        spec, res = L.spec, L.res_root
+        stab = self.stabilizer_residues
+        if not np.array_equal(stab, _commute_mask(L.spec_lp, res.ms, self.A.codes)):
             raise AssertionError(f"C_GL2(psi_A): stabilizer scan and residue commutation disagree ({_where(self)})")
+        cent_lift = L.gl.pos_of_codes(mat._vpack(spec, mat.centralizer(self.Atilde)))
+        hit = np.zeros(res.n, dtype=bool)
+        hit[L.residues[cent_lift]] = True
+        order = np.count_nonzero(stab) * (L.gl.n // res.n)
+        if not np.array_equal(stab, hit) or order != len(cent_lift) * spec.q ** (2 * L.ell):
+            raise AssertionError(f"C_GL2(psi_A): stabilizer scan and product formula disagree ({_where(self)})")
         return stab
 
     @cached_property
     def c_gl(self) -> GroupTable:
-        """C_GL2(psi_A), a subgroup of GL2."""
-        return grp.subgroup(self.layers.gl, self.c_gl_mask, name="C_GL2(psi_A)")
+        """C_GL2(psi_A), a subgroup of GL2: the preimage of its residues."""
+        L = self.layers
+        image = grp.subgroup(L.res_root, self.c_gl_mask, name="C_GL2(psi_A) mod pi^l'")
+        return grp.preimage(L.gl, L.fibers, image, name="C_GL2(psi_A)")
 
     @cached_property
     def c_sl(self) -> GroupTable:
-        """C_SL2(psi_A) = C_GL2(psi_A) cap SL2."""
+        """C_SL2(psi_A) = C_GL2(psi_A) cap SL2: the preimage in SL2 of the residues
+        of C_GL2(psi_A) in SL2(o_ell') (M^ell' has every determinant in 1 + pi^ell' o)."""
         L = self.layers
-        return grp.subgroup(L.sl, self.c_gl_mask[L.sl.pos_in(L.gl)], name="C_SL2(psi_A)")
+        image = grp.subgroup(L.res_root, self.c_gl_mask & L.res_sl, name="C_SL2(psi_A) mod pi^l'")
+        return grp.preimage(L.sl, L.fibers_sl, image, name="C_SL2(psi_A)")
 
     @cached_property
     def c_sl_bracket(self) -> GroupTable:
-        """C_SL2(psi_[A]): the stabilizer scan over K^ell, checked against the
-        scalar test and the product formula C_SL2(psi_A) H^ell'."""
+        """C_SL2(psi_[A]): the stabilizer scan over K^ell on one SL2 lift per
+        residue class (K^ell' fixes psi_[A], as M^ell' fixes psi_A), checked
+        against the scalar test and the product formula C_SL2(psi_A) H^ell',
+        all as masks on res_root."""
         L = self.layers
-        sl = L.sl
-        bstab = _stabilizer_mask(L.conj_K, L.Kl, self.exps_K)
+        res = L.res_root
+        bstab = np.zeros(res.n, dtype=bool)
+        bstab[L.res_sl] = _stabilizer_mask(L.conj_lifts_K, L.Kl, self.exps_K)
         if not np.array_equal(bstab, _scalar_conj_mask_sl(L, self.A)):
             raise AssertionError(f"C_SL2(psi_[A]): stabilizer scan and scalar test disagree ({_where(self)})")
-        bprod = _product_mask(sl, self.c_sl.pos_in(sl), H_group(self, L.ellp).pos_in(sl))
+        lp = L.spec_lp
+        h = res.pos_of_codes(mat._vpack(lp, tuple(ring._vproj(L.spec, lp, t) for t in _unipotents(self, L.ellp))))
+        bprod = _product_mask(res, np.flatnonzero(self.c_gl_mask & L.res_sl), h)
         if not np.array_equal(bstab, bprod):
             raise AssertionError(f"C_SL2(psi_[A]): stabilizer scan and H-product formula disagree ({_where(self)})")
-        return grp.subgroup(sl, bstab, name="C_SL2(psi_[A])")
+        image = grp.subgroup(res, bstab, name="C_SL2(psi_[A]) mod pi^l'")
+        return grp.preimage(L.sl, L.fibers_sl, image, name="C_SL2(psi_[A])")
 
     @cached_property
     def det_image(self) -> np.ndarray:
-        """Sorted codes of det C_GL2(psi_A)."""
-        return np.unique(self.layers.gl.dets[self.c_gl_mask])
+        """Sorted codes of det C_GL2(psi_A): the units whose residue is the
+        determinant of a residue of C_GL2(psi_A), as det M^ell' = 1 + pi^ell' o."""
+        L = self.layers
+        units = ring.unit_codes(L.spec)
+        low = np.unique(L.res_root.dets[self.c_gl_mask])
+        return units[np.isin(ring._vproj(L.spec, L.spec_lp, units), low)]
 
     @cached_property
     def dA_reps(self) -> list[RingElem]:
@@ -247,20 +337,22 @@ class PsiA:
         the rep x_j of SL2 class j.  Conjugation by t_d normalizes SL2 and
         carries C_GL2(psi_A) onto the stabilizer of psi_{A_d}, A_d = t_d A t_d^-1;
         that second fact is checked here for every d against make_psiA(A_d)'s
-        own stabilizer scan, so Ind_{C_SL2(psi_{A_d})} phi^d is the untwisted
+        own stabilizer scan, as masks on res_root (both groups contain
+        M^ell'), so Ind_{C_SL2(psi_{A_d})} phi^d is the untwisted
         Ind_{C_SL2(psi_A)} Res phi read through perm_d.
         """
         L = self.layers
-        spec, gl, sl = L.spec, L.gl, L.sl
+        spec, lp, res, sl = L.spec, L.spec_lp, L.res_root, L.sl
         cc = grp.conjugacy_classes(sl)
         reps = sl.entries(cc.reps)
+        cres = res.entries(np.flatnonzero(self.c_gl_mask))
         out = []
         for d in self.dA_reps:
             dc = np.int64(d.code)
-            mask = np.zeros(gl.n, dtype=bool)
-            mask[gl.pos_of_codes(mat._vpack(spec, mat._vconj_diag(spec, self.c_gl.ms, dc)))] = True
+            mask = np.zeros(res.n, dtype=bool)
+            mask[res.pos_of_codes(mat._vpack(lp, mat._vconj_diag(lp, cres, ring._vproj(spec, lp, dc))))] = True
             A_d = mat.conjugate_by_diag(self.A, d)
-            if not np.array_equal(mask, make_psiA(gl, A_d).stabilizer_mask_gl):
+            if not np.array_equal(mask, make_psiA(L.gl, A_d).stabilizer_residues):
                 raise AssertionError(
                     f"conjugated inertia group differs from the stabilizer of psi_{{A_d}} ({_where(self, d)})"
                 )
@@ -336,15 +428,20 @@ def h_set(psiA: PsiA, i: int) -> list[RingElem]:
     return [RingElem(spec, int(c)) for c in x[c1 & c2]]
 
 
-def H_group(psiA: PsiA, i: int) -> GroupTable:
-    """H^i = {e_x = [[1, a~^-1 x],[0,1]] : x in h^i} as a subgroup of SL2."""
-    L = psiA.layers
-    spec = L.spec
+def _unipotents(psiA: PsiA, i: int) -> tuple:
+    """Entry arrays of e_x = [[1, a~^-1 x],[0,1]] for x in h^i, ascending in x."""
+    spec = psiA.layers.spec
     hs = h_set(psiA, i)
     ainv = np.int64(ring.inv(RingElem(spec, psiA.Atilde.m21)).code)
     tops = ring._vmul(spec, ainv, np.array([h.code for h in hs], dtype=np.int64))
     zero, one = np.zeros(len(hs), dtype=np.int64), np.ones(len(hs), dtype=np.int64)
-    pos = L.sl.pos_of_codes(mat._vpack(spec, (one, tops, zero, one)))
+    return one, tops, zero, one
+
+
+def H_group(psiA: PsiA, i: int) -> GroupTable:
+    """H^i = {e_x = [[1, a~^-1 x],[0,1]] : x in h^i} as a subgroup of SL2."""
+    L = psiA.layers
+    pos = L.sl.pos_of_codes(mat._vpack(L.spec, _unipotents(psiA, i)))
     if np.any(pos < 0):
         raise AssertionError(f"unipotent element missing from SL2 table ({_where(psiA)})")
     sub = grp.subgroup(L.sl, np.sort(pos), name=f"H^{i}")
@@ -378,17 +475,20 @@ def _product_mask(G: GroupTable, pos_a, pos_b) -> np.ndarray:
     return out
 
 
-def _conjugate_positions(G: GroupTable, N: GroupTable) -> np.ndarray:
-    """[j, g] -> N-position of g^-1 n_j g for the generators n_j of N.
+def _conjugate_positions(G: GroupTable, N: GroupTable, cols: np.ndarray) -> np.ndarray:
+    """[j, c] -> N-position of g^-1 n_j g for the generators n_j of N and the
+    G-position g = cols[c].
 
     Stored in the narrowest unsigned dtype; N must be normal in G, and a
-    conjugate outside N raises.
+    missing column or a conjugate outside N raises.
     """
+    if np.any(cols < 0):
+        raise AssertionError(f"a conjugating element is missing from {G.name}")
     spec = G.spec
-    ginv = G.entries(G.inv)
-    out = np.empty((len(N.gens), G.n), dtype=np.min_scalar_type(N.n - 1))
+    g, ginv = G.entries(cols), G.entries(G.inv[cols])
+    out = np.empty((len(N.gens), len(cols)), dtype=np.min_scalar_type(N.n - 1))
     for j, up in enumerate(N.pos_in(G)[N.gens]):
-        t = mat._vmat_mul(spec, mat._vmat_mul(spec, ginv, G.entries(up)), G.ms)
+        t = mat._vmat_mul(spec, mat._vmat_mul(spec, ginv, G.entries(up)), g)
         inside = N.pos_of_codes(mat._vpack(spec, t))
         if np.any(inside < 0):
             raise AssertionError(f"conjugate left {N.name}")
@@ -409,19 +509,15 @@ def _stabilizer_mask(conj: np.ndarray, N: GroupTable, exps: np.ndarray) -> np.nd
 
 
 def _scalar_conj_mask_sl(L: _Layers, A: Mat2) -> np.ndarray:
-    """g in SL2 with gamma(g)^-1 A gamma(g) - A scalar (the psi_[A] stabilizer test).
-
-    The test reads only the residue gamma(g) mod pi^ell', so it runs once per
-    residue code and is gathered to SL2 through the residue index."""
+    """SL2(o_ell') elements P with P^-1 A P - A scalar, as a mask on res_root
+    (the psi_[A] stabilizer test, which reads only the residue mod pi^ell')."""
     lp = L.spec_lp
-    codes, index = L.residues
-    P = mat._vunpack(lp, codes)
+    P = L.res_root.ms
     Av = tuple(np.int64(c) for c in A.codes)
     D = mat._vmat_mul(lp, mat._vmat_inv(lp, P), mat._vmat_mul(lp, Av, P))
     d11 = ring._vadd(lp, D[0], ring._vneg(lp, np.int64(A.m11)))
     d22 = ring._vadd(lp, D[3], ring._vneg(lp, np.int64(A.m22)))
-    scalar = (D[1] == A.m12) & (D[2] == A.m21) & (d11 == d22)
-    return scalar[index[L.sl.pos_in(L.gl)]]
+    return (D[1] == A.m12) & (D[2] == A.m21) & (d11 == d22) & L.res_sl
 
 
 # ------------------------------------------------------------------ inertia
@@ -432,10 +528,11 @@ def inertia(psiA: PsiA) -> PsiA:
     c_sl_bracket, det_image and dA_reps.
 
     Each is a cached property that runs its own cross-checks when first read
-    (a literal stabilizer scan against the residue-level commutation/scalar
-    test and the unipotent product formula; D_A's coset enumeration against
-    the determinant-image counts), so a caller that reads only dA_reps builds
-    no subgroup.  Any disagreement raises.
+    (a stabilizer scan on the residue lifts against the residue-level
+    commutation/scalar test and the product formulas; D_A's coset enumeration
+    against the determinant-image counts), so a caller that reads only dA_reps
+    builds no subgroup.  Any disagreement raises.  The groups' generators are
+    not searched for until something reads them (phi_set's classes do).
     """
     psiA.c_gl, psiA.c_sl, psiA.c_sl_bracket, psiA.dA_reps
     return psiA
@@ -462,7 +559,7 @@ def _linear_fiber(psiA: PsiA) -> ClassFunction:
     where = _where(psiA)
     cc = grp.conjugacy_classes(C)
     e = cc.exponent
-    _, t, label = np.unique(L.residues[1][C.pos_in(L.gl)], return_index=True, return_inverse=True)
+    _, t, label = np.unique(L.residues[C.pos_in(L.gl)], return_index=True, return_inverse=True)
     f = len(t)
     if f * L.Ml.n != C.n:
         raise AssertionError(f"{f} residue classes of |M^l| = {L.Ml.n} do not fill |C| = {C.n} ({where})")

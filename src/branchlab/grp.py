@@ -10,7 +10,13 @@ between any two tables of one root.
 
 Conjugacy classes are orbits, found by min-label propagation over generator
 permutation arrays.  Every table finds its own generating set greedily, by
-breadth-first closure.
+breadth-first closure, when its gens are first read.  The two cutting
+constructors differ in who proves closure.  subgroup reads gens at once, and
+the closure search raises if a product leaves the member set.  preimage
+(clifford's inertia groups, under reduction mod pi^ell') takes closure from
+its image, a closed table, through the homomorphism; it checks only that
+every fiber it keeps has the kernel's size, and its gens wait until
+something reads them.
 
 Ownership runs one way.  A subgroup holds its root, a table holds its class
 partition (cache["classes"]), and a class function holds its table; nothing a
@@ -80,7 +86,6 @@ class GroupTable:
         if self.identity < 0:
             raise ValueError("element set lacks the identity")
         self.inv = self._lookup(mat._vmat_inv(spec, self.ms))
-        self.gens = self._greedy_gens()
 
     @property
     def root(self) -> "GroupTable":
@@ -128,7 +133,9 @@ class GroupTable:
     def dets(self):
         return mat._vdet(self.spec, self.ms)
 
-    def _greedy_gens(self):
+    @cached_property
+    def gens(self) -> list[int]:
+        """Greedy generators: each is the first position outside the closure of the ones before."""
         gens: list[int] = []
         known = _closure_mask(self, gens)
         while not known.all():
@@ -230,16 +237,58 @@ def build_sl2(spec: RingSpec, budget: int = DEFAULT_BUDGET) -> GroupTable:
     )
 
 
+def _cut(table: GroupTable, idx: np.ndarray, name: str) -> GroupTable:
+    return GroupTable(table.spec, name, tuple(t[idx] for t in table.ms), root=table.root, root_pos=table.root_pos[idx])
+
+
 def subgroup(table: GroupTable, members, name="subgroup") -> GroupTable:
     """Wrap a closed subset of table as a child GroupTable.
 
     members: boolean mask or position array.  Closure failures surface as
-    errors during construction (products must stay inside the member set).
+    errors during construction: its generators are found at once, and the
+    search raises when a product leaves the member set.
     """
     members = np.asarray(members)
     idx = np.flatnonzero(members) if members.dtype == bool else np.sort(members.astype(np.int64))
-    ms = tuple(t[idx] for t in table.ms)
-    return GroupTable(table.spec, name, ms, root=table.root, root_pos=table.root_pos[idx])
+    sub = _cut(table, idx, name)
+    sub.gens
+    return sub
+
+
+def fibers(index: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(order, start): the positions p sorted by index[p] (int32), and the run
+    order[start[s]:start[s + 1]] of those with index[p] = s, for s < n."""
+    order = np.argsort(index, kind="stable").astype(np.int32)
+    start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(index, minlength=n), out=start[1:])
+    return order, start
+
+
+def preimage(table: GroupTable, fibers: tuple, image: GroupTable, name="preimage") -> GroupTable:
+    """The elements of table that a homomorphism sends into image, as a child GroupTable.
+
+    fibers is grp.fibers(index, image.root.n) for the homomorphism's index:
+    index[g] is the position of g's image in image.root.  The preimage of a
+    closed image under a homomorphism is closed, so no closure search runs
+    here and gens are found only when first read; image's own gens are read,
+    which proves its closure (a subgroup already has).  A homomorphism's
+    fibers all have the kernel's size, so every fiber over image is checked
+    to have it (|preimage| = |image| |kernel fiber|), and a mismatch raises.
+    Only the fibers over image are read.
+    """
+    image.gens
+    order, start = fibers
+    if len(start) != image.root.n + 1:
+        raise ValueError(f"{name}: fibers over {len(start) - 1} positions, but {image.name}'s root has {image.root.n}")
+    lo = start[image.root_pos]
+    sizes = start[image.root_pos + 1] - lo
+    kernel = int(sizes[image.identity])
+    if np.any(sizes != kernel):
+        raise ValueError(
+            f"{name}: {int(sizes.sum())} elements map into {image.name}, "
+            f"not |image| * |kernel fiber| = {image.n} * {kernel}"
+        )
+    return _cut(table, np.sort(order[lo[:, None] + np.arange(kernel)], axis=None), name)
 
 
 def sl2_subgroup(gl: GroupTable) -> GroupTable:

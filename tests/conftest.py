@@ -6,6 +6,7 @@ handed out through getter fixtures keyed by (kind, r); character tables are
 computed once per group object and held here.
 """
 
+import numpy as np
 import pytest
 
 from branchlab import chartab, grp, ring, verify
@@ -67,3 +68,31 @@ def reports():
         return cache[key]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def greedy_reference():
+    """Greedy generators with every closure recomputed from the identity."""
+
+    def gens(H):
+        out = []
+        while not (known := grp._closure_mask(H, out)).all():
+            out.append(int(np.flatnonzero(~known)[0]))
+        return out
+
+    return gens
+
+
+@pytest.fixture
+def built_tables(monkeypatch):
+    """Every table that grp.build_gl2, grp.subgroup or grp.preimage returns
+    during the test, in call order."""
+    out = []
+    for ctor in ("build_gl2", "subgroup", "preimage"):
+
+        def spy(*args, _real=getattr(grp, ctor), **kwargs):
+            out.append(_real(*args, **kwargs))
+            return out[-1]
+
+        monkeypatch.setattr(grp, ctor, spy)
+    return out

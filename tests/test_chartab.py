@@ -7,6 +7,7 @@ column sums — sharing no code with the exact Dixon implementation.
 
 import numpy as np
 import pytest
+import sympy
 
 from branchlab import chartab, clifford, cyclo, grp, mat, ring, verify
 
@@ -341,7 +342,7 @@ def test_center_characters_are_checked_exactly(wrong, message, groups, monkeypat
         G = groups("z2", 4)
         pa = clifford.make_psiA(G, mat.mat(clifford._layers(G).spec_lp, [[0, 3], [1, 2]]))
         L, C = pa.layers, pa.c_gl
-        j0 = np.unique(L.residues[1][C.pos_in(L.gl)], return_inverse=True)[1][C.identity]  # the class of M^l
+        j0 = np.unique(L.residues[C.pos_in(L.gl)], return_inverse=True)[1][C.identity]  # the class of M^l
         z, run, suffix = (j0 + 1) % 8, lambda: clifford.phi_set(pa), r"\(z2, r=4, orbit \(1;3;2\)\)$"
     else:
         G = groups("z2", 3)
@@ -536,6 +537,15 @@ def test_certificate_at_r3(groups, chartabs):
     T = chartabs(groups("z2", 3))
     cert = chartab.orthogonality_certificate(T)
     assert cert["ok"] and len(cert["primes"]) >= 1
+
+
+def test_certificate_checks_its_int64_headroom(groups, chartabs, monkeypatch):
+    # a prime near 2^32 would overflow the Gram sums: the certificate refuses it
+    T = chartabs(groups("z2", 2))
+    p = sympy.nextprime(2**32)
+    monkeypatch.setattr(chartab, "_certificate_primes", lambda n, bound: [p])
+    with pytest.raises(ValueError, match=rf"^GL2: k \* p\^2 >= 2\^63.*\(k={T.classes.k}, p={p}\)$"):
+        chartab.orthogonality_certificate(T)
 
 
 def test_dixon_is_seed_independent(groups):

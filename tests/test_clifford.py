@@ -33,13 +33,23 @@ def test_layer_sizes(groups):
     K1 = grp.congruence_subgroup(L.sl, 1)
     Mlp = grp.congruence_subgroup(L.gl, L.ellp)
     assert (L.Ml.n, L.Kl.n, Mlp.n, K1.n) == (16, 8, 16, 8)
-    assert len(L.residues[0]) == grp.gl2_order(L.spec_lp) == L.gl.n // Mlp.n
+    assert L.res_root.n == grp.gl2_order(L.spec_lp) == L.gl.n // Mlp.n
     L3 = clifford._layers(groups("z2", 3))
     K1 = grp.congruence_subgroup(L3.sl, 1)
     Mlp = grp.congruence_subgroup(L3.gl, L3.ellp)
     assert (L3.Ml.n, L3.Kl.n, Mlp.n, K1.n) == (16, 8, 256, 64)
-    assert len(L3.residues[0]) == grp.gl2_order(L3.spec_lp) == L3.gl.n // Mlp.n
+    assert L3.res_root.n == grp.gl2_order(L3.spec_lp) == L3.gl.n // Mlp.n
     assert L3.ell == 2 and L3.ellp == 1
+    # the kernel fiber of residues is M^l' in GL2 and K^l' in SL2, and
+    # Mlp_gens generates M^l'
+    for L in (L, L3):
+        res_id = L.res_root.identity
+        Mlp = grp.congruence_subgroup(L.gl, L.ellp)
+        assert np.array_equal(np.flatnonzero(L.residues == res_id), Mlp.root_pos)
+        assert np.array_equal(grp._closure_mask(L.gl, list(L.Mlp_gens)), Mlp.local[:-1] >= 0)
+        K = grp.congruence_subgroup(L.sl, L.ellp)
+        assert np.array_equal(L.sl.root_pos[L.residues[L.sl.root_pos] == res_id], K.root_pos)
+        assert np.count_nonzero(L.res_sl) == grp.sl2_order(L.spec_lp)
 
 
 def test_layers_reject_other_tables(groups):
@@ -277,6 +287,63 @@ def test_bracket_stabilizer_failure_names_kind_level_and_orbit(monkeypatch, grou
         clifford.inertia(clifford.make_psiA(G, A))
 
 
+def _corrupt_first_generator(pa, attr):
+    # psi_A (or psi_[A]) with its value at the first generator of M^l (K^l) moved
+    N = pa.layers.Ml if attr == "exps_M" else pa.layers.Kl
+    exps = getattr(pa, attr).copy()
+    exps[N.gens[0]] = (exps[N.gens[0]] + 1) % pa.n
+    setattr(pa, attr, exps)
+    return pa
+
+
+def test_corrupted_psi_exponent_raises_through_every_route(groups, monkeypatch):
+    # each route in turn is the only one left to see the corruption: the routes
+    # checked first are made to agree with the corrupted stabilizer scan
+    G = groups("z2", 4)
+    A = mat.mat(ring.truncate(G.spec, G.spec.ell_prime), [[0, 3], [1, 2]])
+    where = r" disagree \(z2, r=4, orbit \(1;3;2\)\)$"
+    bad = _corrupt_first_generator(clifford.make_psiA(G, A), "exps_M")
+    with pytest.raises(AssertionError, match=r"C_GL2\(psi_A\): stabilizer scan and residue commutation" + where):
+        bad.c_gl_mask
+    stab = bad.stabilizer_residues
+    with monkeypatch.context() as m:
+        m.setattr(clifford, "_commute_mask", lambda spec, X, codes4: stab)
+        with pytest.raises(AssertionError, match=r"C_GL2\(psi_A\): stabilizer scan and product formula" + where):
+            bad.c_gl_mask
+    bad = _corrupt_first_generator(clifford.make_psiA(G, A), "exps_K")
+    L = bad.layers
+    with pytest.raises(AssertionError, match=r"C_SL2\(psi_\[A\]\): stabilizer scan and scalar test" + where):
+        bad.c_sl_bracket
+    bstab = np.zeros(L.res_root.n, dtype=bool)
+    bstab[L.res_sl] = clifford._stabilizer_mask(L.conj_lifts_K, L.Kl, bad.exps_K)
+    monkeypatch.setattr(clifford, "_scalar_conj_mask_sl", lambda L, A: bstab)
+    with pytest.raises(AssertionError, match=r"C_SL2\(psi_\[A\]\): stabilizer scan and H-product formula" + where):
+        bad.c_sl_bracket
+
+
+def test_preimage_rejects_a_non_closed_image_and_uneven_fibers(groups):
+    L = clifford._layers(groups("z2", 3))
+    res = L.res_root
+    g = res.pos_of_matrix(mat.mat(L.spec_lp, [[1, 1], [0, 1]]))  # order 2 mod 2
+    h = res.pos_of_matrix(mat.mat(L.spec_lp, [[1, 0], [1, 1]]))
+    members = np.array(sorted({res.identity, g, h}))  # closed under inverses, not under products
+    loose = grp.GroupTable(res.spec, "loose", tuple(t[members] for t in res.ms), root=res, root_pos=members)
+    with pytest.raises(ValueError, match="left the element set"):
+        grp.preimage(L.gl, L.fibers, loose, name="C")
+    image = grp.subgroup(res, [res.identity, g], name="<g>")
+    C = grp.preimage(L.gl, L.fibers, image, name="C")
+    Mlp = grp.congruence_subgroup(L.gl, L.ellp)
+    assert C.n == 2 * Mlp.n and np.array_equal(C.root_pos, np.flatnonzero(np.isin(L.residues, image.root_pos)))
+    with pytest.raises(ValueError, match=r"C: fibers over 7 positions, but <g>'s root has 6$"):
+        grp.preimage(L.gl, grp.fibers(L.residues, res.n + 1), image, name="C")
+    # one element of the kernel fiber sent to g: |preimage| stays, the kernel fiber shrinks
+    index = L.residues.copy()
+    index[Mlp.root_pos[1]] = g
+    uneven = r"C: 512 elements map into <g>, not \|image\| \* \|kernel fiber\| = 2 \* 255$"
+    with pytest.raises(ValueError, match=uneven):
+        grp.preimage(L.gl, grp.fibers(index, res.n), image, name="C")
+
+
 def test_frozen_inertia_sizes(groups):
     pa = _psi(groups("f2t", 3), [[0, 0], [1, 0]])
     I = clifford.inertia(pa)
@@ -333,32 +400,31 @@ def test_orbit_sweep_leaves_no_per_orbit_cache_keys(groups):
         assert not any(A.codes in parts for A in comps), key
 
 
-def test_inertia_runs_once_per_psiA(monkeypatch, groups):
-    built = []
-    subgroup = grp.subgroup
-
-    def spy(table, members, name="subgroup"):
-        built.append(name)
-        return subgroup(table, members, name=name)
-
+def test_inertia_runs_once_per_psiA(groups, built_tables):
     G = groups("z2", 3)
-    clifford._layers(G)  # the per-table layers are built before the spy
-    monkeypatch.setattr(grp, "subgroup", spy)
+    clifford._layers(G).res_root  # the per-table layers and the residue root are built first
+    del built_tables[:]
+
+    def names():
+        return [H.name for H in built_tables]
+
     pa = _psi(G, [[0, 0], [1, 0]])
     assert clifford.inertia(pa) is pa
-    first = list(built)
-    assert {"C_GL2(psi_A)", "C_SL2(psi_A)", "C_SL2(psi_[A])"} <= set(first)
-    assert clifford.inertia(pa) is pa and built == first
+    first = names()
+    per_orbit = {"C_GL2(psi_A)", "C_SL2(psi_A)", "C_SL2(psi_[A])"}
+    # each group, and its residue image; no root is enumerated
+    assert set(first) == per_orbit | {f"{n} mod pi^l'" for n in per_orbit} and len(first) == 6
+    assert clifford.inertia(pa) is pa and names() == first
     # a second PsiA of the same A builds its own subgroups
     pb = _psi(G, [[0, 0], [1, 0]])
     clifford.inertia(pb)
-    assert built == first + first
+    assert names() == first + first
     assert pb.c_gl is not pa.c_gl and pb.c_sl_bracket is not pa.c_sl_bracket
     # the fiber and the Mackey route read the stabilizers already built
-    del built[:]
+    del built_tables[:]
     for phi in clifford.phi_set(pa):
         clifford.mackey_restriction(pa, phi)
-    assert not set(first) & set(built)
+    assert not set(first) & set(names()) and "GL2" not in names()
 
 
 # ----------------------------------------------- per-table inertia data
@@ -389,30 +455,85 @@ def test_per_table_routes_match_per_orbit_recomputation(kind, r, groups):
     L = clifford._layers(G)
     lp = L.spec_lp
     glp_entries = tuple(ring._vproj(L.spec, lp, t) for t in G.ms)
-    codes, index = L.residues
+    index, res = L.residues, L.res_root
     Mlp = grp.congruence_subgroup(G, L.ellp)
-    assert len(codes) == grp.gl2_order(lp) == G.n // Mlp.n
-    assert L.conj_M.dtype == np.min_scalar_type(L.Ml.n - 1) and index.dtype == np.int32
+    assert res.n == grp.gl2_order(lp) == G.n // Mlp.n
+    # the residue root's positions are the sorted distinct residue codes
+    assert np.array_equal(mat._vpack(lp, res.ms), np.unique(mat._vpack(lp, glp_entries)))
+    assert L.conj_lifts_M.dtype == np.min_scalar_type(L.Ml.n - 1) and index.dtype == np.int32
+    assert L.conj_lifts_M.shape[1] == res.n and L.conj_lifts_K.shape[1] == grp.sl2_order(lp)
     orbits = 0
     for A in _companions(lp):
         pa = clifford.make_psiA(G, A)
         stab = _literal_scan(G, L.Ml, pa.exps_M)
-        assert np.array_equal(pa.stabilizer_mask_gl, stab)
-        bstab = clifford._stabilizer_mask(L.conj_K, L.Kl, pa.exps_K)
-        assert np.array_equal(bstab, _literal_scan(L.sl, L.Kl, pa.exps_K))
+        assert np.array_equal(pa.stabilizer_residues[index], stab)
+        bstab = np.zeros(res.n, dtype=bool)
+        bstab[L.res_sl] = clifford._stabilizer_mask(L.conj_lifts_K, L.Kl, pa.exps_K)
+        assert np.array_equal(bstab[index[L.sl.root_pos]], _literal_scan(L.sl, L.Kl, pa.exps_K))
         # C_GL2(A~) M^l': the residue classes met by C_GL2(A~), against the literal products
         cent_lift = clifford._commute_mask(L.spec, G.ms, pa.Atilde.codes)
-        hit = np.zeros(len(codes), dtype=bool)
+        hit = np.zeros(res.n, dtype=bool)
         hit[index[cent_lift]] = True
         prod = clifford._product_mask(G, np.flatnonzero(cent_lift), Mlp.pos_in(G))
         assert np.array_equal(hit[index], prod)
-        resid = clifford._commute_mask(lp, mat._vunpack(lp, codes), A.codes)[index]
+        resid = clifford._commute_mask(lp, res.ms, A.codes)[index]
         assert np.array_equal(resid, clifford._commute_mask(lp, glp_entries, A.codes))
         I = clifford.inertia(pa)
         assert np.array_equal(I.c_gl.root_pos, np.flatnonzero(stab))
-        assert np.array_equal(I.c_sl_bracket.pos_in(L.sl), np.flatnonzero(bstab))
+        assert np.array_equal(I.c_sl_bracket.pos_in(L.sl), np.flatnonzero(bstab[index[L.sl.root_pos]]))
         orbits += 1
     assert orbits > 1
+
+
+@pytest.fixture(scope="module")
+def z2r5():
+    # GL2(Z/32) is built here, not in the session cache, so it is freed with this module
+    return grp.build_gl2(ring.make_ring("z2", r=5))
+
+
+@pytest.mark.parametrize(
+    "kind,r", [(k, r) for k in ("z2", "f2t", "eis2") for r in (2, 3, 4)] + [("f4t", 2), ("z2", 5)]
+)
+def test_preimage_groups_equal_the_full_stabilizer_scans(kind, r, groups, greedy_reference, request):
+    # today's GL2-wide scans, cut with grp.subgroup, against the preimages of the
+    # residue masks: the same members, the same |D_A|, and generators that,
+    # read lazily, are the greedy ones
+    G = request.getfixturevalue("z2r5") if r == 5 else groups(kind, r)
+    L = clifford._layers(G)
+    gl, sl = L.gl, L.sl
+    conj_M = clifford._conjugate_positions(gl, L.Ml, np.arange(gl.n))
+    conj_K = clifford._conjugate_positions(sl, L.Kl, np.arange(sl.n))
+    units = ring.unit_codes(L.spec)
+    for A in _companions(L.spec_lp):
+        pa = clifford.inertia(clifford.make_psiA(G, A))
+        stab = clifford._stabilizer_mask(conj_M, L.Ml, pa.exps_M)
+        today = {
+            "c_gl": grp.subgroup(gl, stab, name="C"),
+            "c_sl": grp.subgroup(sl, stab[sl.root_pos], name="C_SL2"),
+            "c_sl_bracket": grp.subgroup(sl, clifford._stabilizer_mask(conj_K, L.Kl, pa.exps_K), name="C_SL2[A]"),
+        }
+        for attr, ref in today.items():
+            H = getattr(pa, attr)
+            assert "gens" not in vars(H), attr  # nothing in inertia read them
+            assert np.array_equal(H.root_pos, ref.root_pos), attr
+            assert H.gens == ref.gens == greedy_reference(H), attr
+        assert np.array_equal(pa.det_image, np.unique(gl.dets[stab]))
+        assert len(pa.dA_reps) * len(pa.det_image) == len(units)
+
+
+def test_warm_inertia_runs_no_closure_or_scan_on_a_group_cut_from_gl2(z2r5, monkeypatch):
+    # a count guard, no clock: after the first orbit warms the layers, inertia closes
+    # only residue images (at most |GL2(o_l')| elements) and scans one lift per class
+    L = clifford._layers(z2r5)
+    comps = list(_companions(L.spec_lp))
+    clifford.inertia(clifford.make_psiA(z2r5, comps[0]))
+    closed, cols = [], []
+    real_closure, real_scan = grp._closure_mask, clifford._stabilizer_mask
+    monkeypatch.setattr(grp, "_closure_mask", lambda t, *a: closed.append(t) or real_closure(t, *a))
+    monkeypatch.setattr(clifford, "_stabilizer_mask", lambda c, *a: cols.append(c.shape[1]) or real_scan(c, *a))
+    clifford.inertia(clifford.make_psiA(z2r5, comps[-1]))
+    assert closed and {t.root for t in closed} == {L.res_root}
+    assert cols and max(cols) <= L.res_root.n == grp.gl2_order(L.spec_lp) == 96
 
 
 def _commuting(spec, X, A):
@@ -568,12 +689,11 @@ def test_phi_set_even_level_gives_up_after_max_rounds(groups, monkeypatch):
     assert len(calls) == chartab._MAX_ROUNDS == 24
 
 
-def test_phi_set_odd_level_at_r5():
+def test_phi_set_odd_level_at_r5(z2r5):
     # orbit (1;2;2): |C_GL2(psi_A)| = 32768 with 1472 classes, |D_A| = 2.  r = 5 is
     # below z2's stable range r >= 6, and the norm law does not hold on every
     # orbit: on (1;0;0) some Res_SL2 Ind phi have norm 4 against |D_A| = 2.
-    # GL2(Z/32) is built here, not in the session cache, so it is freed after.
-    G = grp.build_gl2(ring.make_ring("z2", r=5))
+    G = z2r5
     L = clifford._layers(G)
     pa = clifford.make_psiA(G, mat.mat_from_codes(L.spec_lp, 0, 2, 1, 2))
     I = clifford.inertia(pa)

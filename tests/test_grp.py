@@ -173,34 +173,22 @@ def test_centralizer_orbit_identity():
         assert cent * int(cc.sizes[c]) == G.n
 
 
-def _greedy_reference(H):
-    """Greedy generators with every closure recomputed from the identity."""
-    gens = []
-    while not (known := grp._closure_mask(H, gens)).all():
-        gens.append(int(np.flatnonzero(~known)[0]))
-    return gens
-
-
 @pytest.mark.parametrize("kind,r", [("z2", 3), ("f4t", 2)])
-def test_incremental_generators_match_a_from_scratch_greedy(kind, r, monkeypatch):
+def test_incremental_generators_match_a_from_scratch_greedy(kind, r, built_tables, greedy_reference):
     G = _gl(kind, r)  # a fresh table, so inertia builds every subgroup below
-    built = []
-    subgroup = grp.subgroup
-
-    def spy(table, members, name="subgroup"):
-        H = subgroup(table, members, name=name)
-        built.append(H)
-        return H
-
-    monkeypatch.setattr(grp, "subgroup", spy)
     lp = ring.truncate(G.spec, G.spec.ell_prime)
     triples = sorted({mat.companion_form(A).triple for A in mat.all_cyclic_matrices(lp)})
     for a, alpha, beta in triples:
         top = ring.mul(ring.inv(ring.elem(lp, a)), ring.elem(lp, alpha))
         clifford.inertia(clifford.make_psiA(G, mat.mat_from_codes(lp, 0, top.code, a, beta)))
-    assert len(built) >= 3 * len(triples)  # C_GL2(psi_A), C_SL2(psi_A), C_SL2(psi_[A]) per orbit
-    for H in [G, *built]:
-        assert H.gens == _greedy_reference(H), H
+    # C_GL2(psi_A), C_SL2(psi_A), C_SL2(psi_[A]) per orbit, each the preimage of a
+    # residue subgroup; the preimages' generators are read here for the first time
+    res_root = clifford._layers(G).res_root
+    pre = [H for H in built_tables if H.root is G and H.name.startswith("C_")]
+    assert len(pre) == 3 * len(triples) and not any("gens" in vars(H) for H in pre)
+    assert len([H for H in built_tables if H.root is res_root and H is not res_root]) == 3 * len(triples)
+    for H in built_tables:
+        assert H.gens == greedy_reference(H), H
 
 
 def test_subgroup_of_a_non_closed_set_raises():

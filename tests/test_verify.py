@@ -125,32 +125,26 @@ def test_direct_route_decompose_failure_names_the_irreducible(groups, chartabs, 
         verify.verify_branching(G.spec, mackey=False)
 
 
-def test_verify_caches_only_per_table_results_on_gl(monkeypatch):
-    # per-orbit data (each PsiA, companion forms) lives with its caller and
-    # A-independent layer data on _Layers: the GL2 table's cache holds per-table results only
-    built = []
-    real = grp.build_gl2
-    monkeypatch.setattr(grp, "build_gl2", lambda *a, **kw: built.append(real(*a, **kw)) or built[-1])
+def test_verify_caches_only_per_table_results_on_gl(built_tables):
+    # per-orbit data (each PsiA and its preimage groups, companion forms) lives
+    # with its caller and A-independent layer data on _Layers: the GL2 table's
+    # cache holds per-table results only, and the residue root GL2(o_l') is
+    # enumerated once, with nothing cached on it
     verify.verify_branching(ring.make_ring("z2", r=3), seed=0)
-    assert len(built) == 1
-    assert set(built[0].cache) == {"classes", "clifford_layers"}
+    gl, res_root = [H for H in built_tables if H.root is H]
+    L = gl.cache["clifford_layers"]
+    assert set(gl.cache) == {"classes", "clifford_layers"} and L.res_root is res_root and not res_root.cache
+    pre = [H for H in built_tables if H.name in ("C_GL2(psi_A)", "C_SL2(psi_A)")]
+    assert pre and not [H for H in pre if any(v is H for v in vars(L).values())]
 
 
-def test_verify_without_mackey_builds_no_per_orbit_subgroup(monkeypatch):
-    # |D_A| needs only the C_GL2(psi_A) mask: no stabilizer or H^i table is built
-    built = []
-    subgroup = grp.subgroup
-
-    def spy(table, members, name="subgroup"):
-        built.append(name)
-        return subgroup(table, members, name=name)
-
-    monkeypatch.setattr(grp, "subgroup", spy)
+def test_verify_without_mackey_builds_no_per_orbit_subgroup(built_tables):
+    # |D_A| needs only the residue mask of C_GL2(psi_A): no stabilizer, residue
+    # image or H^i table is built, and no preimage.  GL2 and the residue root
+    # GL2(o_l') are enumerated, and the layers cut from GL2
     rep = verify.verify_branching(ring.make_ring("z2", r=4), mackey=False)
     assert rep.passed and rep.summary["num_orbits"] > 1
-    per_orbit = {"C_GL2(psi_A)", "C_SL2(psi_A)", "C_SL2(psi_[A])"}
-    assert not [n for n in built if n in per_orbit or n.startswith("H^")], built
-    assert sorted(built) == ["K^2", "M^2", "SL2"]
+    assert sorted(H.name for H in built_tables) == ["GL2", "GL2", "K^2", "M^2", "SL2"]
 
 
 def test_find_regular_needs_gl():
