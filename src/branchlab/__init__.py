@@ -27,7 +27,6 @@ from .chartab import (
     restrict,
 )
 from .clifford import (
-    H_group,
     h_set,
     inertia,
     mackey_restriction,
@@ -47,7 +46,6 @@ __all__ = [
     "BudgetError",
     "ClassFunction",
     "GroupTable",
-    "H_group",
     "Mat2",
     "Prediction",
     "RingElem",

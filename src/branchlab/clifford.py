@@ -26,13 +26,15 @@ both ways; the cross-check failures raise, and are part of the contract.
 The product formula is C_GL2(psi_A) = C_GL2(A~) M^ell', and C_GL2(A~) is the
 unit group of o_r[A~] from mat.centralizer, not a search over GL2.
 
-Inertia on residues.  M^ell' = ker(GL2(o_r) -> GL2(o_ell')) fixes psi_A, which
-is checked per orbit on generators of M^ell', so C_GL2(psi_A) is a union of
-residue classes mod pi^ell'; likewise K^ell' = M^ell' cap SL2 for psi_[A].
-So every stabilizer scan reads one lift per residue class, every route is
-compared as a mask on the residue root GL2(o_ell') (|GL2(o_ell')| entries, not
-|GL2|), and each inertia group is cut from GL2 or SL2 by grp.preimage of its
-residue image, a grp.subgroup of the residue root.
+Inertia on residues.  Since ell + ell' = r, M^ell' = ker(GL2(o_r) -> GL2(o_ell'))
+centralizes M^ell, which is checked once per table on generators of M^ell'.
+So every lift of a residue class mod pi^ell' conjugates M^ell, and K^ell
+inside it, alike: C_GL2(psi_A), C_SL2(psi_A) and C_SL2(psi_[A]) are unions of
+residue classes, and both stabilizer scans read one lift per class, the first
+GL2 position of its fiber.  Every route is compared as a mask on the residue
+root GL2(o_ell') (|GL2(o_ell')| entries, not |GL2|), and each inertia group is
+cut from GL2 or SL2 by grp.preimage of its residue image, a grp.subgroup of
+the residue root.
 
 What lives where.  Work that does not depend on A (the layers, the residue
 root and every position's residue, the conjugates of M^ell's and K^ell's
@@ -75,10 +77,11 @@ class _Layers:
     enumerated GL2(o_ell'): the quotient GL2 / M^ell' has a table of its own,
     and fibers / fibers_sl group the gl / sl positions by class, so that a
     grp.preimage reads only the classes it keeps.
-    M^ell' fixes every psi_A, so each stabilizer is read on one lift per
-    residue class.  M^ell' itself needs no table, only generators (Mlp_gens)
-    that check that fact per orbit.  There is no table of every psi_A: each
-    is built per orbit by make_psiA.
+    M^ell' centralizes M^ell, so each stabilizer is read on one lift per
+    residue class (lifts, the first position of each fiber).  M^ell' itself
+    needs no table, only generators (Mlp_gens) that check that fact when the
+    lifts are first read.  There is no table of every psi_A: each is built per
+    orbit by make_psiA.
     """
 
     spec: RingSpec
@@ -97,14 +100,19 @@ class _Layers:
         """GL2(o_ell'): its positions ascend with the packed codes, as gl's do."""
         return grp.build_gl2(self.spec_lp)
 
+    def residue_pos(self, X: tuple) -> np.ndarray:
+        """res_root positions of the residues mod pi^ell' of the entry arrays X."""
+        lp = self.spec_lp
+        return self.res_root.pos_of_codes(mat._vpack(lp, tuple(ring._vproj(self.spec, lp, t) for t in X)))
+
     @cached_property
     def residues(self) -> np.ndarray:
         """int32 res_root position of every gl position's residue mod pi^ell'.
 
         Reduction is onto GL2(o_ell') with kernel M^ell', so every fiber has
         |gl| / |res_root| members; both facts are checked."""
-        lp, res = self.spec_lp, self.res_root
-        index = res.pos_of_codes(mat._vpack(lp, tuple(ring._vproj(self.spec, lp, t) for t in self.gl.ms)))
+        res = self.res_root
+        index = self.residue_pos(self.gl.ms)
         if np.any(index < 0) or np.any(np.bincount(index, minlength=res.n) * res.n != self.gl.n):
             raise AssertionError(
                 f"reduction mod pi^{self.ellp} does not map GL2 evenly onto GL2(o_l') "
@@ -128,20 +136,27 @@ class _Layers:
         return self.res_root.dets == 1
 
     @cached_property
+    def lifts(self) -> np.ndarray:
+        """gl position of one lift of every res_root element: its fiber's first.
+
+        Since ell + ell' = r, M^ell' centralizes M^ell, so any two lifts of a
+        residue conjugate M^ell, and K^ell inside it, alike.  That is checked
+        here, once per table: conjugation by Mlp_gens fixes M^ell's generators."""
+        if np.any(_conjugate_positions(self.gl, self.Ml, self.Mlp_gens) != np.array(self.Ml.gens)[:, None]):
+            raise AssertionError(f"M^l' does not centralize M^l ({self.spec.short_name}, r={self.spec.r})")
+        order, start = self.fibers
+        return order[start[:-1]]
+
+    @cached_property
     def conj_lifts_M(self) -> np.ndarray:
-        """_conjugate_positions of M^ell by the coordinate lift of every res_root element."""
-        lifted = tuple(ring._vlift(self.spec, self.spec_lp, t) for t in self.res_root.ms)
-        return _conjugate_positions(self.gl, self.Ml, self.gl.pos_of_codes(mat._vpack(self.spec, lifted)))
+        """_conjugate_positions of M^ell by the lift of every res_root element."""
+        return _conjugate_positions(self.gl, self.Ml, self.lifts)
 
     @cached_property
     def conj_lifts_K(self) -> np.ndarray:
-        """_conjugate_positions of K^ell by one SL2 lift of every element of SL2(o_ell'),
-        in res_root order: diag(det x~^-1, 1) x~ for the coordinate lift x~, the same residue."""
-        spec = self.spec
-        x = tuple(ring._vlift(spec, self.spec_lp, t[self.res_sl]) for t in self.res_root.ms)
-        dinv = ring._vinv(spec, mat._vdet(spec, x))
-        x = (ring._vmul(spec, dinv, x[0]), ring._vmul(spec, dinv, x[1]), x[2], x[3])
-        return _conjugate_positions(self.sl, self.Kl, self.sl.pos_of_codes(mat._vpack(spec, x)))
+        """_conjugate_positions of K^ell by the lift of every element of SL2(o_ell'),
+        in res_root order: conjugated inside GL2, as K^ell is normal there."""
+        return _conjugate_positions(self.gl, self.Kl, self.lifts[self.res_sl])
 
     @cached_property
     def Mlp_gens(self) -> np.ndarray:
@@ -156,11 +171,6 @@ class _Layers:
         y1 = ring._vadd(spec, one, y)
         kinds = ((one, y, zero, one), (one, zero, y, one), (y1, zero, zero, one), (one, zero, zero, y1))
         return self.gl.pos_of_codes(mat._vpack(spec, tuple(np.concatenate(t) for t in zip(*kinds))))
-
-    @cached_property
-    def conj_Mlp(self) -> np.ndarray:
-        """_conjugate_positions of M^ell by the generators of M^ell'."""
-        return _conjugate_positions(self.gl, self.Ml, self.Mlp_gens)
 
 
 def _b_arrays(spec: RingSpec, table: GroupTable, ell: int) -> tuple:
@@ -231,11 +241,10 @@ class PsiA:
         """The residues of the g in GL2 with psi_A(g^-1 m g) = psi_A(m) on M^ell,
         as a mask on res_root (_stabilizer_mask).
 
-        M^ell' fixes psi_A (checked on its generators), so the stabilizer is a
-        union of residue classes, and one lift per class decides it."""
+        M^ell' centralizes M^ell (checked once per table, _Layers.lifts), so the
+        stabilizer is a union of residue classes, and one lift per class
+        decides it."""
         L = self.layers
-        if not _stabilizer_mask(L.conj_Mlp, L.Ml, self.exps_M).all():
-            raise AssertionError(f"M^l' does not fix psi_A ({_where(self)})")
         return _stabilizer_mask(L.conj_lifts_M, L.Ml, self.exps_M)
 
     @cached_property
@@ -244,20 +253,21 @@ class PsiA:
         checked against the residue commutation and the product formula
         C_GL2(A~) M^ell'.
 
-        C_GL2(A~), the units of o_r[A~] (mat.centralizer), is looked up in gl.
-        C_GL2(A~) M^ell' is the union of the residue classes it meets, of order
-        |C_GL2(A~)| q^(2 ell): C_GL2(A~) cap M^ell' is x = 1, y = 0 mod pi^ell'."""
+        C_GL2(A~), the units of o_r[A~] (mat.centralizer), is reduced mod pi^ell'
+        and looked up in res_root.  C_GL2(A~) M^ell' is the union of the residue
+        classes it meets, of order |C_GL2(A~)| q^(2 ell): C_GL2(A~) cap M^ell' is
+        x = 1, y = 0 mod pi^ell'."""
         _require_companion(self.A)
         L = self.layers
         spec, res = L.spec, L.res_root
         stab = self.stabilizer_residues
         if not np.array_equal(stab, _commute_mask(L.spec_lp, res.ms, self.A.codes)):
             raise AssertionError(f"C_GL2(psi_A): stabilizer scan and residue commutation disagree ({_where(self)})")
-        cent_lift = L.gl.pos_of_codes(mat._vpack(spec, mat.centralizer(self.Atilde)))
+        cent = mat.centralizer(self.Atilde)
         hit = np.zeros(res.n, dtype=bool)
-        hit[L.residues[cent_lift]] = True
+        hit[L.residue_pos(cent)] = True
         order = np.count_nonzero(stab) * (L.gl.n // res.n)
-        if not np.array_equal(stab, hit) or order != len(cent_lift) * spec.q ** (2 * L.ell):
+        if not np.array_equal(stab, hit) or order != len(cent[0]) * spec.q ** (2 * L.ell):
             raise AssertionError(f"C_GL2(psi_A): stabilizer scan and product formula disagree ({_where(self)})")
         return stab
 
@@ -278,18 +288,17 @@ class PsiA:
 
     @cached_property
     def c_sl_bracket(self) -> GroupTable:
-        """C_SL2(psi_[A]): the stabilizer scan over K^ell on one SL2 lift per
-        residue class (K^ell' fixes psi_[A], as M^ell' fixes psi_A), checked
-        against the scalar test and the product formula C_SL2(psi_A) H^ell',
-        all as masks on res_root."""
+        """C_SL2(psi_[A]): the stabilizer scan over K^ell on one GL2 lift per
+        residue class of SL2(o_ell') (M^ell' centralizes K^ell, as it does
+        M^ell), checked against the scalar test and the product formula
+        C_SL2(psi_A) H^ell', all as masks on res_root."""
         L = self.layers
         res = L.res_root
         bstab = np.zeros(res.n, dtype=bool)
         bstab[L.res_sl] = _stabilizer_mask(L.conj_lifts_K, L.Kl, self.exps_K)
         if not np.array_equal(bstab, _scalar_conj_mask_sl(L, self.A)):
             raise AssertionError(f"C_SL2(psi_[A]): stabilizer scan and scalar test disagree ({_where(self)})")
-        lp = L.spec_lp
-        h = res.pos_of_codes(mat._vpack(lp, tuple(ring._vproj(L.spec, lp, t) for t in _unipotents(self, L.ellp))))
+        h = L.residue_pos(_unipotents(self, L.ellp))
         bprod = _product_mask(res, np.flatnonzero(self.c_gl_mask & L.res_sl), h)
         if not np.array_equal(bstab, bprod):
             raise AssertionError(f"C_SL2(psi_[A]): stabilizer scan and H-product formula disagree ({_where(self)})")
@@ -438,18 +447,6 @@ def _unipotents(psiA: PsiA, i: int) -> tuple:
     return one, tops, zero, one
 
 
-def H_group(psiA: PsiA, i: int) -> GroupTable:
-    """H^i = {e_x = [[1, a~^-1 x],[0,1]] : x in h^i} as a subgroup of SL2."""
-    L = psiA.layers
-    pos = L.sl.pos_of_codes(mat._vpack(L.spec, _unipotents(psiA, i)))
-    if np.any(pos < 0):
-        raise AssertionError(f"unipotent element missing from SL2 table ({_where(psiA)})")
-    sub = grp.subgroup(L.sl, np.sort(pos), name=f"H^{i}")
-    if not grp.is_abelian(sub):
-        raise AssertionError(f"H^{i} is not abelian ({_where(psiA)})")
-    return sub
-
-
 # ------------------------------------------------------------------ masks
 
 
@@ -460,18 +457,10 @@ def _commute_mask(spec: RingSpec, X: tuple, codes4: tuple) -> np.ndarray:
     return np.logical_and.reduce([x == y for x, y in zip(XA, AX)])
 
 
-# products per GroupTable.mul call in _product_mask; bounds its working set
-_PRODUCT_CHUNK = 1 << 18
-
-
-def _product_mask(G: GroupTable, pos_a, pos_b) -> np.ndarray:
+def _product_mask(G: GroupTable, pos_a: np.ndarray, pos_b: np.ndarray) -> np.ndarray:
     """Membership mask of the product set {a*b : a in pos_a, b in pos_b}."""
-    pa = np.asarray(pos_a, dtype=np.int64)
-    pb = np.asarray(pos_b, dtype=np.int64)
     out = np.zeros(G.n, dtype=bool)
-    rows = max(1, _PRODUCT_CHUNK // max(1, len(pb)))
-    for s in range(0, len(pa), rows):
-        out[G.mul(pa[s : s + rows, None], pb[None, :])] = True
+    out[G.mul(pos_a[:, None], pos_b[None, :])] = True
     return out
 
 

@@ -319,10 +319,6 @@ def congruence_subgroup(G: GroupTable, i: int) -> GroupTable:
     return sub
 
 
-def is_abelian(H: GroupTable) -> bool:
-    return all(H.mul(a, b) == H.mul(b, a) for a in H.gens for b in H.gens)
-
-
 # ------------------------------------------------------------------ orbits
 
 

@@ -9,7 +9,7 @@ mat.centralizer's ring-level pair scan, still without touching GL2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from . import grp, mat, ring
@@ -84,23 +84,10 @@ class Prediction:
             raise ValueError("n_r must be at least 1")
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "q": self.q,
-            "r": self.r,
-            "trace_class": self.trace_class,
-            "trace_square": self.trace_square,
-            "dA": self.dA,
-            "delta_min": self.delta_min,
-            "delta_max": self.delta_max,
-            "dims_equal": self.dims_equal,
-            "constituent_dim": self.constituent_dim,
-            "n_r": self.n_r,
-            "n_r_note": self.n_r_note,
-            "rules": [
-                {"rule": t, "applies": a, "hypothesis": h} for (t, a, h) in self.rules
-            ],
-        }
+        """Every field by name, rules as dicts.  Not dataclasses.asdict: its deep
+        copy made the predictor's r <= 50 sweep three times slower."""
+        rules = [{"rule": t, "applies": a, "hypothesis": h} for (t, a, h) in self.rules]
+        return {f.name: getattr(self, f.name) for f in fields(self)} | {"rules": rules}
 
 
 def _dA_value(spec: RingSpec, trace_class: str, det_cent: int | None) -> int | None:

@@ -487,15 +487,24 @@ def square_unit_codes(spec: RingSpec) -> np.ndarray:
 def sqrt1_count(spec: RingSpec) -> int:
     """|{x unit : x^2 = 1}|, exhaustively when the ring is enumerable.
 
-    For q = 4 truncations above the table budget the count uses the char-2
-    identity x^2 = 1 iff (x+1)^2 = 0 iff val(x+1) >= ceil(r/2); agreement with
-    exhaustive enumeration is asserted in the tests for every enumerable level.
+    Above the table budget, in characteristic two: there squaring is F_2-linear
+    on the w r bits of a code (w = 1 for q = 2, 2 for q = 4) and x^2 = 1 iff
+    (x+1)^2 = 0, so the count is the kernel size 2^(w r - rank), the rank taken
+    over _vsquare of the basis codes 1 << j.  The tests force this branch and
+    compare it with enumeration at every enumerable level.
     """
     if spec.size <= _TABLE_BUDGET:
         return int(np.count_nonzero(_vsquare(spec, unit_codes(spec)) == 1))
-    if spec.char_two:
-        return spec.q ** (spec.r // 2)
-    raise ValueError(f"{spec} too large to enumerate")
+    if not spec.char_two:
+        raise ValueError(f"{spec} too large to enumerate")
+    bits = spec.size.bit_length() - 1
+    pivots = {}  # bit length -> the one kept image of that length
+    for v in _vsquare(spec, np.int64(1) << np.arange(bits, dtype=np.int64)).tolist():
+        while v and v.bit_length() in pivots:
+            v ^= pivots[v.bit_length()]
+        if v:
+            pivots[v.bit_length()] = v
+    return 2 ** (bits - len(pivots))
 
 
 # ---------------------------------------------------------------- additive character

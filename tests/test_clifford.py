@@ -52,6 +52,21 @@ def test_layer_sizes(groups):
         assert np.count_nonzero(L.res_sl) == grp.sl2_order(L.spec_lp)
 
 
+def test_lifts_check_once_that_Mlp_centralizes_Ml(monkeypatch):
+    # a table of its own, so the failing layers never reach the session's cache
+    G = grp.build_gl2(ring.make_ring("z2", r=3))
+    L = clifford._layers(G)
+    g = G.pos_of_matrix(mat.mat(G.spec, [[1, 1], [0, 1]]))  # moves I + 4 E_21 in M^2
+    monkeypatch.setattr(L, "Mlp_gens", np.append(L.Mlp_gens, g))
+    for attr in ("conj_lifts_M", "conj_lifts_K"):
+        with pytest.raises(AssertionError, match=r"^M\^l' does not centralize M\^l \(z2, r=3\)$"):
+            getattr(L, attr)
+    with pytest.raises(AssertionError, match=r"^M\^l' does not centralize M\^l \(z2, r=3\)$"):
+        clifford.inertia(clifford.make_psiA(G, mat.mat(L.spec_lp, [[0, 1], [1, 1]])))
+    monkeypatch.undo()
+    assert L.conj_lifts_M.shape == (len(L.Ml.gens), L.res_root.n)
+
+
 def test_layers_reject_other_tables(groups):
     G = groups("z2", 2)
     with pytest.raises(ValueError):
@@ -130,26 +145,11 @@ def test_h_set_requires_companion(groups):
         clifford.h_set(pa, 1)
 
 
-def test_H_group_members(groups):
-    pa = _psi(groups("f2t", 3), [[0, 0], [1, 0]])
-    L = pa.layers
-    H = clifford.H_group(pa, L.ell)
-    hs = clifford.h_set(pa, L.ell)
-    assert H.n == len(hs)
-    assert grp.is_abelian(H)
-    spec = L.spec
-    ainv = ring.inv(ring.elem(spec, pa.Atilde.m21))
-    expect = {mat.encode_mat(mat.mat_from_codes(spec, 1, ring.mul(ainv, x).code, 0, 1)) for x in hs}
-    assert {mat.encode_mat(H.matrix(i)) for i in range(H.n)} == expect
-
-
-def test_product_mask_in_chunks(monkeypatch, groups):
+def test_product_mask_in_chunks(groups):
+    # one GroupTable.mul over every pair, against the products taken one by one
     G = groups("z2", 3)
     pos_a = np.arange(0, G.n, 7)  # 220 elements
     pos_b = grp.congruence_subgroup(G, 2).root_pos  # 16 elements
-    # 53 pairs per chunk: 3 rows of pos_a, and the last chunk holds a single row
-    monkeypatch.setattr(clifford, "_PRODUCT_CHUNK", 3 * len(pos_b) + 5)
-    assert len(pos_a) % 3 == 1
     brute = {int(G.mul(np.int64(a), np.int64(b))) for a in pos_a for b in pos_b}
     mask = clifford._product_mask(G, pos_a, pos_b)
     assert set(np.flatnonzero(mask).tolist()) == brute

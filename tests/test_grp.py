@@ -201,12 +201,6 @@ def test_subgroup_of_a_non_closed_set_raises():
         grp.subgroup(G, [g])
 
 
-def test_is_abelian():
-    G = _gl("z2", 2)
-    assert not grp.is_abelian(G)
-    assert grp.is_abelian(grp.congruence_subgroup(G, 1))
-
-
 def test_budget_errors():
     with pytest.raises(grp.BudgetError):
         grp.build_gl2(ring.make_ring("z2", r=9))

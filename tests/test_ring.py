@@ -483,6 +483,17 @@ def test_sqrt1_count_large_level_matches_valuation_argument():
         assert ring.sqrt1_count(spec) == brute == 4 ** (r // 2)
 
 
+def test_sqrt1_count_above_the_table_budget_matches_enumeration(monkeypatch):
+    # the kernel-of-squaring rank route, forced at every enumerable char-2 level
+    specs = [ring.make_ring("f2t", r=r) for r in range(1, 23)] + [ring.make_ring("f4t", r=r) for r in range(1, 12)]
+    assert max(spec.size for spec in specs) == ring._TABLE_BUDGET
+    enumerated = [ring.sqrt1_count(spec) for spec in specs]
+    monkeypatch.setattr(ring, "_TABLE_BUDGET", 0)
+    with pytest.raises(ValueError, match="too large to enumerate"):
+        ring.unit_codes(specs[0])
+    assert [ring.sqrt1_count(spec) for spec in specs] == enumerated
+
+
 @pytest.mark.parametrize("kind,r", [("z2", 5), ("f2t", 6), ("f4t", 3), ("eis2", 7), ("f4t", 10), ("z2", 22)])
 def test_unit_codes_need_no_inverses(kind, r, monkeypatch):
     def no_inverses(spec, x):
