@@ -17,30 +17,33 @@ block there, of dimension about k/|Z|, is read from the columns of one class
 per central orbit, since x^-1 (z g) = z (x^-1 g), so no k x k matrix is
 formed and every eigenproblem is block-sized.
 
-Each splitting step restricts a block to a subspace (matrix T) and
-reduces T once to Hessenberg form H = Q^-1 T Q.  H gives the characteristic
-polynomial, and one back-substitution through H, vectorized over all roots,
-gives every eigenspace; only a small system per root, one row per unreduced
-Hessenberg block, is row-reduced.  Each eigenspace is checked against
-T v = lam v and the dimensions must add up to the subspace's.  Only the
-random weights change between rounds, so one pass over the products
-x^-1 g_col serves three rounds, one independent weight row each.  The
-kernels work in int64 mod p and sum class-matrix weights in float64, so
-dixon_table refuses groups where k p^2 >= 2^63 or |G| p >= 2^53; a pass
-bins each column's |G| products apart from the others', so every float64
-sum stays below |G| p however many columns a batch holds.
+One driver, _split_pieces, runs every split (the full table's, fiber's and
+_cocycle_characters'): a pass draws _ROWS_PER_PASS random rows, each a
+matrix on every piece, and splits each piece row by row; for the class
+algebra only the weights change between rows, so one pass over the products
+x^-1 g_col gives all of them.  A splitting step restricts a block to a
+subspace (matrix T) and reduces T once to Hessenberg form H = Q^-1 T Q.  H
+gives the characteristic polynomial, and one back-substitution through H,
+vectorized over all roots, gives every eigenspace; only a small system per
+root, one row per unreduced Hessenberg block, is row-reduced.  Each
+eigenspace is checked against T v = lam v and the dimensions must add up to
+the subspace's.  A pass short of the eigenspaces sought is redrawn from
+scratch, up to _MAX_PASSES passes; one past them raises.  The kernels work
+in int64 mod p and sum class-matrix weights in float64, so dixon_table
+refuses groups where k p^2 >= 2^63 or |G| p >= 2^53; a pass bins each
+column's |G| products apart from the others', so every float64 sum stays
+below |G| p however many columns a batch holds.
 
 When only the constituents of one character f = m * (sum of distinct
 irreducibles of one degree) are wanted, fiber finds them without the full
 table.  The vector v0(c) = |c| f(c) is a sum of their central characters,
 and so is its component in each piece of the center's characters.  The
 smallest space holding a component and closed under the piece's blocks of
-the three combinations of one pass (a Krylov block) is spanned by the
-central characters there whenever the combinations separate them, which the
-blocks' total dimension, f(1) / (m * degree), shows; a short total redraws.
-Each block splits by the same step and lifts by the same power-map
-transform as the full table, at the cost of one product pass and
-block-sized eigenproblems.
+one pass's rows (a Krylov block) is spanned by the central characters there
+whenever the rows separate them, and then the blocks split into
+f(1) / (m * degree) eigenspaces in all.  Each block splits by the same
+driver and lifts by the same power-map transform as the full table, at the
+cost of one product pass and block-sized eigenproblems.
 
 A class function is an integer coefficient row per conjugacy class in the
 canonical power basis of Q(zeta_n) (cyclo), and a ClassFunction holds a
@@ -367,11 +370,11 @@ def _weighted_inner(fv: np.ndarray, gv: np.ndarray, weights: np.ndarray, n: int,
 # products per batch of _class_matrix_columns and _central_shifts, and (s, t)
 # pairs times f characters per batch of _cocycle_characters' check; bounds their working sets
 _COMBO_CHUNK = 1 << 12
-# splitting rounds served by one _class_matrix_blocks pass: over 100 tables
-# (seeds 1-5 of the benchmark's z2 r=4 and r=3 jobs) every table split in 2 or 3
-_ROUNDS_PER_PASS = 3
-# splitting rounds (theta rows) drawn before a split or a Krylov block gives up
-_MAX_ROUNDS = 24
+# random rows per _split_pieces pass (one _class_matrix_blocks pass): over 100 tables
+# (seeds 1-5 of the benchmark's z2 r=4 and r=3 jobs) every table split in 2 or 3 rows
+_ROWS_PER_PASS = 3
+# passes _split_pieces draws before it gives up
+_MAX_PASSES = 8
 # table entries gathered per exact inner product batch of decompose; bounds its working set
 _PAIR_CHUNK = 1 << 17
 
@@ -523,6 +526,53 @@ def _split_round(subspaces: list, M: np.ndarray, p: int, where: str) -> list:
     return out
 
 
+def _krylov_block(Ms: np.ndarray, v0: np.ndarray, p: int) -> np.ndarray:
+    """Basis columns [k, d] of the smallest space holding v0 and invariant under every Ms[t] (mod p).
+
+    Each step row-reduces the basis with the images of the rows it added
+    last, and only the rows whose pivots are new go on: with the old rows
+    they span the grown space.
+    """
+    R, pivots = _rref_mod(v0[None, :], p)
+    B = new = R[: len(pivots)]
+    while len(new):
+        R, grown = _rref_mod(np.vstack([B, *(new @ np.swapaxes(Ms, 1, 2) % p)]), p)
+        B, new = R[: len(grown)], R[[i for i, c in enumerate(grown) if c not in pivots]]
+        pivots = grown
+    return B.T
+
+
+def _split_pieces(draw, starts: list, count: int, p: int, where: str) -> list:
+    """count common eigenspaces of random rows, as one list of basis columns per piece.
+
+    draw() returns one pass, blocks[t][i] the matrix of random row t on
+    piece i, for _ROWS_PER_PASS rows.  Piece i starts from the whole piece
+    (starts[i] None) or from the Krylov block of the vector starts[i] under
+    the pass's rows, and _split_round splits it row by row.  A pass that ends
+    with fewer than count eigenspaces is dropped, and a fresh pass starts
+    again, for at most _MAX_PASSES passes; one whose subspaces span more than
+    count dimensions raises.
+    """
+    for n in range(_MAX_PASSES):
+        blocks = draw()
+        out = []
+        for i, v in enumerate(starts):
+            subspaces = [None if v is None else _krylov_block(np.stack([Ts[i] for Ts in blocks]), v, p)]
+            for t, Ts in enumerate(blocks):
+                subspaces = _split_round(subspaces, Ts[i], p, f"{where}, pass {n}, piece {i}, row {t}")
+            out.append(subspaces)
+        dims = [(len(blocks[0][i]) if S is None else S.shape[1], i) for i, piece in enumerate(out) for S in piece]
+        if (total := sum(d for d, _ in dims)) > count:
+            raise AssertionError(f"{len(dims)} eigenspaces span dim {total}, more than {count}, at pass {n} ({where})")
+        if len(dims) == count:
+            return out
+    d, i = max(dims)
+    raise AssertionError(
+        f"splitting gave up after {_MAX_PASSES} passes with {len(dims)} of {count} eigenspaces: "
+        f"pass {n}, piece {i}, row {len(blocks) - 1}, largest subspace dim {d} ({where})"
+    )
+
+
 def _normalized(vecs: np.ndarray, j0: int, p: int, where: str) -> np.ndarray:
     """Rows of central characters from eigenvector columns, scaled to 1 at the identity class j0."""
     omega = np.empty(vecs.shape[::-1], dtype=np.int64)
@@ -538,23 +588,23 @@ def _cocycle_characters(K: np.ndarray, a: np.ndarray, e: int, p: int, rng: np.ra
 
     K is a multiplication table on f elements and a its twist (0 for a group's
     own characters).  The chi are the common eigenvectors, of eigenvalues
-    chi(s), of the f x f matrices N_s[t, K[s, t]] = zeta_e^a[s, t] mod p,
-    split by _split_round under random combinations for up to _MAX_ROUNDS
-    rounds.  Checked exactly, each failure naming where: every value is an
-    e-th root of unity, the relation holds on all f^2 pairs, and the f rows
-    are distinct.
+    chi(s), of the f x f matrices N_s[t, K[s, t]] = zeta_e^a[s, t] mod p.
+    _split_pieces splits one piece, the whole space, under passes of
+    _ROWS_PER_PASS random combinations of the N_s, redrawn from scratch while
+    fewer than f eigenspaces come out.  Checked exactly, each failure naming
+    where: every value is an e-th root of unity, the relation holds on all
+    f^2 pairs, and the f rows are distinct.
     """
     f = len(K)
     zpow = _zeta_powers(e, p)
-    subspaces, rounds = [None], 0
-    while any(S is None or S.shape[1] > 1 for S in subspaces):
-        if rounds == _MAX_ROUNDS:
-            raise AssertionError(f"characters did not reach dimension 1 after {rounds} rounds ({where})")
-        N = np.zeros((f, f), dtype=np.int64)
-        theta = rng.integers(1, p, size=f, dtype=np.int64)
-        np.add.at(N, (np.arange(f)[None, :], K), theta[:, None] * zpow[a] % p)
-        subspaces = _split_round(subspaces, N % p, p, f"{where}, round {rounds}")
-        rounds += 1
+
+    def draw():
+        N = np.zeros((_ROWS_PER_PASS, f, f), dtype=np.int64)
+        theta = rng.integers(1, p, size=(_ROWS_PER_PASS, f, 1), dtype=np.int64)
+        np.add.at(N, (np.arange(_ROWS_PER_PASS)[:, None, None], np.arange(f), K), theta * zpow[a] % p)
+        return [[M % p] for M in N]
+
+    (subspaces,) = _split_pieces(draw, [None], f, p, where)
     log = np.full(p, -1, dtype=np.int32)  # int32 exponents, with an int32 a, halve the relation check's working set
     log[zpow] = np.arange(e)
     X = log[_normalized(np.hstack(subspaces), j0, p, where)]
@@ -572,40 +622,36 @@ def _cocycle_characters(K: np.ndarray, a: np.ndarray, e: int, p: int, rng: np.ra
     return X
 
 
-def _central_characters(G: GroupTable, cc: ConjClasses, p: int, seed: int) -> np.ndarray:
-    """All k central-character vectors mod p, rows normalized at the identity.
+def _central_characters(G: GroupTable, cc: ConjClasses, p: int, rng, v0=None, count=None) -> np.ndarray:
+    """Central-character vectors mod p, rows normalized at the identity: all k, or the count that make up v0.
 
     The class space is first cut into the pieces of _center_split, one per
-    character of the center; each round then splits every subspace of every
-    piece by that piece's block of a random combination of class matrices.
-    Only the weights theta change between rounds, so one _class_matrix_blocks
-    pass over the products x^-1 g_col, g_col one class per central orbit,
-    yields the blocks of _ROUNDS_PER_PASS rounds from independent theta rows
-    (each distributed as a fresh draw); a new pass runs once they are all used.
-    The pass sums each column over its own |G| products, so _check_headroom's
-    |G| p < 2^53 still bounds every float64 sum.
+    character of the center, and _split_pieces splits every piece by its
+    blocks of random combinations of class matrices.  A pass of
+    _ROWS_PER_PASS theta rows is one _class_matrix_blocks pass over the
+    products x^-1 g_col, g_col one class per central orbit met by a piece;
+    it sums each column over its own |G| products, so _check_headroom's
+    |G| p < 2^53 still bounds every float64 sum.  Given v0, a sum of central
+    characters, the pieces where its component is 0 are dropped, and each
+    other piece starts from the Krylov block of its component.
     """
     k = cc.k
-    rng = np.random.default_rng(seed)
     split = _center_split(G, cc, p, rng)
-    subspaces = [[None] for _ in split.pieces]
-    rounds = 0
-    while any(S is None or S.shape[1] > 1 for piece in subspaces for S in piece):
-        if rounds >= _MAX_ROUNDS:
-            dmax = max(S.shape[1] for piece in subspaces for S in piece)
-            raise AssertionError(
-                f"eigenspace splitting failed to converge ({G.name}, k={k}, p={p}, "
-                f"round {rounds}, largest subspace dim {dmax})"
-            )
-        if rounds % _ROUNDS_PER_PASS == 0:
-            thetas = rng.integers(1, p, size=(_ROUNDS_PER_PASS, k), dtype=np.int64)
-            blocks = _class_matrix_blocks(G, cc, split, thetas, p)
-        where = f"{G.name}, k={k}, p={p}, round {rounds}"
-        Ts = blocks[rounds % _ROUNDS_PER_PASS]
-        subspaces = [_split_round(S, T, p, f"{where}, piece {i}") for i, (S, T) in enumerate(zip(subspaces, Ts))]
-        rounds += 1
-    vecs = np.hstack([split.expand(i, np.hstack(piece)) for i, piece in enumerate(subspaces)])
-    return _normalized(vecs, int(cc.class_id[G.identity]), p, f"{G.name}, k={k}, p={p}, after round {rounds}")
+    where = f"{G.name}, k={k}, p={p}"
+    if v0 is None:
+        starts, count = [None] * len(split.pieces), k
+    else:
+        w = split.project(v0)
+        live = [i for i, x in enumerate(w) if x.any()]
+        split = replace(split, psi=split.psi[live], pieces=[split.pieces[i] for i in live])
+        starts, where = [w[i] for i in live], f"{where}, {count} members"
+
+    def draw():
+        return _class_matrix_blocks(G, cc, split, rng.integers(1, p, size=(_ROWS_PER_PASS, k), dtype=np.int64), p)
+
+    pieces = _split_pieces(draw, starts, count, p, where)
+    vecs = np.hstack([split.expand(i, np.hstack(piece)) for i, piece in enumerate(pieces)])
+    return _normalized(vecs, int(cc.class_id[G.identity]), p, where)
 
 
 def _degrees_mod(G: GroupTable, cc: ConjClasses, omega: np.ndarray, p: int) -> np.ndarray:
@@ -695,32 +741,8 @@ def dixon_table(G: GroupTable, seed: int = 0) -> ClassFunction:
     e = cc.exponent
     p = dixon_prime(G.n, e)
     _check_headroom(G.name, G.n, cc.k, p)
-    omega = _central_characters(G, cc, p, seed)
+    omega = _central_characters(G, cc, p, np.random.default_rng(seed))
     return ClassFunction(G, e, _lift(G, cc, omega, _degrees_mod(G, cc, omega, p), p))
-
-
-def _krylov_block(Ms: np.ndarray, v0: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """The smallest space W holding v0 and invariant under every Ms[t] (mod p).
-
-    Returns (X, T): X is a basis of W as rows [d, k], T[t] the matrix [d, d]
-    of Ms[t] on W in that basis.  Each step row-reduces the basis with the
-    images of the rows it added last, and only the rows whose pivots are new
-    go on: with the old rows they span the grown space, so X collects every
-    multiplied row, spans W, and all of its images are at hand for T.
-    """
-    R, pivots = _rref_mod(v0[None, :], p)
-    rows, images = [], []
-    B = new = R[: len(pivots)]
-    while len(new):
-        rows.append(new)
-        images.append(Ms @ new.T % p)  # [t, k, rows]
-        R, grown = _rref_mod(np.vstack([B, *np.moveaxis(images[-1], 2, 1)]), p)
-        B = R[: len(grown)]
-        new = B[[i for i, c in enumerate(grown) if c not in pivots]]
-        pivots = grown
-    X = np.vstack(rows)
-    MX = np.concatenate(images, axis=2)
-    return X, np.stack([_restriction_mod(X.T, m, p) for m in MX])
 
 
 def fiber(f: ClassFunction, degree: int, mult: int) -> ClassFunction:
@@ -730,18 +752,13 @@ def fiber(f: ClassFunction, degree: int, mult: int) -> ClassFunction:
     class-matrix space.  Each member phi has central character omega_phi(c)
     = |c| phi(c) / degree, so v0(c) = |c| f(c) = mult degree sum omega_phi,
     and v0 lies in the span W of the omega_phi, which every class matrix
-    maps into itself.  _center_split cuts the class space into one piece per
-    character of the center, and v0's component in each piece is a sum of
-    the omega_phi there; the pieces where it is 0 are dropped.  One
-    _class_matrix_blocks pass over the products x^-1 g_col, g_col one class
-    per central orbit met by a remaining piece, gives three random
-    combinations on every remaining piece; closing each component under its
-    piece's three blocks (_krylov_block) spans W exactly when the three rows
-    separate every member, which the total dimension f(1) / (mult degree)
-    tells.  A short total draws a fresh pass, up to _MAX_ROUNDS rows.
-    _split_round then splits each Krylov block row by row, in the block's
-    own coordinates, into the omega_phi, and _lift lifts them as dixon_table
-    does.  The stack is over Q(zeta_e), e the group exponent, in
+    maps into itself.  _central_characters drops the pieces of the center
+    split where v0's component is 0 and closes each other component under
+    its piece's blocks of one pass's random rows (_krylov_block); that spans
+    W exactly when the rows separate every member.  _split_pieces splits the
+    Krylov blocks row by row into the omega_phi, redrawing from scratch while
+    fewer than f(1) / (mult degree) come out, and _lift lifts them as
+    dixon_table does.  The stack is over Q(zeta_e), e the group exponent, in
     dixon_table's canonical row order, and is checked exactly: mult sum phi
     == f, <phi, phi> = 1, members pairwise distinct.
     """
@@ -755,31 +772,8 @@ def fiber(f: ClassFunction, degree: int, mult: int) -> ClassFunction:
     # f mod p, with zeta_n read through the same _zeta_powers embedding as _lift's zeta_e
     pw = _zeta_powers(f.n, p)[: f.vals.shape[-1]]
     v0 = (f.vals % p) @ pw % p * (cc.sizes % p) % p
-    rng = np.random.default_rng(0)
-    split = _center_split(G, cc, p, rng)
-    w = split.project(v0)
-    live = [i for i, x in enumerate(w) if x.any()]
-    w = [w[i] for i in live]
-    split = replace(split, psi=split.psi[live], pieces=[split.pieces[i] for i in live])
-    for rounds in range(_ROUNDS_PER_PASS, _MAX_ROUNDS + 1, _ROUNDS_PER_PASS):
-        thetas = rng.integers(1, p, size=(_ROUNDS_PER_PASS, k), dtype=np.int64)
-        blocks = _class_matrix_blocks(G, cc, split, thetas, p)
-        krylov = [_krylov_block(np.stack([Ts[i] for Ts in blocks]), x, p) for i, x in enumerate(w)]
-        dim = sum(len(X) for X, _ in krylov)
-        if dim >= count:
-            break
+    omega = _central_characters(G, cc, p, np.random.default_rng(0), v0, count)
     where = f"{G.name}, k={k}, p={p}, {count} members"
-    if dim != count:
-        raise AssertionError(f"Krylov block has dim {dim} after {rounds} rounds ({where})")
-    vecs = []
-    for i, (X, T) in enumerate(krylov):
-        subspaces = [None]
-        for t, M in enumerate(T):
-            subspaces = _split_round(subspaces, M, p, f"{where}, piece {i}, block row {t}")
-        vecs.append(split.expand(i, X.T @ np.hstack(subspaces) % p))
-    if sum(V.shape[1] for V in vecs) != count:
-        raise AssertionError(f"block split into {sum(V.shape[1] for V in vecs)} spaces ({where})")
-    omega = _normalized(np.hstack(vecs), int(cc.class_id[G.identity]), p, f"{where}, block")
     tensor = _lift(G, cc, omega, np.full(count, degree, dtype=np.int64), p)
     out = ClassFunction(G, e, tensor)
     if ClassFunction(G, e, mult * tensor.sum(axis=0)) != f:

@@ -186,6 +186,7 @@ def _check(x: RingElem, y: RingElem):
 
 
 def _vadd(spec, x, y):
+    _check_width(spec)
     if spec.kind == KIND_CHAR0:
         return (x + y) & (spec.size - 1)
     if spec.kind == KIND_CHAR2:
@@ -198,6 +199,7 @@ def _vadd(spec, x, y):
 
 
 def _vneg(spec, x):
+    _check_width(spec)
     if spec.kind == KIND_CHAR0:
         return (-x) & (spec.size - 1)
     if spec.kind == KIND_CHAR2:
@@ -320,6 +322,7 @@ def _vval(spec, x):
     is clamped to r, which also maps the zero code to r.  Exact for every
     code that fits int64 (z2/f2t r <= 63, f4t r <= 31, eis2 r <= 63).
     """
+    _check_width(spec)
     x = np.asarray(x)
     if spec.kind == KIND_EIS:
         ab, bb = spec._a_bits, spec._b_bits

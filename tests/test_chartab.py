@@ -328,7 +328,11 @@ def test_center_characters_reject_a_corrupted_cayley_table(groups, monkeypatch):
         ("flip", "not multiplicative"),
         ("product", "3 distinct characters, not 4"),
         ("zero", r"psi\^e != 1"),
-        ("stuck", "after 24 rounds"),
+        pytest.param(
+            "stuck",
+            "after 8 passes with 1 of 4 eigenspaces: pass 7, piece 0, row 2, largest subspace dim 4",
+            id="stuck-after 8 passes",
+        ),
         ("fiber-zero", r"psi\^e != 1"),
         ("fiber-duplicate", "7 distinct characters, not 8"),
     ],
@@ -351,7 +355,7 @@ def test_center_characters_are_checked_exactly(wrong, message, groups, monkeypat
         run, suffix = lambda: chartab.dixon_table(G), r"\(GL2, k=60, p=\d+, center of order 4\)"
 
     def corrupt(subspaces, M, p, where):
-        if wrong == "stuck":  # no round splits anything
+        if wrong == "stuck":  # no row splits anything
             return subspaces
         out = real(subspaces, M, p, where)
         if ("center" in where or "orbit" in where) and all(S.shape[1] == 1 for S in out):
@@ -384,65 +388,112 @@ def test_block_dimensions_must_sum_to_k(groups, monkeypatch):
         chartab.dixon_table(groups("z2", 3))
 
 
-class _RoundLog:
-    """A pass's blocks; records the index each splitting round reads."""
-
-    def __init__(self, blocks, rounds):
-        self.blocks, self.rounds = blocks, rounds
-
-    def __getitem__(self, t):
-        self.rounds.append(t)
-        return self.blocks[t]
-
-
-def _count_passes(monkeypatch, G, seed, repeat_row0=False):
-    """(passes, rounds) of one _central_characters run; round t reads row t mod 3."""
-    real = chartab._class_matrix_blocks
-    passes, rounds = [], []
-
-    def logged(*args):
-        blocks = real(*args)
-        if repeat_row0:  # a pass's second and third rounds split nothing further
-            blocks[1:] = [blocks[0]] * 2
-        passes.append(1)
-        return _RoundLog(blocks, rounds)
-
-    with monkeypatch.context() as m:
-        m.setattr(chartab, "_class_matrix_blocks", logged)
-        cc = grp.conjugacy_classes(G)
-        chartab._central_characters(G, cc, chartab.dixon_prime(G.n, cc.exponent), seed)
-    assert rounds == [t % 3 for t in range(len(rounds))]
-    return len(passes), len(rounds)
+def _solve(which, groups):
+    """One solve, run with a fixed seed: the GL2(Z/8) table or a phi_set fiber."""
+    if which == "table":
+        G = groups("z2", 3)
+        return lambda: chartab.dixon_table(G)
+    r, rows = {"odd": (3, [[0, 0], [1, 0]]), "even": (4, [[0, 3], [1, 2]])}[which]
+    G = groups("z2", r)
+    pa = clifford.make_psiA(G, mat.mat(clifford._layers(G).spec_lp, rows))
+    return lambda: clifford.phi_set(pa)
 
 
-def test_one_product_pass_serves_three_splitting_rounds(groups, monkeypatch):
-    G = groups("z2", 4)  # GL2(Z/16), k = 248
-    seen = set()
-    for seed in range(5):
-        passes, rounds = _count_passes(monkeypatch, G, seed)
-        assert passes == -(-rounds // 3)
-        seen.add(rounds)
-    assert max(seen) >= 2
-    # when a pass's rows repeat row 0, splitting takes more than three rounds and more passes
-    G = groups("z2", 3)
-    for seed in range(5):
-        passes, rounds = _count_passes(monkeypatch, G, seed, repeat_row0=True)
-        assert rounds > 3 and passes == -(-rounds // 3)
+@pytest.mark.parametrize(
+    "which,message",
+    [
+        pytest.param(
+            "table",
+            r"4 of 60 eigenspaces: pass 7, piece \d, row 2, largest subspace dim \d+ \(GL2, k=60, p=\d+\)$",
+            id="table",
+        ),
+        pytest.param(
+            "odd",
+            r"2 of 8 eigenspaces: pass 7, piece \d, row 2, largest subspace dim \d "
+            r"\(C_GL2\(psi_A\), k=68, p=\d+, 8 members\) \(z2, r=3, orbit \(1;0;0\)\)$",
+            id="odd",
+        ),
+        pytest.param(
+            "even",
+            r"1 of 8 eigenspaces: pass 7, piece 0, row 2, largest subspace dim 8 \(z2, r=4, orbit \(1;3;2\)\)$",
+            id="even",
+        ),
+    ],
+)
+def test_every_solve_redraws_a_stalled_pass_and_gives_up_after_max_passes(which, message, groups, monkeypatch):
+    # the full table, the odd-level fiber and the even-level cocycle solve run
+    # one driver; the center's own split (the table's and the odd fiber's) is
+    # left alone, so only the solve under test stalls
+    run = _solve(which, groups)
+    want = run().vals
+    real_pieces, real_round = chartab._split_pieces, chartab._split_round
+    passes = []
+
+    def counted(draw, starts, count, p, where):
+        def logged():
+            if "center" not in where:
+                passes.append(where)
+            return draw()
+
+        return real_pieces(logged, starts, count, p, where)
+
+    def stalled(when):
+        return lambda subspaces, M, p, where: (
+            subspaces if "center" not in where and when(where) else real_round(subspaces, M, p, where)
+        )
+
+    monkeypatch.setattr(chartab, "_split_pieces", counted)
+    monkeypatch.setattr(chartab, "_split_round", stalled(lambda where: ", pass 0," in where))
+    got = run().vals
+    assert got.dtype == want.dtype and np.array_equal(got, want) and len(passes) == 2
+    passes.clear()
+    monkeypatch.setattr(chartab, "_split_round", stalled(lambda where: True))
+    with pytest.raises(AssertionError, match=rf"splitting gave up after 8 passes with {message}"):
+        run()
+    assert len(passes) == chartab._MAX_PASSES == 8
 
 
-def test_splitting_that_never_progresses_stops_at_24_rounds(groups, monkeypatch):
-    G = groups("z2", 3)
-    real = chartab._class_matrix_blocks
-    first = []
+def test_fiber_raises_when_the_krylov_block_exceeds_the_count(groups, chartabs):
+    # f = 2 (chi_i + chi_j) read as 4 * (one irreducible of degree d): the
+    # count is 1, but v0 holds two central characters
+    T = chartabs(groups("z2", 2))
+    i, j = np.flatnonzero(T.degree == 2)[:2]
+    f = chartab.ClassFunction(T.group, T.n, 2 * (T.vals[i] + T.vals[j]))
+    more = r"eigenspaces span dim 2, more than 1, at pass 0 \(GL2, k=14, p=\d+, 1 members\)$"
+    with pytest.raises(AssertionError, match=more):
+        chartab.fiber(f, 2, 4)
 
-    def same_every_round(*args):
-        if not first:
-            first.append(real(*args)[0])
-        return [first[0]] * 3
 
-    monkeypatch.setattr(chartab, "_class_matrix_blocks", same_every_round)
-    with pytest.raises(AssertionError, match=r"failed to converge \(GL2, k=60, p=\d+, round 24, "):
-        chartab.dixon_table(G, seed=0)
+def test_krylov_block_is_the_smallest_invariant_space_holding_v0():
+    # Ms = Q [[A, X], [0, C]] Q^-1 and v0 = Q (x, 0) keep the block inside Q's first s columns
+    p, rng = 7, np.random.default_rng(3)
+
+    def rank(A):
+        return len(chartab._rref_mod(A, p)[1])
+
+    for _ in range(40):
+        k, s, t = int(rng.integers(1, 7)), int(rng.integers(1, 7)), int(rng.integers(1, 4))
+        s = min(s, k)
+        Q = rng.integers(0, p, size=(k, k))
+        R, pivots = chartab._rref_mod(np.hstack([Q, np.eye(k, dtype=np.int64)]), p)
+        if len(pivots) < k or pivots[-1] >= k:
+            continue
+        Ms = rng.integers(0, p, size=(t, k, k))
+        Ms[:, s:, :s] = 0
+        Ms = Q @ Ms % p @ R[:, k:] % p
+        v0 = Q[:, :s] @ rng.integers(0, p, size=s) % p
+        if not v0.any():
+            continue
+        B = chartab._krylov_block(Ms, v0, p)
+        d = B.shape[1]
+        assert B.shape[0] == k and rank(B) == d <= s
+        assert rank(np.column_stack([B, v0])) == d
+        assert all(rank(np.hstack([B, M @ B % p])) == d for M in Ms)
+        words, naive = [v0], [v0]  # every word of length < k in the Ms, applied to v0
+        for _ in range(k - 1):
+            words = [M @ w % p for M in Ms for w in words]
+            naive += words
+        assert rank(np.column_stack(naive)) == d
 
 
 @pytest.mark.parametrize("kind,r", [("z2", 2), ("f2t", 3)])
@@ -476,8 +527,8 @@ def test_dixon_degree_checks_raise(groups, monkeypatch):
         ):
             chartab.dixon_table(G)
 
-    def duplicated(G, cc, p, seed):  # a linear central character is replaced by the 6-dimensional one
-        omega = real_central(G, cc, p, seed)
+    def duplicated(G, cc, p, rng, v0=None, count=None):  # a linear central character is replaced by the 6-dimensional one
+        omega = real_central(G, cc, p, rng, v0, count)
         degs = real_degrees(G, cc, omega, p)
         omega[np.argmin(degs)] = omega[np.argmax(degs)]
         return omega

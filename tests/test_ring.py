@@ -339,6 +339,9 @@ def test_codes_wider_than_int64_raise_value_error():
         if spec.char_two:
             with pytest.raises(ValueError, match=f"{kind} r={r}"):
                 ring._vsquare(spec, np.int64(3))
+        for kernel in (lambda x: ring._vadd(spec, x, x), lambda x: ring._vneg(spec, x), lambda x: ring._vval(spec, x)):
+            with pytest.raises(ValueError, match=f"{kind} r={r}"):
+                kernel(np.int64(3))
 
 
 WIDE_Z2 = ring.make_ring("z2", r=64)
