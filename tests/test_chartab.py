@@ -5,6 +5,8 @@ numpy eigenvectors of a random combination of class matrices, normalized by
 column sums — sharing no code with the exact Dixon implementation.
 """
 
+import re
+
 import numpy as np
 import pytest
 import sympy
@@ -386,6 +388,68 @@ def test_block_dimensions_must_sum_to_k(groups, monkeypatch):
     _wrong_shifts(monkeypatch, fix_a_base)
     with pytest.raises(AssertionError, match=r"block dimensions sum to \d+, not k \(GL2, k=60, p=\d+, center"):
         chartab.dixon_table(groups("z2", 3))
+
+
+def _log_table_rounds(monkeypatch, blocks=None):
+    """(products, rounds): each _class_matrix_blocks pass, and (pass, row, M) of each table split round."""
+    real_blocks, real_round = chartab._class_matrix_blocks, chartab._split_round
+    products, rounds = [], []
+
+    def logged_blocks(G, cc, split, thetas, p):
+        products.append((len(thetas), blocks(G, cc, split, thetas, p) if blocks else real_blocks(G, cc, split, thetas, p)))
+        return products[-1][1]
+
+    def logged_round(subspaces, M, p, where):
+        if "center" not in where:
+            n, row = re.search(r", pass (\d+), piece \d+, row (\d+)$", where).groups()
+            rounds.append((int(n), int(row), M))
+        return real_round(subspaces, M, p, where)
+
+    monkeypatch.setattr(chartab, "_class_matrix_blocks", logged_blocks)
+    monkeypatch.setattr(chartab, "_split_round", logged_round)
+    return products, rounds
+
+
+def test_one_product_pass_serves_three_splitting_rounds(groups, monkeypatch):
+    # every pass forms its class-matrix products once, for three theta rows,
+    # and rows 0, 1 and 2 of that one product pass split every piece in turn
+    G = groups("z2", 4)  # GL2(Z/16), k = 248
+    cc = grp.conjugacy_classes(G)
+    p = chartab.dixon_prime(G.n, cc.exponent)
+    for seed in range(5):
+        with monkeypatch.context() as m:
+            products, rounds = _log_table_rounds(m)
+            chartab._central_characters(G, cc, p, np.random.default_rng(seed))
+        assert [rows for rows, _ in products] == [chartab._ROWS_PER_PASS] * len(products) == [3] * len(products)
+        assert {n for n, _, _ in rounds} == set(range(len(products)))
+        for n, row, M in rounds:
+            assert any(M is B for B in products[n][1][row])
+        pieces = len(products[0][1][0])
+        assert [(n, row) for n, row, _ in rounds] == [(n, t) for n in range(len(products)) for _ in range(pieces) for t in range(3)]
+
+
+def test_splitting_that_never_progresses_stops_at_24_rounds(groups, monkeypatch):
+    # every row of every pass is the first pass's row 0, which leaves some
+    # eigenspace of dimension > 1: 8 passes of 3 rows, 24 rounds, then a raise
+    G = groups("z2", 3)
+    real = chartab._class_matrix_blocks
+    first = []
+
+    def same_every_round(*args):
+        if not first:
+            first.append(real(*args)[0])
+        return [first[0]] * 3
+
+    products, rounds = _log_table_rounds(monkeypatch, same_every_round)
+    with pytest.raises(
+        AssertionError,
+        match=r"splitting gave up after 8 passes with \d+ of 60 eigenspaces: pass 7, piece \d+, row 2, "
+        r"largest subspace dim \d+ \(GL2, k=60, p=\d+\)$",
+    ):
+        chartab.dixon_table(G, seed=0)
+    assert len(products) == chartab._MAX_PASSES == 8
+    assert sorted({(n, row) for n, row, _ in rounds}) == [(n, t) for n in range(8) for t in range(3)]
+    assert len({(n, row) for n, row, _ in rounds}) == chartab._MAX_PASSES * chartab._ROWS_PER_PASS == 24
 
 
 def _solve(which, groups):
