@@ -5,13 +5,15 @@ its linear characters are exactly
 
     psi_A(I + pi^ell B) = psi(pi^ell trace(A~ B)),   A in M_2(o_ell'),
 
-for a fixed coordinate lift A~ of A.  Over a full GL2 table, this module
-builds psi_A and its restriction psi_[A] to K^ell = M^ell cap SL2, the
-unipotent h/H layers, and the inertia data of psi_A: C_GL2(psi_A),
-C_SL2(psi_A), C_SL2(psi_[A]), the coset space D_A = o_r^x / det C_GL2(psi_A)
-and that determinant image.  It also gives the fiber Irr(C_GL2(psi_A) | psi_A)
-(at even r, the linear characters of C_GL2(psi_A) extending psi_A, read off
-its residue classes mod pi^ell') and the coset-twisted decomposition
+for a fixed coordinate lift A~ of A.  As pi^ell B = m - I exactly, that is
+psi(trace(A~ (m - I))), read straight off the entries of m: no division by
+pi^ell.  Over a full GL2 table, this module builds psi_A and its restriction
+psi_[A] to K^ell = M^ell cap SL2, the unipotent h/H layers, and the inertia
+data of psi_A: C_GL2(psi_A), C_SL2(psi_A), C_SL2(psi_[A]), the coset space
+D_A = o_r^x / det C_GL2(psi_A) and that determinant image.  It also gives the
+fiber Irr(C_GL2(psi_A) | psi_A) (at even r, the linear characters of
+C_GL2(psi_A) extending psi_A, read off its residue classes mod pi^ell') and
+the coset-twisted decomposition
 
     Res_SL2 Ind(phi) = sum over d in D_A of Ind_{C_SL2(psi_{A_d})}(phi^d).
 
@@ -27,14 +29,16 @@ The product formula is C_GL2(psi_A) = C_GL2(A~) M^ell', and C_GL2(A~) is the
 unit group of o_r[A~] from mat.centralizer, not a search over GL2.
 
 Inertia on residues.  Since ell + ell' = r, M^ell' = ker(GL2(o_r) -> GL2(o_ell'))
-centralizes M^ell, which is checked once per table on generators of M^ell'.
+centralizes M^ell, which is checked once per table on all of M^ell', the
+identity's residue fiber.
 So every lift of a residue class mod pi^ell' conjugates M^ell, and K^ell
 inside it, alike: C_GL2(psi_A), C_SL2(psi_A) and C_SL2(psi_[A]) are unions of
 residue classes, and both stabilizer scans read one lift per class, the first
 GL2 position of its fiber.  Every route is compared as a mask on the residue
-root GL2(o_ell') (|GL2(o_ell')| entries, not |GL2|), and each inertia group is
-cut from GL2 or SL2 by grp.preimage of its residue image, a grp.subgroup of
-the residue root.
+root GL2(o_ell') (|GL2(o_ell')| entries, not |GL2|); both residue-level
+formulas read one array, P^-1 A P over the residue root.  Each inertia group
+is cut from GL2 or SL2 by grp.preimage of its residue image, a grp.subgroup
+of the residue root.
 
 What lives where.  Work that does not depend on A (the layers, the residue
 root and every position's residue, the conjugates of M^ell's and K^ell's
@@ -79,9 +83,9 @@ class _Layers:
     grp.preimage reads only the classes it keeps.
     M^ell' centralizes M^ell, so each stabilizer is read on one lift per
     residue class (lifts, the first position of each fiber).  M^ell' itself
-    needs no table, only generators (Mlp_gens) that check that fact when the
-    lifts are first read.  There is no table of every psi_A: each is built per
-    orbit by make_psiA.
+    needs no table: it is the identity's fiber, on which lifts checks that
+    fact when first read.  There is no table of every psi_A: each is built per
+    orbit by make_psiA, which reads psi_A off M^ell's own entries.
     """
 
     spec: RingSpec
@@ -92,8 +96,6 @@ class _Layers:
     sl: GroupTable
     Ml: GroupTable
     Kl: GroupTable
-    B_M: tuple  # (m - I)/pi^ell entrywise, per M^ell position
-    pi_ell_code: int
 
     @cached_property
     def res_root(self) -> GroupTable:
@@ -141,10 +143,13 @@ class _Layers:
 
         Since ell + ell' = r, M^ell' centralizes M^ell, so any two lifts of a
         residue conjugate M^ell, and K^ell inside it, alike.  That is checked
-        here, once per table: conjugation by Mlp_gens fixes M^ell's generators."""
-        if np.any(_conjugate_positions(self.gl, self.Ml, self.Mlp_gens) != np.array(self.Ml.gens)[:, None]):
-            raise AssertionError(f"M^l' does not centralize M^l ({self.spec.short_name}, r={self.spec.r})")
+        here, once per table: conjugation by every member of M^ell', the
+        identity's fiber, fixes M^ell's generators."""
         order, start = self.fibers
+        i = self.res_root.identity
+        kernel = order[start[i] : start[i + 1]]
+        if np.any(_conjugate_positions(self.gl, self.Ml, kernel) != np.array(self.Ml.gens)[:, None]):
+            raise AssertionError(f"M^l' does not centralize M^l ({self.spec.short_name}, r={self.spec.r})")
         return order[start[:-1]]
 
     @cached_property
@@ -157,28 +162,6 @@ class _Layers:
         """_conjugate_positions of K^ell by the lift of every element of SL2(o_ell'),
         in res_root order: conjugated inside GL2, as K^ell is normal there."""
         return _conjugate_positions(self.gl, self.Kl, self.lifts[self.res_sl])
-
-    @cached_property
-    def Mlp_gens(self) -> np.ndarray:
-        """gl positions of generators of M^ell': I + y E_12, I + y E_21,
-        diag(1 + y, 1) and diag(1, 1 + y) for y in pi^ell' o_r.  They generate,
-        since I + pi^ell' B factors as L D U with one factor of each kind
-        (1 + pi^ell' b_11 is a unit)."""
-        spec = self.spec
-        x = np.arange(spec.size, dtype=np.int64)
-        y = x[ring._vval(spec, x) >= self.ellp]
-        one, zero = np.ones_like(y), np.zeros_like(y)
-        y1 = ring._vadd(spec, one, y)
-        kinds = ((one, y, zero, one), (one, zero, y, one), (y1, zero, zero, one), (one, zero, zero, y1))
-        return self.gl.pos_of_codes(mat._vpack(spec, tuple(np.concatenate(t) for t in zip(*kinds))))
-
-
-def _b_arrays(spec: RingSpec, table: GroupTable, ell: int) -> tuple:
-    m11, m12, m21, m22 = table.ms
-    one = np.int64(1)
-    d11 = ring._vadd(spec, m11, ring._vneg(spec, one))
-    d22 = ring._vadd(spec, m22, ring._vneg(spec, one))
-    return tuple(ring.div_pi_power(spec, t, ell) for t in (d11, m12, m21, d22))
 
 
 def _layers(G: GroupTable) -> _Layers:
@@ -193,10 +176,7 @@ def _layers(G: GroupTable) -> _Layers:
     sl = grp.sl2_subgroup(G)
     Ml = grp.congruence_subgroup(G, ell)
     Kl = grp.congruence_subgroup(sl, ell)
-    pe = ring.one(spec)
-    for _ in range(ell):
-        pe = ring.mul(pe, ring.uniformizer(spec))
-    out = _Layers(spec, ring.truncate(spec, ellp), ell, ellp, G, sl, Ml, Kl, _b_arrays(spec, Ml, ell), pe.code)
+    out = _Layers(spec, ring.truncate(spec, ellp), ell, ellp, G, sl, Ml, Kl)
     G.cache["clifford_layers"] = out
     return out
 
@@ -248,10 +228,17 @@ class PsiA:
         return _stabilizer_mask(L.conj_lifts_M, L.Ml, self.exps_M)
 
     @cached_property
+    def res_conj(self) -> tuple:
+        """Entry arrays of P^-1 A P for every P in res_root, P^-1 read off its inverse table."""
+        L = self.layers
+        res = L.res_root
+        return mat._vmat_mul(L.spec_lp, res.entries(res.inv), mat._vmat_mul(L.spec_lp, mat._as_vec(self.A), res.ms))
+
+    @cached_property
     def c_gl_mask(self) -> np.ndarray:
         """C_GL2(psi_A) mod pi^ell' as a mask on res_root: the stabilizer scan,
-        checked against the residue commutation and the product formula
-        C_GL2(A~) M^ell'.
+        checked against the residue commutation P^-1 A P = A and the product
+        formula C_GL2(A~) M^ell'.
 
         C_GL2(A~), the units of o_r[A~] (mat.centralizer), is reduced mod pi^ell'
         and looked up in res_root.  C_GL2(A~) M^ell' is the union of the residue
@@ -261,7 +248,8 @@ class PsiA:
         L = self.layers
         spec, res = L.spec, L.res_root
         stab = self.stabilizer_residues
-        if not np.array_equal(stab, _commute_mask(L.spec_lp, res.ms, self.A.codes)):
+        commute = np.logical_and.reduce([x == a for x, a in zip(self.res_conj, self.A.codes)])
+        if not np.array_equal(stab, commute):
             raise AssertionError(f"C_GL2(psi_A): stabilizer scan and residue commutation disagree ({_where(self)})")
         cent = mat.centralizer(self.Atilde)
         hit = np.zeros(res.n, dtype=bool)
@@ -290,13 +278,18 @@ class PsiA:
     def c_sl_bracket(self) -> GroupTable:
         """C_SL2(psi_[A]): the stabilizer scan over K^ell on one GL2 lift per
         residue class of SL2(o_ell') (M^ell' centralizes K^ell, as it does
-        M^ell), checked against the scalar test and the product formula
-        C_SL2(psi_A) H^ell', all as masks on res_root."""
+        M^ell), checked against the scalar test (P^-1 A P - A scalar for P in
+        SL2(o_ell')) and the product formula C_SL2(psi_A) H^ell', all as masks
+        on res_root."""
         L = self.layers
-        res = L.res_root
+        lp, res, A = L.spec_lp, L.res_root, self.A
         bstab = np.zeros(res.n, dtype=bool)
         bstab[L.res_sl] = _stabilizer_mask(L.conj_lifts_K, L.Kl, self.exps_K)
-        if not np.array_equal(bstab, _scalar_conj_mask_sl(L, self.A)):
+        D = self.res_conj
+        d11 = ring._vadd(lp, D[0], ring._vneg(lp, np.int64(A.m11)))
+        d22 = ring._vadd(lp, D[3], ring._vneg(lp, np.int64(A.m22)))
+        scalar = (D[1] == A.m12) & (D[2] == A.m21) & (d11 == d22) & L.res_sl
+        if not np.array_equal(bstab, scalar):
             raise AssertionError(f"C_SL2(psi_[A]): stabilizer scan and scalar test disagree ({_where(self)})")
         h = L.residue_pos(_unipotents(self, L.ellp))
         bprod = _product_mask(res, np.flatnonzero(self.c_gl_mask & L.res_sl), h)
@@ -375,18 +368,12 @@ class PsiA:
         return f"<psi_A for A={mat.encode_mat(self.A)} at level r={self.layers.spec.r}>"
 
 
-def _psi_exps(L: _Layers, At: tuple, B: tuple) -> np.ndarray:
-    """zeta_n exponents of psi(pi^ell trace(At B)) for broadcastable entry arrays."""
-    spec = L.spec
-    a11, a12, a21, a22 = At
-    b11, b12, b21, b22 = B
-    m, ad = ring._vmul, ring._vadd
-    tr = ad(
-        spec,
-        ad(spec, m(spec, a11, b11), m(spec, a12, b21)),
-        ad(spec, m(spec, a21, b12), m(spec, a22, b22)),
-    )
-    arg = ring._vmul(spec, np.int64(L.pi_ell_code), tr)
+def _psi_exps(spec: RingSpec, At: tuple, M: tuple) -> np.ndarray:
+    """zeta_n exponents of psi(trace(At (m - I))) = psi(pi^ell trace(At B)) for
+    the entry arrays M of m = I + pi^ell B, broadcastable with At: trace(At m)
+    - trace(At), as trace is linear."""
+    AM = mat._vmat_mul(spec, At, M)
+    arg = ring._vadd(spec, ring._vadd(spec, AM[0], AM[3]), ring._vneg(spec, ring._vadd(spec, At[0], At[3])))
     return np.asarray(ring.psi_exponent(spec, arg), dtype=np.int64)
 
 
@@ -400,7 +387,7 @@ def make_psiA(G: GroupTable, A: Mat2) -> PsiA:
     if A.spec != L.spec_lp:
         raise ValueError(f"A must be over the level-{L.ellp} quotient ring, got level {A.spec.r}")
     Atilde = mat.mat_lift(L.spec, A)
-    return PsiA(L, A, Atilde, ring.psi_order(L.spec), _psi_exps(L, mat._as_vec(Atilde), L.B_M))
+    return PsiA(L, A, Atilde, ring.psi_order(L.spec), _psi_exps(L.spec, mat._as_vec(Atilde), L.Ml.ms))
 
 
 def _require_companion(A: Mat2):
@@ -450,13 +437,6 @@ def _unipotents(psiA: PsiA, i: int) -> tuple:
 # ------------------------------------------------------------------ masks
 
 
-def _commute_mask(spec: RingSpec, X: tuple, codes4: tuple) -> np.ndarray:
-    """Positions whose entries (4 parallel arrays) commute with the fixed matrix: X A == A X."""
-    A = tuple(np.int64(t) for t in codes4)
-    XA, AX = mat._vmat_mul(spec, X, A), mat._vmat_mul(spec, A, X)
-    return np.logical_and.reduce([x == y for x, y in zip(XA, AX)])
-
-
 def _product_mask(G: GroupTable, pos_a: np.ndarray, pos_b: np.ndarray) -> np.ndarray:
     """Membership mask of the product set {a*b : a in pos_a, b in pos_b}."""
     out = np.zeros(G.n, dtype=bool)
@@ -495,18 +475,6 @@ def _stabilizer_mask(conj: np.ndarray, N: GroupTable, exps: np.ndarray) -> np.nd
     for row, ngen in zip(conj, N.gens):
         keep &= exps[row] == exps[ngen]
     return keep
-
-
-def _scalar_conj_mask_sl(L: _Layers, A: Mat2) -> np.ndarray:
-    """SL2(o_ell') elements P with P^-1 A P - A scalar, as a mask on res_root
-    (the psi_[A] stabilizer test, which reads only the residue mod pi^ell')."""
-    lp = L.spec_lp
-    P = L.res_root.ms
-    Av = tuple(np.int64(c) for c in A.codes)
-    D = mat._vmat_mul(lp, mat._vmat_inv(lp, P), mat._vmat_mul(lp, Av, P))
-    d11 = ring._vadd(lp, D[0], ring._vneg(lp, np.int64(A.m11)))
-    d22 = ring._vadd(lp, D[3], ring._vneg(lp, np.int64(A.m22)))
-    return (D[1] == A.m12) & (D[2] == A.m21) & (d11 == d22) & L.res_sl
 
 
 # ------------------------------------------------------------------ inertia

@@ -293,7 +293,8 @@ def preimage(table: GroupTable, fibers: tuple, image: GroupTable, name="preimage
 
 def sl2_subgroup(gl: GroupTable) -> GroupTable:
     sub = subgroup(gl, gl.dets == 1, name="SL2")
-    assert sub.n == sl2_order(gl.spec)
+    if sub.n != sl2_order(gl.spec):
+        raise AssertionError(f"|SL2| at {gl.spec.short_name} r={gl.spec.r}: {sub.n} != {sl2_order(gl.spec)}")
     return sub
 
 
@@ -355,8 +356,11 @@ class ConjClasses:
         self.class_id = np.searchsorted(self.reps, lab)
         self.k = len(self.reps)
         self.sizes = np.bincount(self.class_id, minlength=self.k)
-        assert int(self.sizes.sum()) == table.n
-        assert all(table.n % int(s) == 0 for s in self.sizes)
+        if int(self.sizes.sum()) != table.n or np.any(table.n % self.sizes):
+            raise AssertionError(
+                f"class sizes {sorted(set(map(int, self.sizes)))} of {table.name} sum to {int(self.sizes.sum())}: "
+                f"not a partition of |G| = {table.n} into divisors"
+            )
         # class index of the inverses, per class
         self.inverse_class = self.class_id[table.inv[self.reps]]
         # P[s, j] = class of rep_j^s, for s from 0 to the largest element order:

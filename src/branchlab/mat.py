@@ -233,7 +233,11 @@ def companion_form(A: Mat2) -> CompanionForm:
     basis = Mat2(A.spec, v[0].code, Av.m11, v[1].code, Av.m21)  # columns v, Av
     conj = mat_inv(basis)
     form = CompanionForm(ring.neg(det(A)), trace(A), conj)
-    assert mat_mul(mat_mul(conj, A), basis) == form.companion
+    if (got := mat_mul(mat_mul(conj, A), basis)) != form.companion:
+        raise AssertionError(
+            f"companion form of {encode_mat(A)} ({A.spec.short_name}, r={A.spec.r}): "
+            f"conjugate {encode_mat(got)} != {encode_mat(form.companion)}"
+        )
     return form
 
 

@@ -40,7 +40,8 @@ _ALIASES = {
 _MUL4 = np.array([[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]], dtype=np.int64)
 _INV4 = np.array([0, 1, 3, 2], dtype=np.int64)
 _INV4.setflags(write=False)
-_TR4 = (0, 0, 1, 1)  # Tr(x) = x + x^2 down to F_2
+_TR4 = np.array([0, 0, 1, 1], dtype=np.int64)  # Tr(x) = x + x^2 down to F_2
+_TR4.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -439,31 +440,6 @@ def lift(spec_to: RingSpec, x: RingElem) -> RingElem:
     return RingElem(spec_to, int(_vlift(spec_to, x.spec, _code(x))))
 
 
-def _vdiv_pi(spec, x):
-    # one division by pi on codes; caller guarantees val >= 1
-    if spec.kind == KIND_CHAR0:
-        return x >> 1
-    if spec.kind == KIND_CHAR2:
-        return x >> (1 if spec.q == 2 else 2)
-    ab = spec._a_bits
-    a, b = x & ((1 << ab) - 1), x >> ab
-    return b | ((a >> 1) << ab)  # (a + b*pi)/pi = b + (a/2)*pi
-
-
-def div_pi_power(spec: RingSpec, x, k: int):
-    """Codes of x / pi^k (vectorized); requires val(x) >= k.
-
-    The quotient is only defined modulo pi^(r-k); this returns the canonical
-    representative with vanishing top coordinates.
-    """
-    x = np.asarray(x, dtype=np.int64)
-    for _ in range(k):
-        if np.any(_vval(spec, x) < 1):
-            raise ValueError("element not divisible by the requested pi power")
-        x = _vdiv_pi(spec, x)
-    return x
-
-
 _TABLE_BUDGET = 1 << 22
 
 
@@ -535,11 +511,7 @@ def psi_exponent(spec: RingSpec, x) -> "int | np.ndarray":
         if spec.q == 2:
             return (x >> (spec.r - 1)) & 1
         top = (x >> (2 * (spec.r - 1))) & 3
-        # alpha = u is code 2
-        if np.isscalar(top) or np.ndim(top) == 0:
-            return _TR4[int(_MUL4[2, int(top)])]
-        t = _MUL4[2, top]
-        return np.asarray(_TR4, dtype=np.int64)[t]
+        return _TR4[_MUL4[2, top]]  # alpha = u is code 2
     ab, bb = spec._a_bits, spec._b_bits
     a, b = x & ((1 << ab) - 1), (x >> ab) & ((1 << bb) - 1)
     return (a + (b << (ab - bb))) & ((1 << ab) - 1)

@@ -297,7 +297,7 @@ def verify_branching(
                 )
             )
 
-        # dimension lower bound for constituents over psi_[A] (char 2, odd r > 2)
+        # dimension lower bound for constituents over psi_[A] (char 2, r = 3)
         if spec.char_two and spec.r == 3 and pred.trace_class == "nonunit":
             bound = predict.min_dim_bound(spec, comp)
             prof = predict.centralizer_profile(spec, comp)
@@ -567,6 +567,11 @@ def _cmd_selftest(args) -> int:
     budget = _budget_of(args)
     failures = 0
 
+    def equal(what, got, want):
+        # an explicit raise, which python -O keeps
+        if got != want:
+            raise AssertionError(f"{what}: {got} != {want}")
+
     def check(label, fn):
         nonlocal failures
         t = time.perf_counter()
@@ -581,8 +586,8 @@ def _cmd_selftest(args) -> int:
         for kind, want in (("z2", (96, 1536, 24576)), ("f2t", (96, 1536, 24576))):
             for rr, w in zip((2, 3, 4), want):
                 spec = ring.make_ring(kind, r=rr)
-                assert grp.gl2_order(spec) == w
-                assert grp.sl2_order(spec) == w // ring.unit_count(spec)
+                equal(f"|GL2| at {kind} r={rr}", grp.gl2_order(spec), w)
+                equal(f"|SL2| at {kind} r={rr}", grp.sl2_order(spec), w // ring.unit_count(spec))
 
     def _orth():
         spec = ring.make_ring("z2", r=2)
@@ -593,11 +598,12 @@ def _cmd_selftest(args) -> int:
         for kind, lim in (("z2", 12), ("f2t", 12), ("f4t", 8), ("eis2", 8)):
             for lp in range(1, lim + 1):
                 spec = ring.make_ring(kind, r=2 * lp)
-                assert predict.n_r(spec) == ring.sqrt1_count(ring.truncate(spec, lp))
+                want = ring.sqrt1_count(ring.truncate(spec, lp))
+                equal(f"n_r at {kind} r={2 * lp} against the square-root count at l'={lp}", predict.n_r(spec), want)
 
     def _verify(kind):
         report = verify_branching(ring.make_ring(kind, r=2), budget=budget)
-        assert report.passed, "branch report failed"
+        equal(f"branch report passed at {kind} r=2", report.passed, True)
 
     check("group orders r=2..4", _orders)
     check("exact orthogonality GL2, r=2", _orth)

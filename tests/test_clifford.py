@@ -40,13 +40,14 @@ def test_layer_sizes(groups):
     assert (L3.Ml.n, L3.Kl.n, Mlp.n, K1.n) == (16, 8, 256, 64)
     assert L3.res_root.n == grp.gl2_order(L3.spec_lp) == L3.gl.n // Mlp.n
     assert L3.ell == 2 and L3.ellp == 1
-    # the kernel fiber of residues is M^l' in GL2 and K^l' in SL2, and
-    # Mlp_gens generates M^l'
+    # the kernel fiber of residues is M^l' in GL2 and K^l' in SL2, and the
+    # identity's run of L.fibers, on which lifts checks centralizing, is M^l'
     for L in (L, L3):
         res_id = L.res_root.identity
         Mlp = grp.congruence_subgroup(L.gl, L.ellp)
         assert np.array_equal(np.flatnonzero(L.residues == res_id), Mlp.root_pos)
-        assert np.array_equal(grp._closure_mask(L.gl, list(L.Mlp_gens)), Mlp.local[:-1] >= 0)
+        order, start = L.fibers
+        assert np.array_equal(order[start[res_id] : start[res_id + 1]], Mlp.root_pos)
         K = grp.congruence_subgroup(L.sl, L.ellp)
         assert np.array_equal(L.sl.root_pos[L.residues[L.sl.root_pos] == res_id], K.root_pos)
         assert np.count_nonzero(L.res_sl) == grp.sl2_order(L.spec_lp)
@@ -57,7 +58,10 @@ def test_lifts_check_once_that_Mlp_centralizes_Ml(monkeypatch):
     G = grp.build_gl2(ring.make_ring("z2", r=3))
     L = clifford._layers(G)
     g = G.pos_of_matrix(mat.mat(G.spec, [[1, 1], [0, 1]]))  # moves I + 4 E_21 in M^2
-    monkeypatch.setattr(L, "Mlp_gens", np.append(L.Mlp_gens, g))
+    order, start = L.fibers
+    order = order.copy()
+    order[start[L.res_root.identity + 1] - 1] = g  # the last member of M^l', the identity's run
+    monkeypatch.setattr(L, "fibers", (order, start))
     for attr in ("conj_lifts_M", "conj_lifts_K"):
         with pytest.raises(AssertionError, match=r"^M\^l' does not centralize M\^l \(z2, r=3\)$"):
             getattr(L, attr)
@@ -204,10 +208,45 @@ def test_psi_bracket_is_the_trace_pairing_on_K(kind, r, groups):
     G = groups(kind, r)
     L = clifford._layers(G)
     lp = L.spec_lp
-    B_K = clifford._b_arrays(L.spec, L.Kl, L.ell)
     for code in range(0, lp.size**4, max(1, lp.size**4 // 16)):
         pa = clifford.make_psiA(G, mat.Mat2(lp, *map(int, mat._vunpack(lp, np.int64(code)))))
-        assert np.array_equal(pa.exps_K, clifford._psi_exps(L, mat._as_vec(pa.Atilde), B_K))
+        assert np.array_equal(pa.exps_K, clifford._psi_exps(L.spec, mat._as_vec(pa.Atilde), L.Kl.ms))
+
+
+@pytest.mark.parametrize(
+    "kind,r",
+    [(k, r) for k in ("z2", "f2t", "eis2") for r in (2, 3, 4)] + [("z2", 5), ("f4t", 2)],
+)
+def test_psi_A_is_its_literal_definition(kind, r, groups, request):
+    # psi_A(I + pi^l B~) = psi(pi^l tr(A~ B~)) for random B~ over o_r, by scalar
+    # arithmetic: m is built by multiplying with pi^l, never by dividing, and
+    # looked up among M^l's positions
+    G = request.getfixturevalue("z2r5") if r == 5 else groups(kind, r)
+    spec = G.spec
+    L = clifford._layers(G)
+    pe = ring.one(spec)
+    for _ in range(L.ell):
+        pe = ring.mul(pe, ring.uniformizer(spec))
+    one = ring.one(spec)
+    rng = np.random.default_rng(0)
+    for A in _companions(L.spec_lp):
+        pa = clifford.make_psiA(G, A)
+        a11, a12, a21, a22 = (ring.elem(spec, c) for c in pa.Atilde.codes)
+        for codes in rng.integers(0, spec.size, size=(16, 4)).tolist():
+            b11, b12, b21, b22 = (ring.elem(spec, c) for c in codes)
+            m = mat.Mat2(
+                spec,
+                ring.add(one, ring.mul(pe, b11)).code,
+                ring.mul(pe, b12).code,
+                ring.mul(pe, b21).code,
+                ring.add(one, ring.mul(pe, b22)).code,
+            )
+            tr = ring.add(
+                ring.add(ring.mul(a11, b11), ring.mul(a12, b21)),
+                ring.add(ring.mul(a21, b12), ring.mul(a22, b22)),
+            )
+            want = int(ring.psi_exponent(spec, ring.mul(pe, tr).code))
+            assert pa.exps_M[L.Ml.pos_of_matrix(m)] == want, (mat.encode_mat(A), codes)
 
 
 def test_inertia_invariants(groups):
@@ -239,21 +278,26 @@ def test_inertia_invariants(groups):
             assert I.c_sl_bracket.n // I.c_sl.n in (1, 2)
 
 
-def test_inertia_failures_name_kind_level_and_orbit(monkeypatch, groups):
+def _moved_at_identity(pa, k):
+    # res_conj with entry k of P^-1 A P moved off A's at P = I, as a fresh tuple
+    D = tuple(t.copy() for t in pa.res_conj)
+    i = pa.layers.res_root.identity
+    D[k][i] = (D[k][i] + 1) % pa.layers.spec_lp.size
+    return D
+
+
+def test_inertia_failures_name_kind_level_and_orbit(groups):
     G = groups("z2", 4)  # a fresh PsiA runs inertia afresh, so a shared table will do
     lp = ring.truncate(G.spec, G.spec.ell_prime)
     A = mat.mat(lp, [[0, 3], [1, 2]])
     assert mat.companion_form(A).text == "(1;3;2)"
-    real = clifford._commute_mask
-
-    def flip_first(spec, X, codes4):
-        out = real(spec, X, codes4)
-        out[0] = ~out[0]
-        return out
-
-    monkeypatch.setattr(clifford, "_commute_mask", flip_first)
-    with pytest.raises(AssertionError, match=r"C_GL2\(psi_A\).*\(z2, r=4, orbit \(1;3;2\)\)$"):
-        clifford.inertia(clifford.make_psiA(G, A))
+    pa = clifford.make_psiA(G, A)
+    pa.res_conj = _moved_at_identity(pa, 0)  # the identity no longer commutes with A
+    with pytest.raises(
+        AssertionError,
+        match=r"^C_GL2\(psi_A\): stabilizer scan and residue commutation disagree \(z2, r=4, orbit \(1;3;2\)\)$",
+    ):
+        clifford.inertia(pa)
 
 
 def test_product_route_failure_names_kind_level_and_orbit(monkeypatch, groups):
@@ -269,22 +313,17 @@ def test_product_route_failure_names_kind_level_and_orbit(monkeypatch, groups):
         clifford.make_psiA(G, A).c_gl_mask
 
 
-def test_bracket_stabilizer_failure_names_kind_level_and_orbit(monkeypatch, groups):
+def test_bracket_stabilizer_failure_names_kind_level_and_orbit(groups):
     G = groups("z2", 4)
     A = mat.mat(ring.truncate(G.spec, G.spec.ell_prime), [[0, 3], [1, 2]])
-    real = clifford._scalar_conj_mask_sl
-
-    def flip_first(L, A):
-        out = real(L, A)
-        out[0] = ~out[0]
-        return out
-
-    monkeypatch.setattr(clifford, "_scalar_conj_mask_sl", flip_first)
+    pa = clifford.make_psiA(G, A)
+    pa.c_gl_mask  # the commutation route reads the true array first
+    pa.res_conj = _moved_at_identity(pa, 1)  # P^-1 A P - A is no longer scalar at P = I
     with pytest.raises(
         AssertionError,
         match=r"^C_SL2\(psi_\[A\]\): stabilizer scan and scalar test disagree \(z2, r=4, orbit \(1;3;2\)\)$",
     ):
-        clifford.inertia(clifford.make_psiA(G, A))
+        clifford.inertia(pa)
 
 
 def _corrupt_first_generator(pa, attr):
@@ -296,7 +335,13 @@ def _corrupt_first_generator(pa, attr):
     return pa
 
 
-def test_corrupted_psi_exponent_raises_through_every_route(groups, monkeypatch):
+def _conj_agreeing_with(pa, mask):
+    # a stand-in for res_conj whose P^-1 A P equals A exactly on mask (-1 is no
+    # code), so both residue formulas read mask: commuting, and scalar on mask & SL2
+    return tuple(np.where(mask, np.int64(a), np.int64(-1)) for a in pa.A.codes)
+
+
+def test_corrupted_psi_exponent_raises_through_every_route(groups):
     # each route in turn is the only one left to see the corruption: the routes
     # checked first are made to agree with the corrupted stabilizer scan
     G = groups("z2", 4)
@@ -305,18 +350,17 @@ def test_corrupted_psi_exponent_raises_through_every_route(groups, monkeypatch):
     bad = _corrupt_first_generator(clifford.make_psiA(G, A), "exps_M")
     with pytest.raises(AssertionError, match=r"C_GL2\(psi_A\): stabilizer scan and residue commutation" + where):
         bad.c_gl_mask
-    stab = bad.stabilizer_residues
-    with monkeypatch.context() as m:
-        m.setattr(clifford, "_commute_mask", lambda spec, X, codes4: stab)
-        with pytest.raises(AssertionError, match=r"C_GL2\(psi_A\): stabilizer scan and product formula" + where):
-            bad.c_gl_mask
+    bad.res_conj = _conj_agreeing_with(bad, bad.stabilizer_residues)
+    with pytest.raises(AssertionError, match=r"C_GL2\(psi_A\): stabilizer scan and product formula" + where):
+        bad.c_gl_mask
     bad = _corrupt_first_generator(clifford.make_psiA(G, A), "exps_K")
     L = bad.layers
     with pytest.raises(AssertionError, match=r"C_SL2\(psi_\[A\]\): stabilizer scan and scalar test" + where):
         bad.c_sl_bracket
     bstab = np.zeros(L.res_root.n, dtype=bool)
     bstab[L.res_sl] = clifford._stabilizer_mask(L.conj_lifts_K, L.Kl, bad.exps_K)
-    monkeypatch.setattr(clifford, "_scalar_conj_mask_sl", lambda L, A: bstab)
+    bad.c_gl_mask  # read from the true array, before the stand-in
+    bad.res_conj = _conj_agreeing_with(bad, bstab)
     with pytest.raises(AssertionError, match=r"C_SL2\(psi_\[A\]\): stabilizer scan and H-product formula" + where):
         bad.c_sl_bracket
 
@@ -471,13 +515,14 @@ def test_per_table_routes_match_per_orbit_recomputation(kind, r, groups):
         bstab[L.res_sl] = clifford._stabilizer_mask(L.conj_lifts_K, L.Kl, pa.exps_K)
         assert np.array_equal(bstab[index[L.sl.root_pos]], _literal_scan(L.sl, L.Kl, pa.exps_K))
         # C_GL2(A~) M^l': the residue classes met by C_GL2(A~), against the literal products
-        cent_lift = clifford._commute_mask(L.spec, G.ms, pa.Atilde.codes)
+        cent_lift = _commuting(L.spec, G.ms, pa.Atilde)
         hit = np.zeros(res.n, dtype=bool)
         hit[index[cent_lift]] = True
         prod = clifford._product_mask(G, np.flatnonzero(cent_lift), Mlp.pos_in(G))
         assert np.array_equal(hit[index], prod)
-        resid = clifford._commute_mask(lp, res.ms, A.codes)[index]
-        assert np.array_equal(resid, clifford._commute_mask(lp, glp_entries, A.codes))
+        # res_conj's P^-1 A P = A against the commutation of every GL2 residue with A
+        resid = np.all([x == a for x, a in zip(pa.res_conj, A.codes)], axis=0)[index]
+        assert np.array_equal(resid, _commuting(lp, glp_entries, A))
         I = clifford.inertia(pa)
         assert np.array_equal(I.c_gl.root_pos, np.flatnonzero(stab))
         assert np.array_equal(I.c_sl_bracket.pos_in(L.sl), np.flatnonzero(bstab[index[L.sl.root_pos]]))
@@ -575,7 +620,7 @@ def test_extension_set_is_the_pi_ell_ideal(groups):
     assert {x.code for x in hl} == expect_h
     sl4 = L4.sl
     # C_S^l(A~) = (C_GL2(A~) M^l) cap SL2
-    cent_lift = clifford._commute_mask(spec4, G.ms, pb.Atilde.codes)
+    cent_lift = _commuting(spec4, G.ms, pb.Atilde)
     prod_ell = clifford._product_mask(G, np.flatnonzero(cent_lift), L4.Ml.root_pos)
     c_s_ell = grp.subgroup(sl4, prod_ell[sl4.root_pos], name="C_S^l(A~)")
     ainv = ring.inv(ring.elem(spec4, pb.Atilde.m21))

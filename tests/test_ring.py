@@ -535,24 +535,6 @@ def test_projection_and_lift(name):
             assert ring.proj(spec, sub, ring.lift(spec, z)) == z
 
 
-def test_div_pi_power():
-    for name in ("z2:4", "f2t:4", "eis2:5"):
-        spec = _spec(name)
-        pi = ring.uniformizer(spec)
-        pk = ring.one(spec)
-        for k in range(spec.r + 1):
-            sub = ring.truncate(spec, spec.r - k) if k < spec.r else None
-            for y in all_elems(spec):
-                x = ring.mul(pk, y)
-                got = ring.elem(spec, int(ring.div_pi_power(spec, np.int64(x.code), k)))
-                assert ring.mul(pk, got) == x
-                if sub is not None:  # quotient determined mod pi^(r-k)
-                    assert ring.proj(spec, sub, got) == ring.proj(spec, sub, y)
-            pk = ring.mul(pk, pi)
-        with pytest.raises(ValueError):
-            ring.div_pi_power(spec, np.int64(1), 1)
-
-
 # ------------------------------------------------------- additive characters
 
 

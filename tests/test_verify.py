@@ -424,16 +424,38 @@ def test_cli_selftest(capsys, monkeypatch):
     assert out.count("ok ") == 5 and "FAIL" not in out
 
 
-def test_module_entry_point():
+def _child_env():
     # the child finds the package where this process imported it from, as pytest's pythonpath does
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(verify.__file__).parents[1]), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_selftest_fails_under_python_O_with_both_values():
+    # python -O strips assert statements; the selftest's checks raise explicitly
+    env = _child_env()
+    env.pop("BRANCHLAB_BUDGET", None)
+    code = (
+        "import sys\n"
+        "from branchlab import predict, verify\n"
+        "real = predict.n_r\n"
+        "predict.n_r = lambda spec: real(spec) + 1\n"
+        "sys.exit(verify.cli_main(['selftest']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 1
+    fails = [line for line in proc.stdout.splitlines() if line.startswith("FAIL square-root count identity: ")]
+    assert len(fails) == 1
+    assert fails[0].endswith("n_r at z2 r=2 against the square-root count at l'=1: 2 != 1")
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "branchlab", "ring", "info", "--kind", "f4t", "--r", "2"],
         capture_output=True,
         text=True,
         timeout=120,
-        env=env,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     d = json.loads(proc.stdout)
