@@ -65,6 +65,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+import itertools
 from math import isqrt, lcm
 
 import numpy as np
@@ -76,13 +77,15 @@ from .grp import ConjClasses, GroupTable, conjugacy_classes
 # ------------------------------------------------------------- mod-p linalgebra
 
 
+def _primes_one_mod(n: int, above: int = 0):
+    """The primes p = 1 (mod n) with p > above, ascending and without end."""
+    first = above + 1 + (-above) % n  # the least integer = 1 (mod n) above `above`
+    return (p for p in itertools.count(first, n) if sympy.isprime(p))
+
+
 def dixon_prime(order: int, exponent: int) -> int:
     """Smallest prime p = 1 (mod exponent) with p > 2*sqrt(order)."""
-    bound = 2 * isqrt(order) + 1
-    p = exponent + 1
-    while p <= bound or not sympy.isprime(p):
-        p += exponent
-    return p
+    return next(_primes_one_mod(exponent, 2 * isqrt(order) + 1))
 
 
 def _zeta_powers(n: int, p: int) -> np.ndarray:
@@ -831,15 +834,10 @@ def orthogonality_certificate(table: ClassFunction) -> dict:
 
 def _certificate_primes(n: int, bound: int) -> list[int]:
     """The smallest primes = 1 (mod n) whose product exceeds bound."""
-    primes = []
-    p = n + 1
-    prod = 1
-    while prod <= bound:
-        while not sympy.isprime(p):
-            p += n
-        primes.append(p)
-        prod *= p
-        p += n
+    primes, product, walk = [], 1, _primes_one_mod(n)
+    while product <= bound:
+        primes.append(next(walk))
+        product *= primes[-1]
     return primes
 
 
@@ -884,7 +882,9 @@ def induce(f: ClassFunction, G: GroupTable) -> ClassFunction:
     num = G.n * acc
     den = H.n * ccG.sizes[:, None]
     if np.any(num % den):
-        raise AssertionError("induced values are not integral over the fusion data")
+        raise AssertionError(
+            f"values induced from {H.name} to {G.name} are not integral over the fusion data ({G._where})"
+        )
     return ClassFunction(G, f.n, num // den)
 
 

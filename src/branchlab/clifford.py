@@ -452,7 +452,7 @@ def _conjugate_positions(G: GroupTable, N: GroupTable, cols: np.ndarray) -> np.n
     missing column or a conjugate outside N raises.
     """
     if np.any(cols < 0):
-        raise AssertionError(f"a conjugating element is missing from {G.name}")
+        raise AssertionError(f"a conjugating element is missing from {G.name} ({G._where})")
     spec = G.spec
     g, ginv = G.entries(cols), G.entries(G.inv[cols])
     out = np.empty((len(N.gens), len(cols)), dtype=np.min_scalar_type(N.n - 1))
@@ -460,7 +460,7 @@ def _conjugate_positions(G: GroupTable, N: GroupTable, cols: np.ndarray) -> np.n
         t = mat._vmat_mul(spec, mat._vmat_mul(spec, ginv, G.entries(up)), g)
         inside = N.pos_of_codes(mat._vpack(spec, t))
         if np.any(inside < 0):
-            raise AssertionError(f"conjugate left {N.name}")
+            raise AssertionError(f"conjugate left {N.name} ({G._where})")
         out[j] = inside
     return out
 

@@ -1,12 +1,14 @@
 """Finite matrix-group engine for GL2/SL2 over the chain rings.
 
-One GroupTable class serves ambient groups and subgroups alike: elements are
-stored as four parallel entry-code arrays and products are recomputed from
-matrix entries (never a full Cayley table).  Only a root table (an enumerated
-GL2 or SL2) keeps the dense packed-code -> position index; every table cut
-from it holds its sorted positions in the root and their inverse map, so a
-lookup is root index -> local position, and K.pos_in(H) moves positions
-between any two tables of one root.
+One GroupTable class serves ambient groups and subgroups alike: a table
+stores its elements as one ascending, read-only array of packed codes
+(mat._vpack), unpacked into entries where products are recomputed (never a
+full Cayley table).  Only a root table (an enumerated GL2 or SL2) keeps the
+dense packed-code -> position index and inverts matrices; every table cut
+from it holds its sorted positions in the root and their inverse map, and
+reads its identity and inverses off the root's (a cut whose inverses leave
+it raises), so a lookup is root index -> local position, and K.pos_in(H)
+moves positions between any two tables of one root.
 
 Conjugacy classes are orbits, found by min-label propagation over generator
 permutation arrays.  Every table finds its own generating set greedily, by
@@ -57,23 +59,23 @@ def sl2_order(spec: RingSpec) -> int:
 class GroupTable:
     """Enumerated matrix group (or subgroup) with entrywise multiplication."""
 
-    def __init__(self, spec, name, ms, root=None, root_pos=None):
-        """root/root_pos: the root table and this table's sorted positions in it
+    def __init__(self, spec, name, codes, root=None, root_pos=None):
+        """codes: the ascending packed codes (mat._vpack) of the elements;
+        root/root_pos: the root table and this table's sorted positions in it
         (None for a root)."""
         self.spec = spec
         self.name = name
-        # entry codes (m11, m12, m21, m22), one read-only array each, indexed by position
-        self.ms = tuple(np.ascontiguousarray(a, dtype=np.int64) for a in ms)
-        for t in self.ms:
-            t.setflags(write=False)
-        self.n = len(self.ms[0])
+        # one read-only packed code per position; entries unpacks them
+        self.codes = np.ascontiguousarray(codes, dtype=np.int64)
+        self.codes.setflags(write=False)
+        self.n = len(self.codes)
         # results other modules compute once per table: "classes" on every table,
         # "clifford_layers" on a GL2 root (see the module docstring)
         self.cache = {}
         if root is None:
             self._root = None
             self._index = np.full(spec.size**4, -1, dtype=np.int32)
-            self._index[mat._vpack(spec, self.ms)] = np.arange(self.n, dtype=np.int32)
+            self._index[self.codes] = np.arange(self.n, dtype=np.int32)
             root_pos = np.arange(self.n, dtype=np.int64)
         else:
             self._root = root
@@ -84,8 +86,14 @@ class GroupTable:
         self.local[root_pos] = np.arange(self.n, dtype=np.int32)
         self.identity = int(self.pos_of_codes(mat._vpack(spec, (1, 0, 0, 1))))
         if self.identity < 0:
-            raise ValueError("element set lacks the identity")
-        self.inv = self._lookup(mat._vmat_inv(spec, self.ms))
+            raise ValueError(f"element set of {name} lacks the identity ({self._where})")
+        if root is None:
+            self.inv = self._lookup(mat._vmat_inv(spec, self.ms))
+        else:
+            # only a root inverts matrices: a cut reads its inverses off its root's
+            self.inv = self.local[root.inv[root_pos]].astype(np.int64)
+            if np.any(self.inv < 0):
+                raise ValueError(f"an inverse left the element set of {name} ({self._where})")
 
     @property
     def root(self) -> "GroupTable":
@@ -97,8 +105,18 @@ class GroupTable:
 
     # -------------------------------------------------------------- plumbing
 
+    @property
+    def _where(self) -> str:
+        """Failure context: the ring kind and level."""
+        return f"{self.spec.short_name}, r={self.spec.r}"
+
     def entries(self, i):
-        return tuple(t[i] for t in self.ms)
+        return mat._vunpack(self.spec, self.codes[i])
+
+    @property
+    def ms(self) -> tuple:
+        """Entry code arrays (m11, m12, m21, m22) of every element, unpacked on each read."""
+        return mat._vunpack(self.spec, self.codes)
 
     def pos_of_codes(self, codes):
         """Positions of packed matrix codes; -1 marks non-members.
@@ -112,7 +130,7 @@ class GroupTable:
     def _lookup(self, ms):
         p = self.pos_of_codes(mat._vpack(self.spec, ms))
         if not np.all(p >= 0):
-            raise ValueError(f"product left the element set of {self.name}")
+            raise ValueError(f"product left the element set of {self.name} ({self._where})")
         return p
 
     def mul(self, i, j):
@@ -121,7 +139,7 @@ class GroupTable:
         return p if isinstance(i, np.ndarray) or isinstance(j, np.ndarray) else int(p)
 
     def matrix(self, i) -> Mat2:
-        return Mat2(self.spec, *(int(t[i]) for t in self.ms))
+        return Mat2(self.spec, *map(int, self.entries(i)))
 
     def pos_of_matrix(self, X: Mat2) -> int:
         p = int(self.pos_of_codes(mat._vpack(self.spec, X.codes)))
@@ -205,11 +223,8 @@ def _enumerate_group(spec, keep_fn, name, expected, budget):
     step = 1 << 22
     for start in range(0, total, step):
         codes = np.arange(start, min(start + step, total), dtype=np.int64)
-        X = mat._vunpack(spec, codes)
-        keep = keep_fn(X)
-        chunks.append(tuple(t[keep] for t in X))
-    ms = tuple(np.concatenate([c[k] for c in chunks]) for k in range(4))
-    table = GroupTable(spec, name, ms)
+        chunks.append(codes[keep_fn(mat._vunpack(spec, codes))])
+    table = GroupTable(spec, name, np.concatenate(chunks))
     if table.n != expected:
         raise AssertionError(f"enumerated {table.n} elements of {name}, expected {expected}")
     return table
@@ -238,7 +253,7 @@ def build_sl2(spec: RingSpec, budget: int = DEFAULT_BUDGET) -> GroupTable:
 
 
 def _cut(table: GroupTable, idx: np.ndarray, name: str) -> GroupTable:
-    return GroupTable(table.spec, name, tuple(t[idx] for t in table.ms), root=table.root, root_pos=table.root_pos[idx])
+    return GroupTable(table.spec, name, table.codes[idx], root=table.root, root_pos=table.root_pos[idx])
 
 
 def subgroup(table: GroupTable, members, name="subgroup") -> GroupTable:
@@ -299,7 +314,9 @@ def sl2_subgroup(gl: GroupTable) -> GroupTable:
 
 
 def congruence_subgroup(G: GroupTable, i: int) -> GroupTable:
-    """M^i = I + pi^i M_2(o_r) intersected with G (K^i when G is SL2)."""
+    """M^i = I + pi^i M_2(o_r) intersected with G; named K^i when every
+    determinant in G is 1.  When |G| is the full |GL2| (or |SL2|), the order
+    q^(4(r-i)) (or q^(3(r-i))) is checked."""
     spec = G.spec
     if not 1 <= i <= spec.r:
         raise ValueError(f"congruence level {i} not in [1, {spec.r}]")
@@ -311,12 +328,13 @@ def congruence_subgroup(G: GroupTable, i: int) -> GroupTable:
         & (ring._vval(spec, X[2]) >= i)
         & (ring._vval(spec, ring._vadd(spec, X[3], ring._vneg(spec, one_))) >= i)
     )
-    name = f"K^{i}" if G.name.startswith("SL2") or G.name.startswith("K^") else f"M^{i}"
+    special = bool(np.all(G.dets == 1))
+    name = f"K^{i}" if special else f"M^{i}"
     sub = subgroup(G, keep, name=name)
     q, r = spec.q, spec.r
-    expected = {"M": q ** (4 * (r - i)), "K": q ** (3 * (r - i))}[name[0]]
-    if G.name in ("GL2", "SL2") and sub.n != expected:
-        raise AssertionError(f"|{name}| = {sub.n}, expected {expected}")
+    full, expected = (sl2_order(spec), q ** (3 * (r - i))) if special else (gl2_order(spec), q ** (4 * (r - i)))
+    if G.n == full and sub.n != expected:
+        raise AssertionError(f"|{name}| = {sub.n}, expected {expected} ({G._where})")
     return sub
 
 

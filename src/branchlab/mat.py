@@ -5,7 +5,7 @@ a cyclic vector), companion forms and their conjugators, centralizers (C(A)
 is the unit group of o[A] = {x I + y A}, built only by centralizer), and
 diagonal twists.  Scalar API works on Mat2 values; the _v* kernels act on
 tuples of four parallel numpy code arrays (m11, m12, m21, m22) and back the
-group layer.
+group layer, which stores each matrix as one packed code (_vpack/_vunpack).
 """
 
 from __future__ import annotations
@@ -114,19 +114,18 @@ def _vconj_diag(spec, X, d):
 
 
 def _vpack(spec, X):
+    """One int64 code per matrix: the entry codes as base-size digits, m11 lowest."""
     s = spec.size
     a, b, c, d = (np.asarray(t, dtype=np.int64) for t in X)
     return a + s * (b + s * (c + s * d))
 
 
 def _vunpack(spec, codes):
-    s = spec.size
+    """The entry codes (m11, m12, m21, m22) of packed codes.  size = q^r is a
+    power of two, so each base-size digit is a shift and a mask."""
+    w, m = spec.size.bit_length() - 1, spec.size - 1
     codes = np.asarray(codes, dtype=np.int64)
-    a = codes % s
-    rest = codes // s
-    b = rest % s
-    rest = rest // s
-    return a, b, rest % s, rest // s
+    return codes & m, (codes >> w) & m, (codes >> 2 * w) & m, codes >> 3 * w
 
 
 def _as_vec(M: Mat2):

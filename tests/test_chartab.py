@@ -6,6 +6,7 @@ column sums — sharing no code with the exact Dixon implementation.
 """
 
 import re
+from math import isqrt, prod
 
 import numpy as np
 import pytest
@@ -651,7 +652,24 @@ def test_degree_profiles(kind, r, group, groups, chartabs):
 def test_certificate_at_r3(groups, chartabs):
     T = chartabs(groups("z2", 3))
     cert = chartab.orthogonality_certificate(T)
-    assert cert["ok"] and len(cert["primes"]) >= 1
+    assert cert["ok"] and (T.n, cert["bound"], cert["primes"]) == (24, 1771008, [73, 97, 193, 241])
+
+
+def test_one_prime_walk_gives_the_dixon_and_certificate_primes():
+    # reference: walk n + 1, 2n + 1, ... one candidate at a time
+    for n in range(1, 97):
+        for order in (6, 96, 180, 1536, 24576, 46080, 393216, 6291456):
+            p = n + 1
+            while p <= 2 * isqrt(order) + 1 or not sympy.isprime(p):
+                p += n
+            assert chartab.dixon_prime(order, n) == p
+        for bound in (1, 10**3, 1771008, 10**12):
+            primes, p = [], n + 1
+            while prod(primes) <= bound:
+                if sympy.isprime(p):
+                    primes.append(p)
+                p += n
+            assert chartab._certificate_primes(n, bound) == primes
 
 
 def test_certificate_checks_its_int64_headroom(groups, chartabs, monkeypatch):
@@ -875,6 +893,15 @@ def test_restriction_dimension_bookkeeping(groups, chartabs):
         res = chartab.restrict(TG[i], S)
         dec = chartab.decompose(res, TS)
         assert int(dec @ TS.degree) == int(TG.degree[i])
+
+
+def test_induce_names_both_groups_when_the_fusion_data_is_wrong(groups, monkeypatch):
+    G = groups("z2", 2)
+    S = grp.sl2_subgroup(G)
+    real = chartab._fusion
+    monkeypatch.setattr(chartab, "_fusion", lambda *args: np.roll(real(*args), 1))  # each class sent one over
+    with pytest.raises(AssertionError, match=r"^values induced from SL2 to GL2 are not integral over the fusion data \(z2, r=2\)$"):
+        chartab.induce(chartab.trivial_character(S), G)
 
 
 def test_induced_degree_scales_by_index(groups, chartabs):

@@ -71,6 +71,18 @@ def test_lifts_check_once_that_Mlp_centralizes_Ml(monkeypatch):
     assert L.conj_lifts_M.shape == (len(L.Ml.gens), L.res_root.n)
 
 
+def test_conjugate_positions_failures_name_the_table_kind_and_level(groups):
+    G = groups("z2", 2)
+    u = G.pos_of_matrix(mat.mat(G.spec, [[1, 1], [0, 1]]))  # order 4
+    powers = [G.identity, u, G.mul(u, u), int(G.inv[u])]
+    N = grp.subgroup(G, powers, name="<u>")  # not normal: the swap w sends u to a lower unitriangular
+    w = G.pos_of_matrix(mat.mat(G.spec, [[0, 1], [1, 0]]))
+    with pytest.raises(AssertionError, match=r"^a conjugating element is missing from GL2 \(z2, r=2\)$"):
+        clifford._conjugate_positions(G, N, np.array([G.identity, -1]))
+    with pytest.raises(AssertionError, match=r"^conjugate left <u> \(z2, r=2\)$"):
+        clifford._conjugate_positions(G, N, np.array([G.identity, w]))
+
+
 def test_layers_reject_other_tables(groups):
     G = groups("z2", 2)
     with pytest.raises(ValueError):
@@ -371,7 +383,7 @@ def test_preimage_rejects_a_non_closed_image_and_uneven_fibers(groups):
     g = res.pos_of_matrix(mat.mat(L.spec_lp, [[1, 1], [0, 1]]))  # order 2 mod 2
     h = res.pos_of_matrix(mat.mat(L.spec_lp, [[1, 0], [1, 1]]))
     members = np.array(sorted({res.identity, g, h}))  # closed under inverses, not under products
-    loose = grp.GroupTable(res.spec, "loose", tuple(t[members] for t in res.ms), root=res, root_pos=members)
+    loose = grp.GroupTable(res.spec, "loose", res.codes[members], root=res, root_pos=members)
     with pytest.raises(ValueError, match="left the element set"):
         grp.preimage(L.gl, L.fibers, loose, name="C")
     image = grp.subgroup(res, [res.identity, g], name="<g>")
@@ -503,7 +515,7 @@ def test_per_table_routes_match_per_orbit_recomputation(kind, r, groups):
     Mlp = grp.congruence_subgroup(G, L.ellp)
     assert res.n == grp.gl2_order(lp) == G.n // Mlp.n
     # the residue root's positions are the sorted distinct residue codes
-    assert np.array_equal(mat._vpack(lp, res.ms), np.unique(mat._vpack(lp, glp_entries)))
+    assert np.array_equal(res.codes, np.unique(mat._vpack(lp, glp_entries)))
     assert L.conj_lifts_M.dtype == np.min_scalar_type(L.Ml.n - 1) and index.dtype == np.int32
     assert L.conj_lifts_M.shape[1] == res.n and L.conj_lifts_K.shape[1] == grp.sl2_order(lp)
     orbits = 0

@@ -125,6 +125,20 @@ def test_congruence_subgroups():
                     assert c in members
 
 
+def test_congruence_subgroup_reads_the_group_not_its_name(monkeypatch):
+    G = _gl("z2", 3)
+    S = grp.subgroup(G, G.dets == 1, name="special")  # all of SL2, under another name
+    K = grp.congruence_subgroup(S, 1)
+    assert K.name == "K^1" and K.n == 2**6
+    assert grp.congruence_subgroup(grp.subgroup(G, np.ones(G.n, dtype=bool), name="all"), 2).name == "M^2"
+    # a cut that drops members: the order is checked on the full SL2 and not below it
+    real = grp.subgroup
+    monkeypatch.setattr(grp, "subgroup", lambda H, keep, name: real(H, [H.identity], name=name))
+    with pytest.raises(AssertionError, match=r"^\|K\^1\| = 1, expected 64 \(z2, r=3\)$"):
+        grp.congruence_subgroup(S, 1)
+    assert grp.congruence_subgroup(K, 2).n == 1
+
+
 def test_sl2_subgroup_dets():
     G = _gl("z2", 3)
     S = grp.sl2_subgroup(G)
@@ -173,14 +187,20 @@ def test_centralizer_orbit_identity():
         assert cent * int(cc.sizes[c]) == G.n
 
 
-@pytest.mark.parametrize("kind,r", [("z2", 3), ("f4t", 2)])
-def test_incremental_generators_match_a_from_scratch_greedy(kind, r, built_tables, greedy_reference):
-    G = _gl(kind, r)  # a fresh table, so inertia builds every subgroup below
+def _inertia_sweep(G):
+    """Build every inertia group of every orbit of the GL2 table G; the orbits' triples."""
     lp = ring.truncate(G.spec, G.spec.ell_prime)
     triples = sorted({mat.companion_form(A).triple for A in mat.all_cyclic_matrices(lp)})
     for a, alpha, beta in triples:
         top = ring.mul(ring.inv(ring.elem(lp, a)), ring.elem(lp, alpha))
         clifford.inertia(clifford.make_psiA(G, mat.mat_from_codes(lp, 0, top.code, a, beta)))
+    return triples
+
+
+@pytest.mark.parametrize("kind,r", [("z2", 3), ("f4t", 2)])
+def test_incremental_generators_match_a_from_scratch_greedy(kind, r, built_tables, greedy_reference):
+    G = _gl(kind, r)  # a fresh table, so inertia builds every subgroup below
+    triples = _inertia_sweep(G)
     # C_GL2(psi_A), C_SL2(psi_A), C_SL2(psi_[A]) per orbit, each the preimage of a
     # residue subgroup; the preimages' generators are read here for the first time
     res_root = clifford._layers(G).res_root
@@ -191,14 +211,36 @@ def test_incremental_generators_match_a_from_scratch_greedy(kind, r, built_table
         assert H.gens == greedy_reference(H), H
 
 
+@pytest.mark.parametrize("kind,r", [("z2", 3), ("f2t", 3), ("eis2", 3), ("f4t", 2)])
+def test_tables_hold_ascending_codes_and_the_matrix_inverses(kind, r, built_tables):
+    G = _gl(kind, r)  # a fresh table, so the sweep builds every table below
+    _inertia_sweep(G)
+    cuts = [H for H in built_tables if H.root is not H]
+    assert len(cuts) > len(built_tables) // 2
+    for H in built_tables + [grp.build_sl2(G.spec)]:
+        spec = H.spec
+        assert H.codes.dtype == np.int64 and not H.codes.flags.writeable, H
+        assert np.all(np.diff(H.codes) > 0), H
+        # a cut reads inv and identity off its root; the root looks up the matrix inverses
+        assert np.array_equal(H.inv, H.pos_of_codes(mat._vpack(spec, mat._vmat_inv(spec, H.ms)))), H
+        assert H.identity == H.pos_of_matrix(mat.identity(spec)), H
+
+
 def test_subgroup_of_a_non_closed_set_raises():
     G = _gl("z2", 2)
     g = G.pos_of_matrix(mat.mat(G.spec, [[1, 1], [0, 1]]))  # order 4
     members = [G.identity, g, int(G.inv[g])]  # closed under inverses, not under products
-    with pytest.raises(ValueError, match="left the element set"):
+    with pytest.raises(ValueError, match=r"^product left the element set of subgroup \(z2, r=2\)$"):
         grp.subgroup(G, members)
-    with pytest.raises(ValueError, match="lacks the identity"):
-        grp.subgroup(G, [g])
+    with pytest.raises(ValueError, match=r"^element set of one lacks the identity \(z2, r=2\)$"):
+        grp.subgroup(G, [g], name="one")
+
+
+def test_a_cut_not_closed_under_inverses_raises():
+    G = _gl("z2", 2)
+    g = G.pos_of_matrix(mat.mat(G.spec, [[1, 1], [0, 1]]))  # order 4: g^-1 = g^3
+    with pytest.raises(ValueError, match=r"^an inverse left the element set of half \(z2, r=2\)$"):
+        grp.subgroup(G, [G.identity, g], name="half")
 
 
 def test_budget_errors():
@@ -225,7 +267,7 @@ def test_subgroup_lookup_marks_non_members():
     codes = mat._vpack(G.spec, G.entries(np.array([outside])))
     assert S.pos_of_codes(zero) == -1
     assert S.pos_of_codes(codes)[0] == -1
-    inside = S.pos_of_codes(mat._vpack(G.spec, S.ms))
+    inside = S.pos_of_codes(S.codes)
     assert np.array_equal(inside, np.arange(S.n))
 
 

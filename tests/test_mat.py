@@ -181,6 +181,7 @@ def test_pack_unpack_round_trip(name):
     codes = np.arange(spec.size**4, dtype=np.int64)
     X = mat._vunpack(spec, codes)
     assert np.array_equal(mat._vpack(spec, X), codes)
+    assert _same(mat._vunpack(spec, mat._vpack(spec, X)), X) and all(t.max() == spec.size - 1 for t in X)
     dets = mat._vdet(spec, X)
     per = np.array([mat.det(A).code for A in _all(spec)])
     assert np.array_equal(dets, per)
